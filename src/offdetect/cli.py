@@ -73,6 +73,7 @@ def _load_config(args) -> ExperimentConfig:
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, out_dir=Path(args.out))
+    cfg.validate()
     return cfg
 
 
@@ -115,6 +116,19 @@ def _cmd_sweep(args) -> int:
     if bool(args.sweep_c) == bool(args.sweep_dim):
         raise UsageError("sweep needs exactly one of --sweep-C or --sweep-dim")
     cfg = _load_config(args)
+    if args.sweep_c:
+        if cfg.classifier != "svm":
+            raise UsageError(
+                f"--sweep-C trains SVMs; the config's classifier is {cfg.classifier!r}"
+            )
+        c_values = _parse_values(args.sweep_c, float, "C")
+        for c in c_values:
+            replace(cfg, C=c).validate()
+    else:
+        dims = _parse_values(args.sweep_dim, int, "dimension")
+        dim_cfgs = [replace(cfg, rks=replace(cfg.rks or RksSpec(dim=d), dim=d)) for d in dims]
+        for run_cfg in dim_cfgs:
+            run_cfg.validate()
     cfg.check_inputs_exist()
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -138,7 +152,6 @@ def _cmd_sweep(args) -> int:
                 raw = pipeline.featurize(corpus)
                 return FeatureMatrix(values=transform(rks_map, raw.values), ids=raw.ids)
 
-        c_values = _parse_values(args.sweep_c, float, "C")
         rows = sweep_control_parameter(
             train_corpus, test_corpus, featurize, c_values,
             epochs=cfg.svm_epochs, seed=cfg.seed,
@@ -146,12 +159,8 @@ def _cmd_sweep(args) -> int:
         lines = sweep_csv_lines(rows, value_name="C")
         dest = out_dir / "sweep_C.csv"
     else:
-        dims = _parse_values(args.sweep_dim, int, "dimension")
         rows = []
-        for dim in dims:
-            spec = cfg.rks or RksSpec(dim=dim)
-            run_cfg = replace(cfg, rks=replace(spec, dim=dim))
-            run_cfg.validate()
+        for dim, run_cfg in zip(dims, dim_cfgs):
             result = run_experiment(run_cfg, write_files=False)
             rows.append((float(dim), result.report.accuracy))
         lines = sweep_csv_lines(rows, value_name="D")

@@ -139,18 +139,20 @@ def sweep_control_parameter(
     seed: int = 0,
 ) -> list[tuple[float, float]]:
     """Train one hinge-loss SVM per control-parameter value and report
-    (C, test accuracy percent) rows in the order given."""
+    (C, test accuracy percent) rows in the order given.  Each corpus is
+    featurized once, whatever the number of values."""
     if not c_values:
         raise DataError("control-parameter sweep needs at least one value")
     train_F = featurize(train_corpus)
     train_y = labels_to_signs(train_corpus)
+    test_F = featurize(test_corpus)
     rows: list[tuple[float, float]] = []
     for c in c_values:
         try:
             model = train_linear_svm(train_F, train_y, C=c, epochs=epochs, seed=seed)
         except (DataError, NumericError, ValueError) as exc:
             raise type(exc)(f"C={c}: {exc}") from exc
-        report = evaluate(model, test_corpus, featurize)
+        report = evaluate(model, test_corpus, lambda _: test_F)
         rows.append((float(c), report.accuracy))
     return rows
 

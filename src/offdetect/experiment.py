@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -106,8 +107,33 @@ class ExperimentConfig:
         if self.rks is not None:
             if self.rks.dim < 2 or self.rks.dim % 2 != 0:
                 raise DataError(f"rks_dim must be even and >= 2, got {self.rks.dim}")
+            if self.rks.sigma is not None and not (
+                math.isfinite(self.rks.sigma) and self.rks.sigma > 0
+            ):
+                raise DataError(f"rks_sigma must be positive, got {self.rks.sigma!r}")
+            if self.rks.seed < 0:
+                raise DataError(f"rks_seed must be >= 0, got {self.rks.seed}")
             if self.classifier == "gnb":
                 raise DataError("the random-feature lift requires a linear classifier")
+        positive = {"lambda": self.lam, "C": self.C, "lr": self.lr, "var_floor": self.var_floor}
+        for key, value in positive.items():
+            if not (math.isfinite(value) and value > 0):
+                raise DataError(f"{key} must be positive, got {value!r}")
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise DataError(f"l2 must be >= 0, got {self.l2!r}")
+        if not 0.0 < self.sv_rel_tol < 1.0:
+            raise DataError(f"sv_rel_tol must be in (0, 1), got {self.sv_rel_tol!r}")
+        counts = {
+            "hodmd order": self.hodmd_d,
+            "r_max": self.r_max,
+            "svm_epochs": self.svm_epochs,
+            "logreg_epochs": self.logreg_epochs,
+        }
+        for key, value in counts.items():
+            if value < 1:
+                raise DataError(f"{key} must be >= 1, got {value}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
     def input_paths(self) -> dict[str, Path]:
         paths = {"train_tsv": self.train_tsv, "test_tsv": self.test_tsv}
@@ -201,10 +227,8 @@ def parse_config(path) -> ExperimentConfig:
     if match:
         feature = "hodmd"
         hodmd_d = int(match.group(1))
-        if hodmd_d < 1:
-            raise DataError(f"{path}: hodmd order must be >= 1")
-    elif feature == "dmd":
-        hodmd_d = 1
+    elif feature == "hodmd":
+        raise DataError(f"{path}: feature 'hodmd' needs a delay order, e.g. 'hodmd(2)'")
 
     rks = None
     if "rks_dim" in raw:
@@ -216,8 +240,6 @@ def parse_config(path) -> ExperimentConfig:
                 sigma = float(sigma_raw)
             except ValueError:
                 raise DataError(f"{path}: rks_sigma must be 'median' or a number") from None
-            if sigma <= 0:
-                raise DataError(f"{path}: rks_sigma must be positive, got {sigma}")
         rks = RksSpec(
             dim=number("rks_dim", None, int),
             sigma=sigma,

@@ -20,7 +20,9 @@ Layout (version 1):
 The map block stores only the sampling recipe; loading re-draws the
 frequency matrix, which the seeded generator reproduces bit-exactly.  Any
 unexpected trailing bytes, short reads, or unknown identifiers fail the
-load with no partial model.
+load with no partial model.  So does a map larger than MAX_MAP_ENTRIES, a
+weight count other than the map's output dimension, or a map recipe that
+sample_map refuses; the map is drawn last, after everything else is read.
 """
 
 from __future__ import annotations
@@ -32,12 +34,20 @@ import numpy as np
 
 from .errors import ModelFormatError
 from .learn import GnbModel, LinearModel
-from .rks import PRNG_ID, RksMap, sample_map
+from .rks import PRNG_ID, sample_map
 
-__all__ = ["MAGIC", "FORMAT_VERSION", "save_model", "load_model"]
+__all__ = ["MAGIC", "FORMAT_VERSION", "MAX_MAP_ENTRIES", "save_model", "load_model"]
 
 MAGIC = b"OFFD1"
 FORMAT_VERSION = 1
+
+# Largest d_in x dim_out map a file may ask load_model to draw (a 128 MiB
+# frequency matrix); shipped sweeps write at most 512 x 4000.
+MAX_MAP_ENTRIES = 1 << 24
+
+# Payload reads go in pieces of at most this many bytes, so a corrupt
+# length field cannot allocate more memory than the file holds.
+_READ_CHUNK = 1 << 20
 
 _KIND_CODES = {"rlsc": 0, "svm_linear": 1, "logreg": 2, "gnb": 3}
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
@@ -87,11 +97,19 @@ def save_model(model, sink) -> None:
 
 
 def _read_exact(source, size: int) -> bytes:
-    data = source.read(size)
-    if data is None or len(data) != size:
-        raise ModelFormatError(f"truncated model file (wanted {size} bytes, got "
-                               f"{0 if data is None else len(data)})")
-    return data
+    parts = []
+    remaining = size
+    while remaining > 0:
+        data = source.read(min(remaining, _READ_CHUNK))
+        if not data:
+            break
+        parts.append(data)
+        remaining -= len(data)
+    if remaining:
+        raise ModelFormatError(
+            f"truncated model file (wanted {size} bytes, got {size - remaining})"
+        )
+    return b"".join(parts)
 
 
 def _read_struct(source, fmt: str):
@@ -116,19 +134,10 @@ def load_model(source):
         raise ModelFormatError(f"unknown flag bits 0x{flags:02x}")
     kind = _CODE_KINDS[kind_code]
 
-    rks: RksMap | None = None
-    if flags & 1:
-        d_in, dim_out, seed, sigma = _read_struct(source, "<IIqd")
-        (prng_len,) = _read_struct(source, "<H")
-        prng_id = _read_exact(source, prng_len).decode("utf-8")
-        if prng_id != PRNG_ID:
-            raise ModelFormatError(
-                f"map sampled with unknown generator {prng_id!r}; cannot reproduce it"
-            )
-        rks = sample_map(d_in, dim_out, sigma, seed)
+    recipe = _read_map_recipe(source) if flags & 1 else None
 
     if kind == "gnb":
-        if rks is not None:
+        if recipe is not None:
             raise ModelFormatError("gnb payload cannot carry an embedded map")
         (n,) = _read_struct(source, "<I")
         priors = _read_floats(source, 2)
@@ -145,9 +154,39 @@ def load_model(source):
             hyper = json.loads(_read_exact(source, hyper_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ModelFormatError(f"corrupt hyperparameter block: {exc}") from exc
-        model = LinearModel(kind=kind, w=w, bias=bias, hyper=hyper, rks=rks)
+        if not isinstance(hyper, dict):
+            raise ModelFormatError("corrupt hyperparameter block: not a JSON object")
+        if recipe is not None and n != recipe[1]:
+            raise ModelFormatError(
+                f"{n} weights do not match the map's output dimension {recipe[1]}"
+            )
+        model = LinearModel(kind=kind, w=w, bias=bias, hyper=hyper)
 
     trailing = source.read(1)
     if trailing:
         raise ModelFormatError("trailing bytes after model payload")
+    if recipe is not None:
+        try:
+            model.rks = sample_map(*recipe)
+        except ValueError as exc:
+            raise ModelFormatError(f"bad map recipe: {exc}") from exc
     return model
+
+
+def _read_map_recipe(source) -> tuple[int, int, float, int]:
+    """The map block's (d_in, dim_out, sigma, seed), capped at MAX_MAP_ENTRIES.
+
+    sample_map checks the rest of the recipe when load_model draws the map.
+    """
+    d_in, dim_out, seed, sigma = _read_struct(source, "<IIqd")
+    (prng_len,) = _read_struct(source, "<H")
+    prng_id = _read_exact(source, prng_len).decode("utf-8", errors="replace")
+    if prng_id != PRNG_ID:
+        raise ModelFormatError(
+            f"map sampled with unknown generator {prng_id!r}; cannot reproduce it"
+        )
+    if d_in * dim_out > MAX_MAP_ENTRIES:
+        raise ModelFormatError(
+            f"map of {d_in} x {dim_out} exceeds the {MAX_MAP_ENTRIES}-entry limit"
+        )
+    return d_in, dim_out, sigma, seed

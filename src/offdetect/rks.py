@@ -16,6 +16,7 @@ makes persisted models portable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +59,12 @@ def sample_map(d_in: int, dim_out: int, sigma: float, seed: int) -> RksMap:
     """Draw k = dim_out/2 Gaussian frequency columns with std 1/sigma."""
     if dim_out < 2 or dim_out % 2 != 0:
         raise ValueError(f"output dimension must be even (cos/sin pairs), got {dim_out}")
-    if sigma <= 0:
-        raise ValueError(f"bandwidth sigma must be positive, got {sigma}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"bandwidth sigma must be finite and positive, got {sigma}")
     if d_in < 1:
         raise ValueError(f"input dimension must be >= 1, got {d_in}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((d_in, dim_out // 2)) / sigma
     return RksMap(omega=omega, sigma=float(sigma), seed=int(seed))

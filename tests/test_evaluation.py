@@ -213,6 +213,17 @@ class TestSweep:
         for lo, hi in zip(accs, accs[1:]):
             assert hi >= lo - 2.0
 
+    def test_each_corpus_featurized_once(self):
+        train, test, featurize = separable_corpora()
+        calls = []
+
+        def counting(corpus):
+            calls.append(corpus.split)
+            return featurize(corpus)
+
+        sweep_control_parameter(train, test, counting, [0.1, 1, 100], epochs=5)
+        assert sorted(calls) == ["test", "train"]
+
     def test_empty_value_list_rejected(self):
         train, test, featurize = separable_corpora()
         with pytest.raises(DataError, match="at least one"):

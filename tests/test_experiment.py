@@ -91,6 +91,43 @@ class TestParseConfig:
         with pytest.raises(DataError, match="linear"):
             parse_config(cfg_path)
 
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("lambda = 0", "lambda"),
+            ("C = -1", "C"),
+            ("C = nan", "C"),
+            ("svm_epochs = 0", "svm_epochs"),
+            ("logreg_epochs = -3", "logreg_epochs"),
+            ("lr = inf", "lr"),
+            ("l2 = -0.5", "l2"),
+            ("var_floor = 0", "var_floor"),
+            ("r_max = 0", "r_max"),
+            ("sv_rel_tol = 1.5", "sv_rel_tol"),
+            ("seed = -1", "seed"),
+            ("rks_dim = 64\nrks_sigma = nan", "rks_sigma"),
+            ("rks_dim = 64\nrks_seed = -2", "rks_seed"),
+        ],
+    )
+    def test_out_of_range_value_rejected_before_data_loads(self, tmp_path, mini_dir, line, match):
+        # the corpus paths do not exist: only the config itself may be read
+        cfg_path = write_config(tmp_path / "bad.cfg", tmp_path / "absent", extra=line + "\n")
+        with pytest.raises(DataError, match=match):
+            parse_config(cfg_path)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_bare_hodmd_rejected(self, tmp_path, mini_dir):
+        cfg_path = write_config(tmp_path / "h.cfg", mini_dir)
+        cfg_path.write_text(cfg_path.read_text().replace("feature = avg", "feature = hodmd"))
+        with pytest.raises(DataError, match="delay order"):
+            parse_config(cfg_path)
+
+    def test_negative_seed_override_is_data_error(self, tmp_path, mini_dir, capsys):
+        cfg_path = write_config(tmp_path / "s.cfg", mini_dir)
+        argv = ["sweep", "--config", str(cfg_path), "--seed", "-1", "--sweep-C", "1"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert "seed" in capsys.readouterr().err
+
 
 class TestRunExperiment:
     def test_writes_report_model_manifest(self, tmp_path, mini_dir):
@@ -230,6 +267,24 @@ class TestCli:
         assert lines[0] == "C,accuracy"
         assert len(lines) == 3
 
+    def test_sweep_c_needs_svm_classifier(self, tmp_path, mini_dir, capsys):
+        cfg_path = write_config(tmp_path / "cli3b.cfg", mini_dir)
+        cfg_path.write_text(cfg_path.read_text().replace("classifier = svm", "classifier = rlsc"))
+        code = main(
+            ["sweep", "--config", str(cfg_path), "--sweep-C", "0.1,1", "--out", str(tmp_path / "o3b")]
+        )
+        assert code == 1
+        assert "rlsc" in capsys.readouterr().err
+        assert not (tmp_path / "o3b").exists()
+
+    def test_sweep_c_nonpositive_value_is_data_error(self, tmp_path, mini_dir, capsys):
+        cfg_path = write_config(tmp_path / "cli3c.cfg", mini_dir)
+        code = main(
+            ["sweep", "--config", str(cfg_path), "--sweep-C", "1,-2", "--out", str(tmp_path / "o3c")]
+        )
+        assert code == 2
+        assert not (tmp_path / "o3c").exists()
+
     def test_sweep_dim_writes_csv(self, tmp_path, mini_dir):
         cfg_path = write_config(tmp_path / "cli4.cfg", mini_dir)
         code = main(
@@ -243,9 +298,10 @@ class TestCli:
     def test_sweep_dim_odd_value_is_data_error(self, tmp_path, mini_dir, capsys):
         cfg_path = write_config(tmp_path / "cli4b.cfg", mini_dir)
         code = main(
-            ["sweep", "--config", str(cfg_path), "--sweep-dim", "15", "--out", str(tmp_path / "o4b")]
+            ["sweep", "--config", str(cfg_path), "--sweep-dim", "16,15", "--out", str(tmp_path / "o4b")]
         )
         assert code == 2
+        assert not (tmp_path / "o4b").exists()
 
     def test_inspect_model(self, tmp_path, mini_dir, capsys):
         cfg_path = write_config(tmp_path / "cli5.cfg", mini_dir)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offdetect.errors import DataError, NumericError
 from offdetect.learn import (
@@ -55,6 +57,35 @@ def batch_subgradient_svm_oracle(X, y, C, steps=200_000, step_scale=0.05):
         b -= eta * gb
         best = min(best, svm_objective(w, b, X, y, C))
     return best
+
+
+def _reference_svm(X, y, C, epochs, seed):
+    """The per-step subgradient loop train_linear_svm must reproduce:
+    returns the tail-averaged (w, bias)."""
+    n, dim = X.shape
+    lam = 1.0 / (C * n)
+    steps = epochs * n
+    order = np.random.default_rng(seed).integers(0, n, size=steps)
+
+    w = np.zeros(dim)
+    bias = 0.0
+    tail_start = steps // 2
+    w_sum = np.zeros(dim)
+    bias_sum = 0.0
+    tail = 0
+    for t0 in range(steps):
+        eta = 1.0 / np.sqrt(t0 + 1.0)
+        i = order[t0]
+        active = y[i] * (X[i] @ w + bias) < 1.0
+        w *= max(0.0, 1.0 - eta * lam)
+        if active:
+            w += eta * y[i] * X[i]
+            bias += eta * y[i]
+        if t0 >= tail_start:
+            w_sum += w
+            bias_sum += bias
+            tail += 1
+    return w_sum / tail, bias_sum / tail
 
 
 class TestRlsc:
@@ -141,6 +172,29 @@ class TestLinearSvm:
         b = train_linear_svm(X, y, C=2.0, epochs=50, seed=3)
         np.testing.assert_array_equal(a.w, b.w)
         assert a.bias == b.bias
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        dim=st.integers(1, 8),
+        log_c=st.floats(-4.0, 4.0),
+        epochs=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_step_reference(self, n, dim, log_c, epochs, seed, data_seed):
+        # log10 C spans the zero-shrink prefix (C n <= 1), the fast-decay
+        # regime just above it, and the nearly shrink-free large-C regime
+        rng = np.random.default_rng(data_seed)
+        X = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-2, 2)
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        y[:2] = (1.0, -1.0)
+        C = 10.0**log_c
+        model = train_linear_svm(X, y, C=C, epochs=epochs, seed=seed)
+        w_ref, bias_ref = _reference_svm(X, y, C, epochs, seed)
+        got = np.append(model.w, model.bias)
+        ref = np.append(w_ref, bias_ref)
+        assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
 
     def test_row_duplication_keeps_separable_predictions(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [2.0, 2.0], [2.0, 3.0]])

@@ -1,12 +1,15 @@
 import io
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offdetect.errors import ModelFormatError
 from offdetect.learn import GnbModel, LinearModel, predict, train_gnb, train_rlsc
-from offdetect.model_io import MAGIC, load_model, save_model
-from offdetect.rks import sample_map
+from offdetect.model_io import MAGIC, MAX_MAP_ENTRIES, load_model, save_model
+from offdetect.rks import RksMap, sample_map
 
 
 def roundtrip(model):
@@ -123,3 +126,81 @@ class TestMalformedFiles:
         corrupted[idx] = ord("x")
         with pytest.raises(ModelFormatError, match="generator"):
             load_model(io.BytesIO(bytes(corrupted)))
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("sigma", -1.7, "bandwidth"),
+            ("sigma", 0.0, "bandwidth"),
+            ("sigma", float("nan"), "bandwidth"),
+            ("sigma", float("inf"), "bandwidth"),
+            ("dim_out", 9, "output dimension"),
+            ("dim_out", 0, "output dimension"),
+            ("d_in", 0, "input dimension"),
+            ("d_in", MAX_MAP_ENTRIES, "limit"),
+            ("seed", -4, "seed"),
+        ],
+    )
+    def test_bad_map_recipe_rejected(self, field, value, match):
+        payload, _ = roundtrip(sample_linear(with_rks=True))
+        offset = len(MAGIC) + 3
+        recipe = dict(zip(("d_in", "dim_out", "seed", "sigma"),
+                          struct.unpack_from("<IIqd", payload, offset)))
+        recipe[field] = value
+        corrupted = bytearray(payload)
+        struct.pack_into("<IIqd", corrupted, offset, *recipe.values())
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(io.BytesIO(bytes(corrupted)))
+
+    def test_empty_map_rejected(self):
+        # Zero weights match the zero-width map, so sample_map's own check
+        # is the one that refuses it.
+        model = LinearModel(kind="svm_linear", w=np.zeros(0), bias=0.0, hyper={},
+                            rks=RksMap(omega=np.zeros((3, 0)), sigma=1.0, seed=0))
+        buf = io.BytesIO()
+        save_model(model, buf)
+        buf.seek(0)
+        with pytest.raises(ModelFormatError, match="bad map recipe.*even"):
+            load_model(buf)
+
+    def test_weight_count_must_match_map_output(self):
+        model = sample_linear(with_rks=True)
+        model.w = model.w[:8]
+        buf = io.BytesIO()
+        save_model(model, buf)
+        buf.seek(0)
+        with pytest.raises(ModelFormatError, match="output dimension"):
+            load_model(buf)
+
+    def test_non_object_hyperparameters_rejected(self):
+        payload, _ = roundtrip(sample_linear())
+        hyper = b'{"lam":0.001}'
+        assert payload.endswith(hyper)
+        corrupted = payload[: -len(hyper)] + b"[1,2,3,4,5,6]"
+        with pytest.raises(ModelFormatError, match="not a JSON object"):
+            load_model(io.BytesIO(corrupted))
+
+
+_FUZZ_PAYLOADS = [
+    roundtrip(sample_linear())[0],
+    roundtrip(sample_linear(with_rks=True))[0],
+    roundtrip(train_gnb(np.array([[0.0, 1.0], [1.0, 0.5], [2.0, 2.0]]), np.array([1, -1, 1])))[0],
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    which=st.integers(0, len(_FUZZ_PAYLOADS) - 1),
+    flips=st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 7)), max_size=4),
+    cut=st.none() | st.integers(0, 10_000),
+)
+def test_fuzzed_files_load_or_raise_model_format_error(which, flips, cut):
+    corrupted = bytearray(_FUZZ_PAYLOADS[which])
+    for pos, bit in flips:
+        corrupted[pos % len(corrupted)] ^= 1 << bit
+    if cut is not None:
+        corrupted = corrupted[: cut % (len(corrupted) + 1)]
+    try:
+        load_model(io.BytesIO(bytes(corrupted)))
+    except ModelFormatError:
+        pass
