@@ -22,9 +22,17 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from offdetect.corpus import load_olid_tsv  # noqa: E402
-from offdetect.evaluation import render_report, sweep_control_parameter, sweep_csv_lines  # noqa: E402
-from offdetect.experiment import ExperimentConfig, RksSpec, build_pipeline, run_experiment  # noqa: E402
+from dataclasses import replace  # noqa: E402
+
+from offdetect.evaluation import render_report, sweep_csv_lines  # noqa: E402
+from offdetect.experiment import (  # noqa: E402
+    ExperimentConfig,
+    RksSpec,
+    build_pipeline,
+    load_corpora,
+    run_experiment,
+    sweep_reports,
+)
 
 MINI = REPO / "data" / "mini"
 
@@ -68,16 +76,15 @@ def stage_dmd(out_root: Path) -> None:
     print(text)
 
     cfg = base_config("dmd-c-sweep", out_root, feature="dmd", classifier="svm")
-    with open(cfg.train_tsv, "rb") as fh:
-        train_corpus = load_olid_tsv(fh, split="train")
-    with open(cfg.test_labels, "rb") as lfh, open(cfg.test_tsv, "rb") as fh:
-        test_corpus = load_olid_tsv(fh, lfh, split="test")
+    c_values = [0.1, 1.0, 100.0, 500.0, 1000.0]
+    train_corpus, test_corpus = load_corpora(cfg)
     pipeline = build_pipeline(cfg, [train_corpus, test_corpus])
-    sweep = sweep_control_parameter(
-        train_corpus, test_corpus, pipeline.featurize,
-        [0.1, 1.0, 100.0, 500.0, 1000.0], epochs=cfg.svm_epochs, seed=cfg.seed,
+    reports = sweep_reports(
+        pipeline, train_corpus, test_corpus, [replace(cfg, C=c) for c in c_values]
     )
-    lines = sweep_csv_lines(sweep, value_name="C")
+    lines = sweep_csv_lines(
+        [(c, report.accuracy) for c, report in zip(c_values, reports)], value_name="C"
+    )
     dest = out_root / "dmd-c-sweep" / "sweep_C.csv"
     dest.parent.mkdir(parents=True, exist_ok=True)
     dest.write_text("".join(line + "\n" for line in lines), encoding="utf-8")

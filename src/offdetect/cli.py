@@ -11,7 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import DataError, NumericError
-from .evaluation import format_pct, render_report, sweep_control_parameter, sweep_csv_lines
+from .evaluation import format_pct, render_report, sweep_csv_lines
 from .experiment import (
     ExperimentConfig,
     RksSpec,
@@ -20,6 +20,7 @@ from .experiment import (
     load_corpora,
     parse_config,
     run_experiment,
+    sweep_reports,
 )
 from .model_io import load_model
 
@@ -121,51 +122,25 @@ def _cmd_sweep(args) -> int:
             raise UsageError(
                 f"--sweep-C trains SVMs; the config's classifier is {cfg.classifier!r}"
             )
-        c_values = _parse_values(args.sweep_c, float, "C")
-        for c in c_values:
-            replace(cfg, C=c).validate()
+        values = _parse_values(args.sweep_c, float, "C")
+        run_cfgs = [replace(cfg, C=c) for c in values]
+        value_name, table = "C", "sweep_C.csv"
     else:
-        dims = _parse_values(args.sweep_dim, int, "dimension")
-        dim_cfgs = [replace(cfg, rks=replace(cfg.rks or RksSpec(dim=d), dim=d)) for d in dims]
-        for run_cfg in dim_cfgs:
-            run_cfg.validate()
+        values = _parse_values(args.sweep_dim, int, "dimension")
+        run_cfgs = [replace(cfg, rks=replace(cfg.rks or RksSpec(dim=d), dim=d)) for d in values]
+        value_name, table = "D", "sweep_dim.csv"
+    for run_cfg in run_cfgs:
+        run_cfg.validate()
     cfg.check_inputs_exist()
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    from .learn import FeatureMatrix
-    from .rks import median_heuristic_sigma, sample_map, transform
-
     train_corpus, test_corpus = load_corpora(cfg)
     pipeline = build_pipeline(cfg, [train_corpus, test_corpus])
-
-    if args.sweep_c:
-        featurize = pipeline.featurize
-        if cfg.rks is not None:
-            train_raw = pipeline.featurize(train_corpus)
-            sigma = cfg.rks.sigma
-            if sigma is None:
-                sigma = median_heuristic_sigma(train_raw.values, seed=cfg.rks.seed)
-            rks_map = sample_map(train_raw.dim, cfg.rks.dim, sigma, cfg.rks.seed)
-
-            def featurize(corpus):
-                raw = pipeline.featurize(corpus)
-                return FeatureMatrix(values=transform(rks_map, raw.values), ids=raw.ids)
-
-        rows = sweep_control_parameter(
-            train_corpus, test_corpus, featurize, c_values,
-            epochs=cfg.svm_epochs, seed=cfg.seed,
-        )
-        lines = sweep_csv_lines(rows, value_name="C")
-        dest = out_dir / "sweep_C.csv"
-    else:
-        rows = []
-        for dim, run_cfg in zip(dims, dim_cfgs):
-            result = run_experiment(run_cfg, write_files=False)
-            rows.append((float(dim), result.report.accuracy))
-        lines = sweep_csv_lines(rows, value_name="D")
-        dest = out_dir / "sweep_dim.csv"
-
+    reports = sweep_reports(pipeline, train_corpus, test_corpus, run_cfgs)
+    rows = [(float(value), report.accuracy) for value, report in zip(values, reports)]
+    lines = sweep_csv_lines(rows, value_name=value_name)
+    dest = out_dir / table
     dest.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     for line in lines:
         sys.stdout.write(line.replace(",", "\t") + "\n")

@@ -145,29 +145,71 @@ def reconstruction_error(dec: DmdDecomposition, snap: SnapshotPair) -> float:
     return float(err / scale)
 
 
-def sentence_feature(seq: EmbeddingSequence, cfg: HodmdConfig = HodmdConfig()) -> np.ndarray:
+def sentence_feature(
+    seq: EmbeddingSequence | np.ndarray, cfg: HodmdConfig = HodmdConfig()
+) -> np.ndarray:
     """Fixed-length feature: one-step extrapolation past the last snapshot.
 
-    Decomposes the (delay-embedded) signal, evaluates Phi Lambda^{m_s} b
-    where m_s is the stacked-snapshot count, takes the real part, and keeps
-    the first n components so the output length equals the channel count n
+    ``seq`` is one signal, an EmbeddingSequence or an (n, L) array, giving
+    an (n,) feature, or a stack of G signals of the same length, a
+    (G, n, L) array, giving a (G, n) one.  Each signal is decomposed
+    (after delay embedding), Phi Lambda^{m_s} b is evaluated where m_s is
+    the stacked-snapshot count, and the real part of its first n
+    components is kept, so the output length equals the channel count n
     regardless of tweet length.
 
     Total on any input: an empty sequence (or an all-zero signal) maps to
     the zero vector, and a sequence shorter than d+1 columns is padded by
     repeating its last column.
     """
-    n = seq.dim
-    L = seq.length
+    values = np.asarray(getattr(seq, "values", seq), dtype=np.float64)
+    if values.ndim == 2:
+        return _stacked_feature(values[None], cfg)[0]
+    return _stacked_feature(values, cfg)
+
+
+def _stacked_feature(values: np.ndarray, cfg: HodmdConfig) -> np.ndarray:
+    """sentence_feature of a (G, n, L) stack, computed in a compressed basis.
+
+    Each signal is factored V = Q_s R_s (Q_s: n x k orthonormal, k =
+    min(n, L)).  Its delay-stacked snapshots are then blockdiag(Q_s, ...)
+    times the same stacking of R_s, and exact DMD is invariant under that
+    orthonormal change of basis: the singular values, rank, eigenvalues and
+    least-squares amplitudes are those of the stacked R_s, and the modes are
+    the stacked-R_s modes mapped through blockdiag(Q_s, ...).  So the
+    decomposition runs on k*d rows instead of n*d, and the feature is
+    Q_s Re(z[:k]) for the compressed extrapolation z.
+    """
+    G, n, L = values.shape
+    out = np.zeros((G, n), dtype=np.float64)
+    d = cfg.d
     if L == 0:
-        return np.zeros(n, dtype=np.float64)
-    values = seq.values
-    if L < cfg.d + 1:
-        pad = np.repeat(values[:, -1:], cfg.d + 1 - L, axis=1)
-        values = np.concatenate([values, pad], axis=1)
-    snap = build_snapshots(EmbeddingSequence(values=values), cfg.d)
-    if not np.any(snap.X):
-        return np.zeros(n, dtype=np.float64)
-    dec = compute_dmd(snap, cfg)
-    extrapolated = predict_state(dec, snap.n_snapshots)
-    return np.real(extrapolated[:n]).astype(np.float64)
+        return out
+    if L < d + 1:
+        pad = np.repeat(values[:, :, -1:], d + 1 - L, axis=2)
+        values = np.concatenate([values, pad], axis=2)
+        L = d + 1
+    live = np.any(values[:, :, :-1], axis=(1, 2))  # all-zero X: the zero vector
+    if not np.any(live):
+        return out
+    try:
+        Q, R = np.linalg.qr(values[live])
+        k = R.shape[1]
+        stacked = np.concatenate([R[:, :, i : L - d + 1 + i] for i in range(d)], axis=1)
+        X, Xp = stacked[:, :, :-1], stacked[:, :, 1:]
+        U, s, Vh = np.linalg.svd(X, full_matrices=False)
+        ranks = np.minimum(cfg.r_max, np.count_nonzero(s > cfg.sv_rel_tol * s[:, :1], axis=1))
+        z = np.empty((X.shape[0], k), dtype=np.complex128)
+        for r in np.unique(ranks):
+            group = np.flatnonzero(ranks == r)
+            lifted = (Xp[group] @ Vh[group, :r].transpose(0, 2, 1)) / s[group, None, :r]
+            atilde = U[group, :, :r].transpose(0, 2, 1) @ lifted
+            eigenvalues, W = np.linalg.eig(atilde)
+            Phi = lifted @ W
+            amplitudes = (np.linalg.pinv(Phi, rcond=cfg.sv_rel_tol) @ X[group, :, :1])[:, :, 0]
+            step = (eigenvalues ** (L - d + 1) * amplitudes)[:, :, None]
+            z[group] = (Phi[:, :k] @ step)[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"decomposition failed: {exc}") from exc
+    out[live] = (Q @ z.real[:, :, None])[:, :, 0]
+    return out

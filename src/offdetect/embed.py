@@ -28,16 +28,26 @@ __all__ = [
 
 @dataclass
 class WordVectorTable:
-    """token -> vector map where every vector has length ``dim``."""
+    """Word vectors as the rows of one (V, dim) matrix; ``index`` maps each
+    token to its row."""
 
-    dim: int
-    vectors: dict[str, np.ndarray]
+    matrix: np.ndarray
+    index: dict[str, int]
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
+
+    def rows(self, tokens: list[str]) -> list[int]:
+        """Row numbers of the in-vocabulary tokens, in token order."""
+        index = self.index
+        return [index[tok] for tok in tokens if tok in index]
 
     def __contains__(self, token: str) -> bool:
-        return token in self.vectors
+        return token in self.index
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.index)
 
 
 @dataclass
@@ -84,8 +94,8 @@ def load_vec_table(source, vocab_filter: set[str] | None = None) -> WordVectorTa
     ``token v1 ... v_dim`` per line, space-separated.
 
     ``vocab_filter`` keeps only the listed tokens.  Rows whose width differs
-    from the header dim, or with non-numeric values, raise DataError naming
-    the line.
+    from the header dim, and kept rows with a non-numeric or non-finite
+    (nan, inf) value, raise DataError naming the line.
     """
     lines = iter(_lines(source))
     try:
@@ -102,49 +112,61 @@ def load_vec_table(source, vocab_filter: set[str] | None = None) -> WordVectorTa
     if dim <= 0:
         raise DataError(f"vec file line 1: dimension must be positive, got {dim}")
 
-    vectors: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        fields = line.rstrip("\n").split(" ")
-        # trailing-space tolerance seen in common .vec exports
-        if fields and fields[-1] == "":
-            fields = fields[:-1]
-        token = fields[0]
-        if len(fields) - 1 != dim:
-            raise DataError(
-                f"vec file line {lineno}: expected {dim} values, got {len(fields) - 1}"
-            )
-        if vocab_filter is not None and token not in vocab_filter:
-            continue
-        try:
-            vec = np.array([float(value) for value in fields[1:]], dtype=np.float64)
-        except ValueError:
-            raise DataError(f"vec file line {lineno}: non-numeric value") from None
-        vectors[token] = vec
-    return WordVectorTable(dim=dim, vectors=vectors)
+    tokens: list[str] = []
+
+    def kept_rows():
+        for lineno, line in enumerate(lines, start=2):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split(" ")
+            # trailing-space tolerance seen in common .vec exports
+            if fields and fields[-1] == "":
+                fields = fields[:-1]
+            token = fields[0]
+            if len(fields) - 1 != dim:
+                raise DataError(
+                    f"vec file line {lineno}: expected {dim} values, got {len(fields) - 1}"
+                )
+            if vocab_filter is not None and token not in vocab_filter:
+                continue
+            row = _parse_row(fields[1:], f"vec file line {lineno}")
+            tokens.append(token)
+            yield row
+
+    # rows go straight into one growing buffer, never all held twice
+    matrix = np.fromiter(kept_rows(), dtype=np.dtype((np.float64, dim)))
+    # a repeated token maps to its last row
+    return WordVectorTable(matrix=matrix, index={tok: i for i, tok in enumerate(tokens)})
+
+
+def _parse_row(fields: list[str], where: str) -> np.ndarray:
+    try:
+        vec = np.array([float(value) for value in fields], dtype=np.float64)
+    except ValueError:
+        raise DataError(f"{where}: non-numeric value") from None
+    if not np.isfinite(vec).all():
+        raise DataError(f"{where}: non-finite value")
+    return vec
 
 
 def average_embedding(tokens: list[str], table: WordVectorTable) -> np.ndarray:
     """Mean of in-vocabulary token vectors; zero vector if none are known."""
-    found = [table.vectors[tok] for tok in tokens if tok in table.vectors]
-    if not found:
+    rows = table.rows(tokens)
+    if not rows:
         return np.zeros(table.dim, dtype=np.float64)
-    return np.mean(found, axis=0)
+    return table.matrix[rows].mean(axis=0)
 
 
 def token_matrix(tokens: list[str], table: WordVectorTable) -> EmbeddingSequence:
     """In-vocabulary token vectors as ordered columns; OOV tokens skipped."""
-    found = [table.vectors[tok] for tok in tokens if tok in table.vectors]
-    if not found:
-        return EmbeddingSequence(values=np.zeros((table.dim, 0), dtype=np.float64))
-    return EmbeddingSequence(values=np.column_stack(found).astype(np.float64))
+    return EmbeddingSequence(values=table.matrix[table.rows(tokens)].T)
 
 
 def load_precomputed(source) -> PrecomputedTable:
     """Parse ``id v1 ... v_dim`` lines; dim inferred from the first row.
 
-    Duplicate ids and rows of inconsistent width raise DataError.  An empty
+    Duplicate ids, rows of inconsistent width and non-numeric or
+    non-finite (nan, inf) values raise DataError naming the line.  An empty
     file yields an empty table whose lookups fail.
     """
     vectors: dict[str, np.ndarray] = {}
@@ -164,8 +186,5 @@ def load_precomputed(source) -> PrecomputedTable:
             raise DataError(
                 f"precomputed file line {lineno}: expected {dim} values, got {len(fields) - 1}"
             )
-        try:
-            vectors[tweet_id] = np.array([float(v) for v in fields[1:]], dtype=np.float64)
-        except ValueError:
-            raise DataError(f"precomputed file line {lineno}: non-numeric value") from None
+        vectors[tweet_id] = _parse_row(fields[1:], f"precomputed file line {lineno}")
     return PrecomputedTable(dim=dim, vectors=vectors)

@@ -19,8 +19,7 @@ import json
 import math
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +49,8 @@ __all__ = [
     "FeaturePipeline",
     "build_pipeline",
     "ExperimentResult",
+    "fit",
+    "sweep_reports",
     "run_experiment",
     "export_feature_lines",
 ]
@@ -293,27 +294,6 @@ def load_corpora(cfg: ExperimentConfig) -> tuple[LabeledCorpus, LabeledCorpus]:
     return train_corpus, test_corpus
 
 
-def _n_workers() -> int:
-    raw = os.environ.get("OFFD_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DataError(f"OFFD_THREADS must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise DataError(f"OFFD_THREADS must be a positive integer, got {value}")
-    return min(value, os.cpu_count() or 1)
-
-
-def _map_records(fn, records):
-    workers = _n_workers()
-    if workers == 1 or len(records) < 2 * workers:
-        return [fn(rec) for rec in records]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, records))
-
-
 @dataclass
 class FeaturePipeline:
     """Resolved feature extractor: corpus -> FeatureMatrix (one row per tweet)."""
@@ -325,30 +305,36 @@ class FeaturePipeline:
     hodmd: HodmdConfig | None = None
 
     def featurize(self, corpus: LabeledCorpus) -> FeatureMatrix:
+        records = corpus.records
         if self.kind == "avg":
-            rows = _map_records(
-                lambda rec: average_embedding(
+            values = np.empty((len(records), self.vec_table.dim), dtype=np.float64)
+            for i, rec in enumerate(records):
+                values[i] = average_embedding(
                     tokenize_clean(rec.text, self.stopwords), self.vec_table
-                ),
-                corpus.records,
-            )
-            dim = self.vec_table.dim
+                )
         elif self.kind in ("dmd", "hodmd"):
-            rows = _map_records(
-                lambda rec: sentence_feature(
-                    token_matrix(tokenize_clean(rec.text, self.stopwords), self.vec_table),
-                    self.hodmd,
-                ),
-                corpus.records,
-            )
-            dim = self.vec_table.dim
+            values = self._dmd_features(corpus)
         elif self.kind == "precomputed":
-            rows = [self.precomputed.lookup(rec.id) for rec in corpus.records]
+            rows = [self.precomputed.lookup(rec.id) for rec in records]
             dim = self.precomputed.dim or 0
+            values = np.array(rows, dtype=np.float64) if rows else np.zeros((0, dim))
         else:
             raise DataError(f"unknown feature kind {self.kind!r}")
-        values = np.array(rows, dtype=np.float64) if rows else np.zeros((0, dim))
         return FeatureMatrix(values=values, ids=corpus.ids())
+
+    def _dmd_features(self, corpus: LabeledCorpus) -> np.ndarray:
+        """DMD features of every tweet, one stacked sentence_feature call per
+        signal length.  Only one length's signals are held at a time."""
+        table = self.vec_table
+        tokens = [tokenize_clean(rec.text, self.stopwords) for rec in corpus.records]
+        by_length: dict[int, list[int]] = {}
+        for i, toks in enumerate(tokens):
+            by_length.setdefault(len(table.rows(toks)), []).append(i)
+        values = np.zeros((len(tokens), table.dim), dtype=np.float64)
+        for members in by_length.values():
+            stack = np.stack([token_matrix(tokens[i], table).values for i in members])
+            values[members] = sentence_feature(stack, self.hodmd)
+        return values
 
 
 def build_pipeline(cfg: ExperimentConfig, corpora: list[LabeledCorpus]) -> FeaturePipeline:
@@ -406,6 +392,53 @@ def _train(cfg: ExperimentConfig, F, y):
     return train_gnb(F, y, var_floor=cfg.var_floor)
 
 
+def _lift_sigma(rks: RksSpec, train_F: FeatureMatrix) -> float:
+    """The lift bandwidth: the configured one, else the median heuristic on
+    the training features."""
+    if rks.sigma is not None:
+        return rks.sigma
+    return median_heuristic_sigma(train_F.values, seed=rks.seed)
+
+
+def fit(cfg: ExperimentConfig, train_F: FeatureMatrix, y: np.ndarray):
+    """Train the configured classifier on ``train_F``, lifted first when the
+    config asks for the random-feature map (bandwidth -> ``sample_map`` ->
+    ``transform``); the returned model carries the map, so it predicts from
+    raw features."""
+    if cfg.rks is None:
+        return _train(cfg, train_F, y)
+    rks_map = sample_map(train_F.dim, cfg.rks.dim, _lift_sigma(cfg.rks, train_F), cfg.rks.seed)
+    lifted = FeatureMatrix(values=transform(rks_map, train_F.values), ids=train_F.ids)
+    model = _train(cfg, lifted, y)
+    model.rks = rks_map
+    return model
+
+
+def sweep_reports(
+    pipeline: FeaturePipeline,
+    train_corpus: LabeledCorpus,
+    test_corpus: LabeledCorpus,
+    run_cfgs: list[ExperimentConfig],
+) -> list[MetricsReport]:
+    """Test metrics of each config in ``run_cfgs``, configs that differ only
+    in classifier settings or map dimension.  Each corpus is featurized
+    once and the lift bandwidth fitted once, so each config costs only its
+    map, training and evaluation."""
+    train_F = pipeline.featurize(train_corpus)
+    train_y = labels_to_signs(train_corpus)
+    test_F = pipeline.featurize(test_corpus)
+    sigma = None
+    reports = []
+    for run_cfg in run_cfgs:
+        if run_cfg.rks is not None:
+            if sigma is None:
+                sigma = _lift_sigma(run_cfg.rks, train_F)
+            run_cfg = replace(run_cfg, rks=replace(run_cfg.rks, sigma=sigma))
+        model = fit(run_cfg, train_F, train_y)
+        reports.append(evaluate(model, test_corpus, lambda _: test_F))
+    return reports
+
+
 def _classifier_hyper(cfg: ExperimentConfig) -> dict:
     if cfg.classifier == "rlsc":
         return {"lambda": cfg.lam}
@@ -436,21 +469,7 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> Experimen
     train_corpus, test_corpus = load_corpora(cfg)
     pipeline = build_pipeline(cfg, [train_corpus, test_corpus])
     train_F = pipeline.featurize(train_corpus)
-    train_y = labels_to_signs(train_corpus)
-
-    rks_map = None
-    sigma = None
-    if cfg.rks is not None:
-        sigma = cfg.rks.sigma
-        if sigma is None:
-            sigma = median_heuristic_sigma(train_F.values, seed=cfg.rks.seed)
-        rks_map = sample_map(train_F.dim, cfg.rks.dim, sigma, cfg.rks.seed)
-        lifted = FeatureMatrix(values=transform(rks_map, train_F.values), ids=train_F.ids)
-        model = _train(cfg, lifted, train_y)
-        model.rks = rks_map
-    else:
-        model = _train(cfg, train_F, train_y)
-
+    model = fit(cfg, train_F, labels_to_signs(train_corpus))
     report = evaluate(model, test_corpus, pipeline.featurize)
 
     manifest = {
@@ -467,7 +486,7 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> Experimen
         if cfg.rks is None
         else {
             "dim": cfg.rks.dim,
-            "sigma": sigma,
+            "sigma": model.rks.sigma,
             "sigma_spec": "median" if cfg.rks.sigma is None else "fixed",
             "seed": cfg.rks.seed,
             "prng": PRNG_ID,

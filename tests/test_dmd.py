@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offdetect.dmd import (
     HodmdConfig,
@@ -19,6 +21,23 @@ def linear_trajectory(A, x1, n_steps):
     for _ in range(n_steps - 1):
         cols.append(A @ cols[-1])
     return EmbeddingSequence(values=np.column_stack(cols))
+
+
+def _reference_sentence_feature(seq, cfg=HodmdConfig()):
+    """The per-tweet algorithm sentence_feature must reproduce: pad a short
+    sequence, delay-embed it, run exact DMD on all n*d rows and keep the
+    real part of the first n components of the one-step extrapolation."""
+    values = seq.values
+    n, L = values.shape
+    if L == 0:
+        return np.zeros(n)
+    if L < cfg.d + 1:
+        values = np.concatenate([values, np.repeat(values[:, -1:], cfg.d + 1 - L, axis=1)], axis=1)
+    snap = build_snapshots(EmbeddingSequence(values=values), cfg.d)
+    if not np.any(snap.X):
+        return np.zeros(n)
+    dec = compute_dmd(snap, cfg)
+    return np.real(predict_state(dec, snap.n_snapshots)[:n])
 
 
 class TestBuildSnapshots:
@@ -184,6 +203,50 @@ class TestSentenceFeature:
             extrapolated = predict_state(dec, snap.n_snapshots)
             re_scale = np.max(np.abs(np.real(extrapolated)))
             assert np.max(np.abs(np.imag(extrapolated))) <= 1e-8 * max(re_scale, 1e-30)
+
+
+class TestStackedSentenceFeature:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        length=st.integers(0, 14),
+        extra_channels=st.integers(0, 24),
+        r_max=st.integers(1, 12),
+        kinds=st.lists(st.sampled_from(["gaussian", "zero", "repeated"]), min_size=1, max_size=5),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_tweet_reference(self, d, length, extra_channels, r_max, kinds, data_seed):
+        # At least as many channels as tokens, as for word vectors and tweets:
+        # with fewer, the snapshot matrix can be square and the extrapolation
+        # so ill-conditioned that an exact rotation of the input moves the
+        # per-tweet result by 3e-3.  A repeated word inside an otherwise
+        # varied signal can make the reduced operator nearly defective, with
+        # the same effect, so repeated-word rows repeat one word throughout.
+        # Lengths up to d are padded.
+        rng = np.random.default_rng(data_seed)
+        n = max(length, 1) + extra_channels
+        stack = rng.normal(size=(len(kinds), n, length))
+        for g, kind in enumerate(kinds):
+            if kind == "zero":
+                stack[g] = 0.0
+            elif kind == "repeated":  # a rank-one signal
+                stack[g] = stack[g][:, :1]
+        cfg = HodmdConfig(d=d, r_max=r_max)
+        got = sentence_feature(stack, cfg)
+        assert got.shape == (len(kinds), n)
+        for g in range(len(kinds)):
+            ref = _reference_sentence_feature(EmbeddingSequence(values=stack[g]), cfg)
+            assert np.linalg.norm(got[g] - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_single_sequence_equals_its_row_of_a_stack(self):
+        rng = np.random.default_rng(21)
+        stack = rng.normal(size=(3, 12, 7))
+        cfg = HodmdConfig(d=2)
+        rows = sentence_feature(stack, cfg)
+        for g in range(3):
+            np.testing.assert_array_equal(
+                sentence_feature(EmbeddingSequence(values=stack[g]), cfg), rows[g]
+            )
 
 
 class TestDelayEmbeddingNecessity:

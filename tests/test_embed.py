@@ -19,15 +19,19 @@ MINI_VEC = "2 3\na 1 2 3\nb 4 5 6\n"
 
 def small_table():
     return WordVectorTable(
-        dim=3,
-        vectors={
-            "a": np.array([1.0, 2.0, 3.0]),
-            "b": np.array([3.0, 2.0, 1.0]),
-            "c": np.array([-1.0, 0.0, 5.0]),
-            "d": np.array([2.5, -2.0, 0.5]),
-            "e": np.array([0.0, 7.0, -3.0]),
-        },
+        matrix=np.array([
+            [1.0, 2.0, 3.0],
+            [3.0, 2.0, 1.0],
+            [-1.0, 0.0, 5.0],
+            [2.5, -2.0, 0.5],
+            [0.0, 7.0, -3.0],
+        ]),
+        index={"a": 0, "b": 1, "c": 2, "d": 3, "e": 4},
     )
+
+
+def vector(table, token):
+    return table.matrix[table.index[token]]
 
 
 class TestLoadVecTable:
@@ -35,7 +39,7 @@ class TestLoadVecTable:
         table = load_vec_table(MINI_VEC)
         assert table.dim == 3
         assert len(table) == 2
-        np.testing.assert_array_equal(table.vectors["a"], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(vector(table, "a"), [1.0, 2.0, 3.0])
 
     def test_vocab_filter(self):
         table = load_vec_table(MINI_VEC, vocab_filter={"a"})
@@ -49,6 +53,20 @@ class TestLoadVecTable:
     def test_non_numeric_value(self):
         with pytest.raises(DataError, match="non-numeric"):
             load_vec_table("1 2\na 1 oops\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_value_names_line(self, value):
+        with pytest.raises(DataError, match="line 3: non-finite"):
+            load_vec_table(f"2 2\na 1 2\nb 1 {value}\n")
+
+    def test_non_finite_value_in_filtered_row_is_not_read(self):
+        table = load_vec_table("2 2\na 1 2\nb 1 nan\n", vocab_filter={"a"})
+        assert len(table) == 1
+
+    def test_duplicate_token_keeps_last_row(self):
+        table = load_vec_table("2 2\na 1 2\na 3 4\n")
+        assert len(table) == 1
+        np.testing.assert_array_equal(vector(table, "a"), [3.0, 4.0])
 
     def test_bad_header(self):
         with pytest.raises(DataError, match="line 1"):
@@ -75,7 +93,7 @@ class TestAverageEmbedding:
         expected = [0.0, 0.0, 0.0]
         for tok in tokens:
             for j in range(3):
-                expected[j] += float(table.vectors[tok][j])
+                expected[j] += float(vector(table, tok)[j])
         expected = [v / len(tokens) for v in expected]
         got = average_embedding(tokens, table)
         np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -96,7 +114,7 @@ class TestAverageEmbedding:
     @given(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "oov"]), max_size=12))
     def test_inf_norm_bounded_by_used_columns(self, tokens):
         table = small_table()
-        used = [table.vectors[t] for t in tokens if t in table.vectors]
+        used = [vector(table, t) for t in tokens if t in table]
         got = average_embedding(tokens, table)
         if not used:
             assert np.all(got == 0.0)
@@ -110,9 +128,9 @@ class TestTokenMatrix:
         table = small_table()
         seq = token_matrix(["a", "b", "a"], table)
         assert seq.values.shape == (3, 3)
-        np.testing.assert_array_equal(seq.values[:, 0], table.vectors["a"])
-        np.testing.assert_array_equal(seq.values[:, 1], table.vectors["b"])
-        np.testing.assert_array_equal(seq.values[:, 2], table.vectors["a"])
+        np.testing.assert_array_equal(seq.values[:, 0], vector(table, "a"))
+        np.testing.assert_array_equal(seq.values[:, 1], vector(table, "b"))
+        np.testing.assert_array_equal(seq.values[:, 2], vector(table, "a"))
 
     def test_empty_tokens_give_zero_columns(self):
         seq = token_matrix([], small_table())
@@ -122,13 +140,13 @@ class TestTokenMatrix:
     def test_oov_skipped(self):
         seq = token_matrix(["a", "nothere", "b"], small_table())
         assert seq.length == 2
-        np.testing.assert_array_equal(seq.values[:, 1], small_table().vectors["b"])
+        np.testing.assert_array_equal(seq.values[:, 1], vector(small_table(), "b"))
 
     @given(st.lists(st.sampled_from(["a", "b", "c", "oov1", "oov2"]), max_size=15))
     def test_column_count_equals_in_vocab_tokens(self, tokens):
         table = small_table()
         seq = token_matrix(tokens, table)
-        assert seq.length == sum(1 for t in tokens if t in table.vectors)
+        assert seq.length == sum(1 for t in tokens if t in table)
 
 
 class TestLoadPrecomputed:
@@ -152,6 +170,11 @@ class TestLoadPrecomputed:
         lines = ["a " + " ".join(["0.5"] * 512), "b " + " ".join(["0.5"] * 511)]
         with pytest.raises(DataError, match="line 2"):
             load_precomputed("\n".join(lines))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_value_names_line(self, value):
+        with pytest.raises(DataError, match="line 2: non-finite"):
+            load_precomputed(f"a 1 2\nb {value} 2\n")
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(DataError, match="duplicate"):

@@ -229,6 +229,49 @@ class TestSweep:
         with pytest.raises(DataError, match="at least one"):
             sweep_control_parameter(train, test, featurize, [])
 
+    def test_sweep_dim_loads_and_featurizes_once(self, tmp_path, mini_dir, monkeypatch):
+        from dataclasses import replace
+
+        from offdetect import experiment
+        from offdetect.cli import main
+        from offdetect.experiment import parse_config, run_experiment
+
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(
+            f"train_tsv = {mini_dir}/train.tsv\ntest_tsv = {mini_dir}/test.tsv\n"
+            f"test_labels = {mini_dir}/test_labels.csv\n"
+            f"precomputed_file = {mini_dir}/precomputed.txt\nfeature = precomputed\n"
+            "rks_dim = 16\nrks_sigma = median\nrks_seed = 3\nclassifier = rlsc\n",
+            encoding="utf-8",
+        )
+        loads, featurized = [], []
+        load_precomputed = experiment.load_precomputed
+        featurize = experiment.FeaturePipeline.featurize
+
+        def counting_load(source):
+            loads.append(source)
+            return load_precomputed(source)
+
+        def counting_featurize(pipeline, corpus):
+            featurized.append(corpus.split)
+            return featurize(pipeline, corpus)
+
+        monkeypatch.setattr(experiment, "load_precomputed", counting_load)
+        monkeypatch.setattr(experiment.FeaturePipeline, "featurize", counting_featurize)
+        dims = [16, 32, 64]
+        argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        assert main(argv + ["--sweep-dim", ",".join(map(str, dims))]) == 0
+        assert len(loads) == 1
+        assert sorted(featurized) == ["test", "train"]
+        monkeypatch.undo()
+
+        lines = (tmp_path / "out" / "sweep_dim.csv").read_text(encoding="utf-8").splitlines()
+        cfg = parse_config(cfg_path)
+        for line, d in zip(lines[1:], dims):
+            result = run_experiment(replace(cfg, rks=replace(cfg.rks, dim=d)), write_files=False)
+            assert line == f"{d},{format_pct(result.report.accuracy)}"
+        assert len(lines) == 1 + len(dims)
+
     def test_csv_lines_format(self):
         lines = sweep_csv_lines([(0.1, 83.333333), (1000.0, 91.0)])
         assert lines[0] == "C,accuracy"

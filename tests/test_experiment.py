@@ -361,28 +361,3 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 1
-
-
-class TestThreadCap:
-    def test_parallel_featurize_matches_serial(self, tmp_path, mini_dir, monkeypatch):
-        cfg = parse_config(write_config(tmp_path / "t.cfg", mini_dir))
-        with open(cfg.train_tsv, "rb") as fh:
-            corpus = load_olid_tsv(fh, split="train")
-        text = (tmp_path / "t.cfg").read_text().replace("feature = avg", "feature = hodmd(2)")
-        (tmp_path / "t.cfg").write_text(text)
-        cfg = parse_config(tmp_path / "t.cfg")
-        pipeline = build_pipeline(cfg, [corpus])
-        monkeypatch.delenv("OFFD_THREADS", raising=False)
-        serial = pipeline.featurize(corpus)
-        monkeypatch.setenv("OFFD_THREADS", "4")
-        parallel = pipeline.featurize(corpus)
-        np.testing.assert_array_equal(serial.values, parallel.values)
-
-    def test_invalid_thread_env_rejected(self, tmp_path, mini_dir, monkeypatch):
-        cfg = parse_config(write_config(tmp_path / "t2.cfg", mini_dir))
-        with open(cfg.train_tsv, "rb") as fh:
-            corpus = load_olid_tsv(fh, split="train")
-        pipeline = build_pipeline(cfg, [corpus])
-        monkeypatch.setenv("OFFD_THREADS", "zero")
-        with pytest.raises(DataError, match="OFFD_THREADS"):
-            pipeline.featurize(corpus)
