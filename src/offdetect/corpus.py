@@ -190,6 +190,10 @@ def normalize_social(text: str) -> str:
 
 _MENTION_STRIP_RE = re.compile(r"@\w+")
 _HASHTAG_STRIP_RE = re.compile(r"#\w+")
+# candidate runs: word characters other than digits and "_", apostrophes
+# between them.  A superset of _is_word_char, so every token lies inside one
+# run and every run edge separates tokens.
+_CANDIDATE_RUN_RE = re.compile(r"[^\W\d_]+(?:'[^\W\d_]+)*")
 
 
 def _is_word_char(ch: str) -> bool:
@@ -230,7 +234,14 @@ def tokenize_clean(text: str, stopwords: frozenset[str] | set[str]) -> list[str]
     text = _HASHTAG_STRIP_RE.sub(" ", text)
     # lowercase before extraction: case folding can introduce combining
     # marks, which must act as separators rather than land inside tokens
-    return [tok for tok in _letter_runs(text.lower()) if tok not in stopwords]
+    tokens: list[str] = []
+    for run in _CANDIDATE_RUN_RE.findall(text.lower()):
+        # an ASCII run is lowercase letters and inner apostrophes: one token
+        if run.isascii():
+            tokens.append(run)
+        else:
+            tokens.extend(_letter_runs(run))
+    return [tok for tok in tokens if tok not in stopwords]
 
 
 def load_stopwords(source) -> frozenset[str]:

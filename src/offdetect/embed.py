@@ -9,6 +9,7 @@ from a plain-text table keyed by tweet id.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +96,8 @@ def load_vec_table(source, vocab_filter: set[str] | None = None) -> WordVectorTa
 
     ``vocab_filter`` keeps only the listed tokens.  Rows whose width differs
     from the header dim, and kept rows with a non-numeric or non-finite
-    (nan, inf) value, raise DataError naming the line.
+    (nan, inf) value, raise DataError naming the line.  Kept rows are parsed
+    in blocks (see ``_parsed_blocks``).
     """
     lines = iter(_lines(source))
     try:
@@ -118,25 +120,95 @@ def load_vec_table(source, vocab_filter: set[str] | None = None) -> WordVectorTa
         for lineno, line in enumerate(lines, start=2):
             if not line.strip():
                 continue
-            fields = line.rstrip("\n").split(" ")
+            body = line.rstrip("\n")
             # trailing-space tolerance seen in common .vec exports
-            if fields and fields[-1] == "":
-                fields = fields[:-1]
-            token = fields[0]
-            if len(fields) - 1 != dim:
-                raise DataError(
-                    f"vec file line {lineno}: expected {dim} values, got {len(fields) - 1}"
-                )
+            if body.endswith(" "):
+                body = body[:-1]
+            width = body.count(" ")
+            if width != dim:
+                raise DataError(f"vec file line {lineno}: expected {dim} values, got {width}")
+            token, _, values = body.partition(" ")
             if vocab_filter is not None and token not in vocab_filter:
                 continue
-            row = _parse_row(fields[1:], f"vec file line {lineno}")
             tokens.append(token)
-            yield row
+            yield lineno, values
+
+    def parse(rows: list[tuple[int, str]]) -> np.ndarray:
+        values = _parse_block(rows, dim, " ", "vec file")
+        if values is None:
+            values = np.array(
+                [_parse_row(text.split(" "), f"vec file line {lineno}") for lineno, text in rows]
+            )
+        return values
 
     # rows go straight into one growing buffer, never all held twice
-    matrix = np.fromiter(kept_rows(), dtype=np.dtype((np.float64, dim)))
+    rows = (row for block in _parsed_blocks(kept_rows(), parse) for row in block)
+    matrix = np.fromiter(rows, dtype=np.dtype((np.float64, dim)))
     # a repeated token maps to its last row
     return WordVectorTable(matrix=matrix, index={tok: i for i, tok in enumerate(tokens)})
+
+
+# Rows parsed at a time by numpy's C parser: enough to amortise the call, few
+# enough that a block's text and values stay small.
+_BLOCK_ROWS = 256
+
+
+def _parsed_blocks(rows, parse):
+    """``parse(block)`` for each run of up to ``_BLOCK_ROWS`` consecutive
+    ``(lineno, text)`` pairs that ``rows`` yields.
+
+    When ``rows`` raises at a bad line, the rows held from earlier lines are
+    parsed first, so that a bad value on an earlier line is the error
+    reported, as in a line-by-line parse.
+    """
+    held: list[tuple[int, str]] = []
+    try:
+        for row in rows:
+            held.append(row)
+            if len(held) == _BLOCK_ROWS:
+                block, held = held, []
+                yield parse(block)
+    except Exception:
+        if held:
+            parse(held)
+        raise
+    if held:
+        yield parse(held)
+
+
+def _parse_block(
+    rows: list[tuple[int, str]], width: int, delimiter: str | None, what: str
+) -> np.ndarray | None:
+    """The values of ``rows``, ``(lineno, text)`` pairs, as a (len(rows),
+    width) array parsed by numpy's C parser, or None when it refuses a row or
+    finds another width.  A non-finite value raises DataError naming the
+    first line that holds one.
+
+    The C parser accepts less than ``float()`` does (no ``_`` digit
+    separators, no non-ASCII digits, no line break inside a row), reads what
+    it accepts to the same value, and splits as ``str.split(delimiter)``
+    does; the caller parses a refused block again line by line.
+    """
+    try:
+        with warnings.catch_warnings():
+            # a block of blank rows only: "input contained no data"
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(
+                [text for _, text in rows],
+                dtype=np.float64,
+                delimiter=delimiter,
+                comments=None,
+                ndmin=2,
+            )
+    except ValueError:
+        return None
+    # it skips blank rows, which a line-by-line parse rejects
+    if values.shape != (len(rows), width):
+        return None
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{what} line {rows[int(np.argmin(finite))][0]}: non-finite value")
+    return values
 
 
 def _parse_row(fields: list[str], where: str) -> np.ndarray:
@@ -167,24 +239,42 @@ def load_precomputed(source) -> PrecomputedTable:
 
     Duplicate ids, rows of inconsistent width and non-numeric or
     non-finite (nan, inf) values raise DataError naming the line.  An empty
-    file yields an empty table whose lookups fail.
+    file yields an empty table whose lookups fail.  Rows are parsed in
+    blocks (see ``_parsed_blocks``).
     """
-    vectors: dict[str, np.ndarray] = {}
+    ids: dict[str, int] = {}  # id -> line, in file order
     dim: int | None = None
-    for lineno, line in enumerate(_lines(source), start=1):
-        if not line.strip():
-            continue
-        fields = line.split()
-        if len(fields) < 2:
-            raise DataError(f"precomputed file line {lineno}: expected 'id v1 ... v_dim'")
-        tweet_id = fields[0]
-        if tweet_id in vectors:
-            raise DataError(f"precomputed file line {lineno}: duplicate id {tweet_id!r}")
-        if dim is None:
-            dim = len(fields) - 1
-        elif len(fields) - 1 != dim:
-            raise DataError(
-                f"precomputed file line {lineno}: expected {dim} values, got {len(fields) - 1}"
-            )
-        vectors[tweet_id] = _parse_row(fields[1:], f"precomputed file line {lineno}")
-    return PrecomputedTable(dim=dim, vectors=vectors)
+
+    def checked_rows():
+        nonlocal dim
+        for lineno, line in enumerate(_lines(source), start=1):
+            parts = line.split(None, 1)
+            if not parts:
+                continue
+            if len(parts) < 2:
+                raise DataError(f"precomputed file line {lineno}: expected 'id v1 ... v_dim'")
+            tweet_id, values = parts
+            if tweet_id in ids:
+                raise DataError(f"precomputed file line {lineno}: duplicate id {tweet_id!r}")
+            if dim is None:
+                dim = len(values.split())
+            ids[tweet_id] = lineno
+            yield lineno, values
+
+    def parse(rows: list[tuple[int, str]]) -> np.ndarray:
+        values = _parse_block(rows, dim, None, "precomputed file")
+        if values is None:
+            parsed = []
+            for lineno, text in rows:
+                fields = text.split()
+                if len(fields) != dim:
+                    raise DataError(
+                        f"precomputed file line {lineno}: expected {dim} values, got {len(fields)}"
+                    )
+                parsed.append(_parse_row(fields, f"precomputed file line {lineno}"))
+            values = np.array(parsed)
+        return values
+
+    blocks = list(_parsed_blocks(checked_rows(), parse))
+    rows = (row for block in blocks for row in block)
+    return PrecomputedTable(dim=dim, vectors=dict(zip(ids, rows)))

@@ -1,5 +1,5 @@
 """Confusion-matrix metrics (macro-averaged, percent), evaluation driver,
-control-parameter sweeps, and report rendering.
+sweep tables, and report rendering.
 
 Conventions: per-class precision/recall/F1 substitute 0 whenever a
 denominator is 0, the macro average is the unweighted mean over the two
@@ -16,8 +16,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .corpus import LABEL_TO_SIGN, LabeledCorpus
-from .errors import DataError, NumericError
-from .learn import FeatureMatrix, predict, train_linear_svm
+from .errors import DataError
+from .learn import FeatureMatrix, predict
 
 __all__ = [
     "ConfusionMatrix",
@@ -25,7 +25,6 @@ __all__ = [
     "macro_metrics",
     "evaluate",
     "labels_to_signs",
-    "sweep_control_parameter",
     "sweep_csv_lines",
     "format_pct",
     "render_report",
@@ -128,33 +127,6 @@ def evaluate(
     predictions = predict(model, features)
     cm = ConfusionMatrix.from_pairs(gold, [label for label, _ in predictions])
     return macro_metrics(cm)
-
-
-def sweep_control_parameter(
-    train_corpus: LabeledCorpus,
-    test_corpus: LabeledCorpus,
-    featurize: Callable[[LabeledCorpus], FeatureMatrix],
-    c_values: Sequence[float],
-    epochs: int = 200,
-    seed: int = 0,
-) -> list[tuple[float, float]]:
-    """Train one hinge-loss SVM per control-parameter value and report
-    (C, test accuracy percent) rows in the order given.  Each corpus is
-    featurized once, whatever the number of values."""
-    if not c_values:
-        raise DataError("control-parameter sweep needs at least one value")
-    train_F = featurize(train_corpus)
-    train_y = labels_to_signs(train_corpus)
-    test_F = featurize(test_corpus)
-    rows: list[tuple[float, float]] = []
-    for c in c_values:
-        try:
-            model = train_linear_svm(train_F, train_y, C=c, epochs=epochs, seed=seed)
-        except (DataError, NumericError, ValueError) as exc:
-            raise type(exc)(f"C={c}: {exc}") from exc
-        report = evaluate(model, test_corpus, lambda _: test_F)
-        rows.append((float(c), report.accuracy))
-    return rows
 
 
 def sweep_csv_lines(rows: Sequence[tuple[float, float]], value_name: str = "C") -> list[str]:

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -303,15 +303,16 @@ class FeaturePipeline:
     vec_table: WordVectorTable | None = None
     precomputed: PrecomputedTable | None = None
     hodmd: HodmdConfig | None = None
+    # token lists by tweet text, filled by build_pipeline so that the corpora
+    # it saw are tokenized once; any other text is tokenized when featurized
+    tokens: dict[str, list[str]] = field(default_factory=dict)
 
     def featurize(self, corpus: LabeledCorpus) -> FeatureMatrix:
         records = corpus.records
         if self.kind == "avg":
             values = np.empty((len(records), self.vec_table.dim), dtype=np.float64)
-            for i, rec in enumerate(records):
-                values[i] = average_embedding(
-                    tokenize_clean(rec.text, self.stopwords), self.vec_table
-                )
+            for i, toks in enumerate(self._tokens(corpus)):
+                values[i] = average_embedding(toks, self.vec_table)
         elif self.kind in ("dmd", "hodmd"):
             values = self._dmd_features(corpus)
         elif self.kind == "precomputed":
@@ -322,11 +323,18 @@ class FeaturePipeline:
             raise DataError(f"unknown feature kind {self.kind!r}")
         return FeatureMatrix(values=values, ids=corpus.ids())
 
+    def _tokens(self, corpus: LabeledCorpus) -> list[list[str]]:
+        cached = self.tokens
+        return [
+            cached[rec.text] if rec.text in cached else tokenize_clean(rec.text, self.stopwords)
+            for rec in corpus.records
+        ]
+
     def _dmd_features(self, corpus: LabeledCorpus) -> np.ndarray:
         """DMD features of every tweet, one stacked sentence_feature call per
         signal length.  Only one length's signals are held at a time."""
         table = self.vec_table
-        tokens = [tokenize_clean(rec.text, self.stopwords) for rec in corpus.records]
+        tokens = self._tokens(corpus)
         by_length: dict[int, list[int]] = {}
         for i, toks in enumerate(tokens):
             by_length.setdefault(len(table.rows(toks)), []).append(i)
@@ -343,7 +351,9 @@ def build_pipeline(cfg: ExperimentConfig, corpora: list[LabeledCorpus]) -> Featu
     Word-vector tables are filtered to the tokens that actually occur in
     the given corpora.  The filter is a loading optimization only: it
     never changes a lookup result, so passing the test corpus here does
-    not leak anything into feature fitting.
+    not leak anything into feature fitting.  The token lists computed for
+    the filter stay in the pipeline, so featurizing these corpora does not
+    tokenize them again.
     """
     stopwords = (
         load_stopwords(cfg.stopwords_file.read_text(encoding="utf-8"))
@@ -353,11 +363,13 @@ def build_pipeline(cfg: ExperimentConfig, corpora: list[LabeledCorpus]) -> Featu
     vec_table = None
     precomputed = None
     hodmd = None
+    tokens: dict[str, list[str]] = {}
     if cfg.feature in ("avg", "dmd", "hodmd"):
-        vocab: set[str] = set()
         for corpus in corpora:
             for rec in corpus.records:
-                vocab.update(tokenize_clean(rec.text, stopwords))
+                if rec.text not in tokens:
+                    tokens[rec.text] = tokenize_clean(rec.text, stopwords)
+        vocab = set().union(*tokens.values())
         with open(cfg.vec_file, "rb") as fh:
             vec_table = load_vec_table(fh, vocab_filter=vocab)
         if cfg.feature in ("dmd", "hodmd"):
@@ -371,6 +383,7 @@ def build_pipeline(cfg: ExperimentConfig, corpora: list[LabeledCorpus]) -> Featu
         vec_table=vec_table,
         precomputed=precomputed,
         hodmd=hodmd,
+        tokens=tokens,
     )
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 from scipy.linalg.blas import daxpy as _daxpy
 
 from .corpus import SIGN_TO_LABEL
@@ -125,16 +124,22 @@ def train_rlsc(F, y, lam: float = 1e-3, fit_intercept: bool = True) -> LinearMod
     rhs = Xa.T @ y
     cols = Xa.shape[1]
     if cols <= RLSC_DIRECT_MAX_COLS:
-        gram = Xa.T @ Xa + lam * np.eye(cols)
+        gram = Xa.T @ Xa
+        gram.flat[:: cols + 1] += lam
         try:
-            w_full = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs)
+            # numpy fills Xa.T @ Xa symmetrically, so its Fortran-ordered
+            # transpose is the same matrix and LAPACK factors it in place
+            factor = scipy.linalg.cho_factor(gram.T, overwrite_a=True)
+            w_full = scipy.linalg.cho_solve(factor, rhs)
         except scipy.linalg.LinAlgError as exc:
             raise NumericError(f"normal-equation solve failed: {exc}") from exc
     else:
-        op = scipy.sparse.linalg.LinearOperator(
-            (cols, cols), matvec=lambda v: Xa.T @ (Xa @ v) + lam * v
-        )
-        w_full, info = scipy.sparse.linalg.cg(op, rhs, rtol=1e-10, atol=0.0, maxiter=20 * cols)
+        # a from-import: a local "import scipy.sparse.linalg" would make
+        # "scipy" local to this function and unbound in the branch above
+        from scipy.sparse.linalg import LinearOperator, cg
+
+        op = LinearOperator((cols, cols), matvec=lambda v: Xa.T @ (Xa @ v) + lam * v)
+        w_full, info = cg(op, rhs, rtol=1e-10, atol=0.0, maxiter=20 * cols)
         if info != 0:
             raise NumericError(f"conjugate-gradient solve did not converge (info={info})")
     if fit_intercept:

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 __all__ = [
     "PRNG_ID",
@@ -80,8 +79,11 @@ def transform(rks: RksMap, x: np.ndarray) -> np.ndarray:
     if x.shape[-1] != rks.d_in:
         raise ValueError(f"expected input dim {rks.d_in}, got {x.shape[-1]}")
     proj = x @ rks.omega
-    z = np.concatenate([np.cos(proj), np.sin(proj)], axis=-1)
-    return z * np.sqrt(1.0 / rks.k)
+    z = np.empty(proj.shape[:-1] + (rks.dim_out,))
+    np.cos(proj, out=z[..., : rks.k])
+    np.sin(proj, out=z[..., rks.k :])
+    z *= np.sqrt(1.0 / rks.k)
+    return z
 
 
 def approx_kernel(rks: RksMap, x: np.ndarray, y: np.ndarray) -> float:
@@ -96,6 +98,9 @@ def median_heuristic_sigma(sample: np.ndarray, max_points: int = 1000, seed: int
     chosen by a seeded draw so the result is reproducible.  Falls back to
     1.0 when the median distance is zero (all points identical).
     """
+    # imported here: scipy.spatial is slow to import and only this needs it
+    from scipy.spatial.distance import pdist
+
     sample = np.asarray(sample, dtype=np.float64)
     if sample.ndim != 2 or sample.shape[0] < 2:
         raise ValueError("median heuristic needs at least 2 vectors")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from offdetect import corpus
 from offdetect.corpus import (
     default_stopwords,
     load_label_csv,
@@ -178,6 +179,30 @@ class TestTokenizeClean:
             assert token not in stopwords
             assert token == token.lower()
             assert all(ch == "'" or (ch.isalpha() and not ch.isupper()) for ch in token)
+
+    @settings(max_examples=500)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(
+                    ["a", "Z", "'", "''", "don't", "9", "_", "\u00b2", "\u00bd", "\u216b",
+                     "\U0001d400", "\u0301", "\U0001f600", "\u0130", "\u01c5", "\u00e9",
+                     " ", "-", "@u", "#t", "http://x.y"]
+                ),
+                st.characters(),
+            ),
+            max_size=40,
+        ).map("".join)
+    )
+    def test_matches_per_character_reference(self, text):
+        # the reference: per-character letter runs over the whole lowercased
+        # text, then the stopword filter
+        stopwords = default_stopwords()
+        cleaned = text
+        for pattern in (corpus._URL_RE, corpus._MENTION_STRIP_RE, corpus._HASHTAG_STRIP_RE):
+            cleaned = pattern.sub(" ", cleaned)
+        expected = [tok for tok in corpus._letter_runs(cleaned.lower()) if tok not in stopwords]
+        assert tokenize_clean(text, stopwords) == expected
 
 
 def test_shipped_stopword_list_has_179_entries():

@@ -13,7 +13,6 @@ from offdetect.evaluation import (
     labels_to_signs,
     macro_metrics,
     render_report,
-    sweep_control_parameter,
     sweep_csv_lines,
 )
 from offdetect.learn import FeatureMatrix, LinearModel
@@ -191,44 +190,6 @@ def separable_corpora():
 
 
 class TestSweep:
-    def test_five_values_give_five_rows(self):
-        train, test, featurize = separable_corpora()
-        rows = sweep_control_parameter(train, test, featurize, [0.1, 1, 100, 500, 1000], epochs=60)
-        assert [c for c, _ in rows] == [0.1, 1, 100, 500, 1000]
-
-    def test_single_value_matches_direct_evaluate(self):
-        from offdetect.learn import train_linear_svm
-        from offdetect.evaluation import labels_to_signs
-
-        train, test, featurize = separable_corpora()
-        rows = sweep_control_parameter(train, test, featurize, [10.0], epochs=60, seed=5)
-        model = train_linear_svm(featurize(train), labels_to_signs(train), C=10.0, epochs=60, seed=5)
-        direct = evaluate(model, test, featurize)
-        assert rows == [(10.0, direct.accuracy)]
-
-    def test_separable_accuracy_nondecreasing_within_tolerance(self):
-        train, test, featurize = separable_corpora()
-        rows = sweep_control_parameter(train, test, featurize, [0.1, 1, 100, 500, 1000], epochs=200)
-        accs = [acc for _, acc in rows]
-        for lo, hi in zip(accs, accs[1:]):
-            assert hi >= lo - 2.0
-
-    def test_each_corpus_featurized_once(self):
-        train, test, featurize = separable_corpora()
-        calls = []
-
-        def counting(corpus):
-            calls.append(corpus.split)
-            return featurize(corpus)
-
-        sweep_control_parameter(train, test, counting, [0.1, 1, 100], epochs=5)
-        assert sorted(calls) == ["test", "train"]
-
-    def test_empty_value_list_rejected(self):
-        train, test, featurize = separable_corpora()
-        with pytest.raises(DataError, match="at least one"):
-            sweep_control_parameter(train, test, featurize, [])
-
     def test_sweep_dim_loads_and_featurizes_once(self, tmp_path, mini_dir, monkeypatch):
         from dataclasses import replace
 
@@ -271,6 +232,82 @@ class TestSweep:
             result = run_experiment(replace(cfg, rks=replace(cfg.rks, dim=d)), write_files=False)
             assert line == f"{d},{format_pct(result.report.accuracy)}"
         assert len(lines) == 1 + len(dims)
+
+    def test_sweep_c_loads_and_featurizes_once(self, tmp_path, mini_dir, monkeypatch):
+        from dataclasses import replace
+
+        from offdetect import experiment
+        from offdetect.cli import main
+        from offdetect.experiment import parse_config, run_experiment
+
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(
+            f"train_tsv = {mini_dir}/train.tsv\ntest_tsv = {mini_dir}/test.tsv\n"
+            f"test_labels = {mini_dir}/test_labels.csv\n"
+            f"vec_file = {mini_dir}/toy.vec\nfeature = avg\n"
+            "classifier = svm\nsvm_epochs = 60\nseed = 5\n",
+            encoding="utf-8",
+        )
+        loads, featurized = [], []
+        load_vec_table = experiment.load_vec_table
+        featurize = experiment.FeaturePipeline.featurize
+
+        def counting_load(source, vocab_filter=None):
+            loads.append(source)
+            return load_vec_table(source, vocab_filter)
+
+        def counting_featurize(pipeline, corpus):
+            featurized.append(corpus.split)
+            return featurize(pipeline, corpus)
+
+        monkeypatch.setattr(experiment, "load_vec_table", counting_load)
+        monkeypatch.setattr(experiment.FeaturePipeline, "featurize", counting_featurize)
+        c_values = [0.1, 1, 100, 500, 1000]
+        argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        assert main(argv + ["--sweep-C", ",".join(map(str, c_values))]) == 0
+        assert len(loads) == 1
+        assert sorted(featurized) == ["test", "train"]
+        monkeypatch.undo()
+
+        # one row per value, in the order given, each the accuracy of a run at that C
+        lines = (tmp_path / "out" / "sweep_C.csv").read_text(encoding="utf-8").splitlines()
+        cfg = parse_config(cfg_path)
+        for line, c in zip(lines[1:], c_values):
+            result = run_experiment(replace(cfg, C=c), write_files=False)
+            assert line == f"{c:g},{format_pct(result.report.accuracy)}"
+        assert len(lines) == 1 + len(c_values)
+
+    def test_separable_accuracy_nondecreasing_in_c(self):
+        from dataclasses import replace
+        from pathlib import Path
+
+        from offdetect.embed import PrecomputedTable
+        from offdetect.experiment import ExperimentConfig, FeaturePipeline, sweep_reports
+
+        train, test, featurize = separable_corpora()
+        vectors = {}
+        for corpus in (train, test):
+            features = featurize(corpus)
+            vectors.update(zip(features.ids, features.values))
+        pipeline = FeaturePipeline(
+            kind="precomputed",
+            stopwords=frozenset(),
+            precomputed=PrecomputedTable(dim=2, vectors=vectors),
+        )
+        cfg = ExperimentConfig(
+            name="separable",
+            train_tsv=Path("train.tsv"),
+            test_tsv=Path("test.tsv"),
+            feature="precomputed",
+            classifier="svm",
+            out_dir=Path("out"),
+            svm_epochs=200,
+        )
+        c_values = [0.1, 1, 100, 500, 1000]
+        reports = sweep_reports(pipeline, train, test, [replace(cfg, C=c) for c in c_values])
+        accs = [report.accuracy for report in reports]
+        for lo, hi in zip(accs, accs[1:]):
+            assert hi >= lo - 2.0
 
     def test_csv_lines_format(self):
         lines = sweep_csv_lines([(0.1, 83.333333), (1000.0, 91.0)])

@@ -285,6 +285,42 @@ class TestCli:
         assert code == 2
         assert not (tmp_path / "o3c").exists()
 
+    def test_sweep_c_empty_list_is_usage_error(self, tmp_path, mini_dir, capsys):
+        cfg_path = write_config(tmp_path / "cli3d.cfg", mini_dir)
+        code = main(
+            ["sweep", "--config", str(cfg_path), "--sweep-C", " , ", "--out", str(tmp_path / "o3d")]
+        )
+        assert code == 1
+        assert "empty C list" in capsys.readouterr().err
+        assert not (tmp_path / "o3d").exists()
+
+    @pytest.mark.parametrize("feature", ["avg", "hodmd(2)"])
+    @pytest.mark.parametrize(
+        "command",
+        [["run"], ["sweep", "--sweep-C", "1,10"], ["sweep", "--sweep-dim", "16,32"]],
+        ids=["run", "sweep-C", "sweep-dim"],
+    )
+    def test_each_tweet_tokenized_once(self, tmp_path, mini_dir, monkeypatch, feature, command):
+        from offdetect import experiment
+
+        texts = []
+        for name in ("train.tsv", "test.tsv"):
+            with open(mini_dir / name, "rb") as fh:
+                texts += [rec.text for rec in load_olid_tsv(fh).records]
+        tokenized = []
+        tokenize_clean = experiment.tokenize_clean
+
+        def counting(text, stopwords):
+            tokenized.append(text)
+            return tokenize_clean(text, stopwords)
+
+        monkeypatch.setattr(experiment, "tokenize_clean", counting)
+        cfg_path = write_config(tmp_path / "tok.cfg", mini_dir)
+        cfg_path.write_text(cfg_path.read_text().replace("feature = avg", f"feature = {feature}"))
+        argv = [command[0], "--config", str(cfg_path), "--out", str(tmp_path / "o"), *command[1:]]
+        assert main(argv) == 0
+        assert sorted(tokenized) == sorted(texts)
+
     def test_sweep_dim_writes_csv(self, tmp_path, mini_dir):
         cfg_path = write_config(tmp_path / "cli4.cfg", mini_dir)
         code = main(
@@ -351,6 +387,21 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "pm_out" / "report.tsv").is_file()
+
+    def test_cli_import_leaves_out_scipy_spatial_and_sparse(self):
+        import subprocess
+        import sys
+
+        # only median_heuristic_sigma and the CG branch of train_rlsc use them
+        code = (
+            "import sys, offdetect.cli; "
+            "print(sorted(m for m in ('scipy.spatial', 'scipy.sparse') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_python_dash_m_usage_error(self):
         import subprocess

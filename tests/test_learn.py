@@ -125,6 +125,25 @@ class TestRlsc:
             residual = (Xa.T @ Xa + lam * np.eye(8)) @ w_full - Xa.T @ y
             assert np.max(np.abs(residual)) <= 1e-8 * np.max(np.abs(Xa.T @ y))
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_bit_identical_to_explicit_system(self, layout, fit_intercept):
+        # the Gram matrix is shifted and factored in place; the weights are
+        # those of factoring the explicitly formed X^T X + lam I
+        import scipy.linalg
+
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(60, 34))
+        X = {"C": X, "F": np.asfortranarray(X), "strided": X[:, ::2]}[layout]
+        y = np.where(rng.random(60) < 0.5, 1.0, -1.0)
+        lam = 0.05
+        model = train_rlsc(X, y, lam=lam, fit_intercept=fit_intercept)
+        Xa = np.hstack([X, np.ones((60, 1))]) if fit_intercept else X
+        gram = Xa.T @ Xa + lam * np.eye(Xa.shape[1])
+        expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), Xa.T @ y)
+        got = np.append(model.w, model.bias) if fit_intercept else model.w
+        assert np.array_equal(got, expected)
+
     def test_conjugate_gradient_path_agrees_with_direct(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 12))

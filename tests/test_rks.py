@@ -81,6 +81,14 @@ class TestTransform:
         for i in range(4):
             np.testing.assert_allclose(batch[i], transform(rks, X[i]), atol=1e-15)
 
+    def test_bit_identical_to_concatenated_blocks(self):
+        rng = np.random.default_rng(6)
+        rks = sample_map(9, 40, sigma=0.8, seed=7)
+        for x in (rng.normal(size=(13, 9)), rng.normal(size=9)):
+            proj = x @ rks.omega
+            expected = np.concatenate([np.cos(proj), np.sin(proj)], axis=-1) * np.sqrt(1.0 / rks.k)
+            assert np.array_equal(transform(rks, x), expected)
+
     def test_dimension_mismatch_rejected(self):
         rks = sample_map(5, 8, sigma=1.0, seed=0)
         with pytest.raises(ValueError, match="dim"):
