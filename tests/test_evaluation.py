@@ -189,6 +189,36 @@ def separable_corpora():
     return make(40, "train"), make(24, "test"), featurize
 
 
+def separable_sweep_setup(**cfg_fields):
+    """The separable corpora behind a precomputed-feature pipeline, with an
+    svm config for ``experiment.sweep_reports``."""
+    from pathlib import Path
+
+    from offdetect.embed import PrecomputedTable
+    from offdetect.experiment import ExperimentConfig, FeaturePipeline
+
+    train, test, featurize = separable_corpora()
+    vectors = {}
+    for corpus in (train, test):
+        features = featurize(corpus)
+        vectors.update(zip(features.ids, features.values))
+    pipeline = FeaturePipeline(
+        kind="precomputed",
+        stopwords=frozenset(),
+        precomputed=PrecomputedTable(dim=2, vectors=vectors),
+    )
+    cfg = ExperimentConfig(
+        name="separable",
+        train_tsv=Path("train.tsv"),
+        test_tsv=Path("test.tsv"),
+        feature="precomputed",
+        classifier="svm",
+        out_dir=Path("out"),
+        **cfg_fields,
+    )
+    return pipeline, train, test, cfg, featurize
+
+
 class TestSweep:
     def test_sweep_dim_loads_and_featurizes_once(self, tmp_path, mini_dir, monkeypatch):
         from dataclasses import replace
@@ -233,12 +263,14 @@ class TestSweep:
             assert line == f"{d},{format_pct(result.report.accuracy)}"
         assert len(lines) == 1 + len(dims)
 
-    def test_sweep_c_loads_and_featurizes_once(self, tmp_path, mini_dir, monkeypatch):
-        from dataclasses import replace
+    C_VALUES = [0.1, 1, 100, 500, 1000]
 
+    def _sweep_c(self, tmp_path, mini_dir, monkeypatch):
+        """Runs ``sweep --sweep-C`` over ``C_VALUES`` on the mini corpus with an
+        avg/svm config; returns the config path, the sweep_C.csv lines and the
+        vector-table loads and featurized splits seen during the sweep."""
         from offdetect import experiment
         from offdetect.cli import main
-        from offdetect.experiment import parse_config, run_experiment
 
         cfg_path = tmp_path / "sweep.cfg"
         cfg_path.write_text(
@@ -262,49 +294,50 @@ class TestSweep:
 
         monkeypatch.setattr(experiment, "load_vec_table", counting_load)
         monkeypatch.setattr(experiment.FeaturePipeline, "featurize", counting_featurize)
-        c_values = [0.1, 1, 100, 500, 1000]
         argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
-        assert main(argv + ["--sweep-C", ",".join(map(str, c_values))]) == 0
+        assert main(argv + ["--sweep-C", ",".join(map(str, self.C_VALUES))]) == 0
+        monkeypatch.undo()
+        lines = (tmp_path / "out" / "sweep_C.csv").read_text(encoding="utf-8").splitlines()
+        return cfg_path, lines, loads, featurized
+
+    def test_each_corpus_featurized_once(self, tmp_path, mini_dir, monkeypatch):
+        _, _, loads, featurized = self._sweep_c(tmp_path, mini_dir, monkeypatch)
         assert len(loads) == 1
         assert sorted(featurized) == ["test", "train"]
-        monkeypatch.undo()
 
+    def test_five_values_give_five_rows(self, tmp_path, mini_dir, monkeypatch):
+        from dataclasses import replace
+
+        from offdetect.experiment import parse_config, run_experiment
+
+        cfg_path, lines, _, _ = self._sweep_c(tmp_path, mini_dir, monkeypatch)
         # one row per value, in the order given, each the accuracy of a run at that C
-        lines = (tmp_path / "out" / "sweep_C.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "C,accuracy"
+        assert len(lines) == 1 + len(self.C_VALUES)
         cfg = parse_config(cfg_path)
-        for line, c in zip(lines[1:], c_values):
+        for line, c in zip(lines[1:], self.C_VALUES):
             result = run_experiment(replace(cfg, C=c), write_files=False)
             assert line == f"{c:g},{format_pct(result.report.accuracy)}"
-        assert len(lines) == 1 + len(c_values)
+
+    def test_single_value_matches_direct_evaluate(self):
+        from dataclasses import replace
+
+        from offdetect.experiment import sweep_reports
+        from offdetect.learn import train_linear_svm
+
+        pipeline, train, test, cfg, featurize = separable_sweep_setup(svm_epochs=60, seed=5)
+        reports = sweep_reports(pipeline, train, test, [replace(cfg, C=10.0)])
+        model = train_linear_svm(featurize(train), labels_to_signs(train), C=10.0, epochs=60, seed=5)
+        direct = evaluate(model, test, featurize)
+        assert [report.as_tuple() for report in reports] == [direct.as_tuple()]
 
     def test_separable_accuracy_nondecreasing_in_c(self):
         from dataclasses import replace
-        from pathlib import Path
 
-        from offdetect.embed import PrecomputedTable
-        from offdetect.experiment import ExperimentConfig, FeaturePipeline, sweep_reports
+        from offdetect.experiment import sweep_reports
 
-        train, test, featurize = separable_corpora()
-        vectors = {}
-        for corpus in (train, test):
-            features = featurize(corpus)
-            vectors.update(zip(features.ids, features.values))
-        pipeline = FeaturePipeline(
-            kind="precomputed",
-            stopwords=frozenset(),
-            precomputed=PrecomputedTable(dim=2, vectors=vectors),
-        )
-        cfg = ExperimentConfig(
-            name="separable",
-            train_tsv=Path("train.tsv"),
-            test_tsv=Path("test.tsv"),
-            feature="precomputed",
-            classifier="svm",
-            out_dir=Path("out"),
-            svm_epochs=200,
-        )
-        c_values = [0.1, 1, 100, 500, 1000]
-        reports = sweep_reports(pipeline, train, test, [replace(cfg, C=c) for c in c_values])
+        pipeline, train, test, cfg, _ = separable_sweep_setup(svm_epochs=200)
+        reports = sweep_reports(pipeline, train, test, [replace(cfg, C=c) for c in self.C_VALUES])
         accs = [report.accuracy for report in reports]
         for lo, hi in zip(accs, accs[1:]):
             assert hi >= lo - 2.0
