@@ -22,17 +22,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from dataclasses import replace  # noqa: E402
-
-from offdetect.evaluation import render_report, sweep_csv_lines  # noqa: E402
-from offdetect.experiment import (  # noqa: E402
-    ExperimentConfig,
-    RksSpec,
-    build_pipeline,
-    load_corpora,
-    run_experiment,
-    sweep_reports,
-)
+from offdetect.evaluation import render_report  # noqa: E402
+from offdetect.experiment import ExperimentConfig, RksSpec, run_experiment, run_sweep  # noqa: E402
 
 MINI = REPO / "data" / "mini"
 
@@ -76,18 +67,7 @@ def stage_dmd(out_root: Path) -> None:
     print(text)
 
     cfg = base_config("dmd-c-sweep", out_root, feature="dmd", classifier="svm")
-    c_values = [0.1, 1.0, 100.0, 500.0, 1000.0]
-    train_corpus, test_corpus = load_corpora(cfg)
-    pipeline = build_pipeline(cfg, [train_corpus, test_corpus])
-    reports = sweep_reports(
-        pipeline, train_corpus, test_corpus, [replace(cfg, C=c) for c in c_values]
-    )
-    lines = sweep_csv_lines(
-        [(c, report.accuracy) for c, report in zip(c_values, reports)], value_name="C"
-    )
-    dest = out_root / "dmd-c-sweep" / "sweep_C.csv"
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    dest.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    lines, _ = run_sweep(cfg, "C", [0.1, 1.0, 100.0, 500.0, 1000.0])
     print("== control-parameter sweep (DMD features) ==")
     for line in lines:
         print(line.replace(",", "\t"))
@@ -101,7 +81,7 @@ def stage_rks(out_root: Path) -> None:
             name = f"{feature}-rks{dim}-rlsc"
             cfg = base_config(
                 name, out_root, feature=feature, classifier="rlsc",
-                rks=RksSpec(dim=dim, sigma=None, seed=0),
+                rks=RksSpec(dim=dim),
             )
             rows.append((name, run_experiment(cfg).report))
         _, text = render_report(rows)
@@ -113,7 +93,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=REPO / "runs" / "mini")
     args = parser.parse_args()
-    args.out.mkdir(parents=True, exist_ok=True)
     stage_baselines(args.out)
     stage_dmd(args.out)
     stage_rks(args.out)

@@ -11,17 +11,16 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import DataError, NumericError
-from .evaluation import format_pct, render_report, sweep_csv_lines
+from .evaluation import format_pct, render_report
 from .experiment import (
     ExperimentConfig,
-    RksSpec,
-    build_pipeline,
     export_feature_lines,
-    load_corpora,
     parse_config,
     run_experiment,
-    sweep_reports,
+    run_sweep,
+    write_artifacts,
 )
+from .experiment import build_pipeline  # noqa: F401  (bench/launch.py wraps it here as well)
 from .model_io import load_model
 
 __all__ = ["main", "entrypoint"]
@@ -105,11 +104,8 @@ def _cmd_run(args) -> int:
 def _cmd_export(args) -> int:
     cfg = _load_config(args)
     lines = export_feature_lines(cfg)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dest = out_dir / "features.txt"
-    dest.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    sys.stdout.write(f"{len(lines)} feature rows written to {dest}\n")
+    write_artifacts(cfg.out_dir, {"features.txt": "".join(line + "\n" for line in lines)})
+    sys.stdout.write(f"{len(lines)} feature rows written to {Path(cfg.out_dir) / 'features.txt'}\n")
     return EXIT_OK
 
 
@@ -122,26 +118,9 @@ def _cmd_sweep(args) -> int:
             raise UsageError(
                 f"--sweep-C trains SVMs; the config's classifier is {cfg.classifier!r}"
             )
-        values = _parse_values(args.sweep_c, float, "C")
-        run_cfgs = [replace(cfg, C=c) for c in values]
-        value_name, table = "C", "sweep_C.csv"
+        lines, dest = run_sweep(cfg, "C", _parse_values(args.sweep_c, float, "C"))
     else:
-        values = _parse_values(args.sweep_dim, int, "dimension")
-        run_cfgs = [replace(cfg, rks=replace(cfg.rks or RksSpec(dim=d), dim=d)) for d in values]
-        value_name, table = "D", "sweep_dim.csv"
-    for run_cfg in run_cfgs:
-        run_cfg.validate()
-    cfg.check_inputs_exist()
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    train_corpus, test_corpus = load_corpora(cfg)
-    pipeline = build_pipeline(cfg, [train_corpus, test_corpus])
-    reports = sweep_reports(pipeline, train_corpus, test_corpus, run_cfgs)
-    rows = [(float(value), report.accuracy) for value, report in zip(values, reports)]
-    lines = sweep_csv_lines(rows, value_name=value_name)
-    dest = out_dir / table
-    dest.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        lines, dest = run_sweep(cfg, "D", _parse_values(args.sweep_dim, int, "dimension"))
     for line in lines:
         sys.stdout.write(line.replace(",", "\t") + "\n")
     sys.stdout.write(f"sweep table written to {dest}\n")

@@ -15,6 +15,7 @@ median-heuristic bandwidth is fitted on training features alone.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -36,7 +37,7 @@ from .embed import (
     token_matrix,
 )
 from .errors import DataError
-from .evaluation import MetricsReport, evaluate, labels_to_signs, render_report
+from .evaluation import MetricsReport, evaluate, labels_to_signs, render_report, sweep_csv_lines
 from .learn import FeatureMatrix, train_gnb, train_linear_svm, train_logreg, train_rlsc
 from .model_io import save_model
 from .rks import PRNG_ID, median_heuristic_sigma, sample_map, transform
@@ -51,7 +52,9 @@ __all__ = [
     "ExperimentResult",
     "fit",
     "sweep_reports",
+    "run_sweep",
     "run_experiment",
+    "write_artifacts",
     "export_feature_lines",
 ]
 
@@ -150,30 +153,36 @@ class ExperimentConfig:
                 raise DataError(f"{key}: no such file {path}")
 
 
+def _median_or_number(text: str) -> float | None:
+    return None if text == "median" else float(text)
+
+
+# config key -> (field, parser).  "rks." fields belong to RksSpec, the rest
+# to ExperimentConfig; a key absent from the file keeps the field's default.
 _CONFIG_KEYS = {
-    "name",
-    "train_tsv",
-    "test_tsv",
-    "test_labels",
-    "vec_file",
-    "precomputed_file",
-    "stopwords",
-    "feature",
-    "r_max",
-    "sv_rel_tol",
-    "rks_dim",
-    "rks_sigma",
-    "rks_seed",
-    "classifier",
-    "lambda",
-    "C",
-    "svm_epochs",
-    "lr",
-    "logreg_epochs",
-    "l2",
-    "var_floor",
-    "seed",
-    "out_dir",
+    "name": ("name", str),
+    "train_tsv": ("train_tsv", Path),
+    "test_tsv": ("test_tsv", Path),
+    "test_labels": ("test_labels", Path),
+    "vec_file": ("vec_file", Path),
+    "precomputed_file": ("precomputed_file", Path),
+    "stopwords": ("stopwords_file", Path),
+    "out_dir": ("out_dir", Path),
+    "feature": ("feature", str),
+    "r_max": ("r_max", int),
+    "sv_rel_tol": ("sv_rel_tol", float),
+    "rks_dim": ("rks.dim", int),
+    "rks_sigma": ("rks.sigma", _median_or_number),
+    "rks_seed": ("rks.seed", int),
+    "classifier": ("classifier", str),
+    "lambda": ("lam", float),
+    "C": ("C", float),
+    "svm_epochs": ("svm_epochs", int),
+    "lr": ("lr", float),
+    "logreg_epochs": ("logreg_epochs", int),
+    "l2": ("l2", float),
+    "var_floor": ("var_floor", float),
+    "seed": ("seed", int),
 }
 
 
@@ -183,7 +192,8 @@ def parse_config(path) -> ExperimentConfig:
     Relative paths are resolved against the config file's directory.
     """
     path = Path(path)
-    raw: dict[str, str] = {}
+    fields: dict = {}
+    rks_fields: dict = {}
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -199,83 +209,34 @@ def parse_config(path) -> ExperimentConfig:
         value = value.strip()
         if key not in _CONFIG_KEYS:
             raise DataError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in raw:
+        name, convert = _CONFIG_KEYS[key]
+        target = rks_fields if name.startswith("rks.") else fields
+        name = name.removeprefix("rks.")
+        if name in target:
             raise DataError(f"{path}:{lineno}: duplicate key {key!r}")
-        raw[key] = value
-
-    base = path.parent
-
-    def path_of(key: str) -> Path | None:
-        if key not in raw:
-            return None
-        return (base / raw[key]).resolve() if not Path(raw[key]).is_absolute() else Path(raw[key])
-
-    def number(key: str, default, convert):
-        if key not in raw:
-            return default
         try:
-            return convert(raw[key])
+            target[name] = convert(value)
         except ValueError:
-            raise DataError(f"{path}: key {key!r}: invalid value {raw[key]!r}") from None
+            raise DataError(f"{path}: key {key!r}: invalid value {value!r}") from None
+        if convert is Path and not target[name].is_absolute():
+            target[name] = (path.parent / target[name]).resolve()
 
     for required in ("train_tsv", "test_tsv", "feature", "classifier"):
-        if required not in raw:
+        if required not in fields:
             raise DataError(f"{path}: missing required key {required!r}")
-
-    feature = raw["feature"]
-    hodmd_d = 1
-    match = _HODMD_RE.match(feature)
+    match = _HODMD_RE.match(fields["feature"])
     if match:
-        feature = "hodmd"
-        hodmd_d = int(match.group(1))
-    elif feature == "hodmd":
+        fields.update(feature="hodmd", hodmd_d=int(match.group(1)))
+    elif fields["feature"] == "hodmd":
         raise DataError(f"{path}: feature 'hodmd' needs a delay order, e.g. 'hodmd(2)'")
-
-    rks = None
-    if "rks_dim" in raw:
-        sigma_raw = raw.get("rks_sigma", "median")
-        if sigma_raw == "median":
-            sigma = None
-        else:
-            try:
-                sigma = float(sigma_raw)
-            except ValueError:
-                raise DataError(f"{path}: rks_sigma must be 'median' or a number") from None
-        rks = RksSpec(
-            dim=number("rks_dim", None, int),
-            sigma=sigma,
-            seed=number("rks_seed", 0, int),
-        )
-    elif "rks_sigma" in raw or "rks_seed" in raw:
+    if "dim" in rks_fields:
+        fields["rks"] = RksSpec(**rks_fields)
+    elif rks_fields:
         raise DataError(f"{path}: rks_sigma/rks_seed given without rks_dim")
+    fields.setdefault("name", path.stem)
+    fields.setdefault("out_dir", Path("runs") / fields["name"])
 
-    name = raw.get("name", path.stem)
-    out_dir = path_of("out_dir") if "out_dir" in raw else Path("runs") / name
-
-    cfg = ExperimentConfig(
-        name=name,
-        train_tsv=path_of("train_tsv"),
-        test_tsv=path_of("test_tsv"),
-        test_labels=path_of("test_labels"),
-        vec_file=path_of("vec_file"),
-        precomputed_file=path_of("precomputed_file"),
-        stopwords_file=path_of("stopwords"),
-        feature=feature,
-        hodmd_d=hodmd_d,
-        r_max=number("r_max", 10, int),
-        sv_rel_tol=number("sv_rel_tol", 1e-10, float),
-        rks=rks,
-        classifier=raw["classifier"],
-        lam=number("lambda", 1e-3, float),
-        C=number("C", 1000.0, float),
-        svm_epochs=number("svm_epochs", 200, int),
-        lr=number("lr", 0.1, float),
-        logreg_epochs=number("logreg_epochs", 500, int),
-        l2=number("l2", 1e-3, float),
-        var_floor=number("var_floor", 1e-9, float),
-        seed=number("seed", 0, int),
-        out_dir=out_dir,
-    )
+    cfg = ExperimentConfig(**fields)
     cfg.validate()
     return cfg
 
@@ -387,6 +348,15 @@ def build_pipeline(cfg: ExperimentConfig, corpora: list[LabeledCorpus]) -> Featu
     )
 
 
+def _prepare(cfg: ExperimentConfig) -> tuple[LabeledCorpus, LabeledCorpus, FeaturePipeline]:
+    """Validate the config, check that its inputs exist, then load the
+    (train, test) corpora and build the feature pipeline."""
+    cfg.validate()
+    cfg.check_inputs_exist()
+    train_corpus, test_corpus = load_corpora(cfg)
+    return train_corpus, test_corpus, build_pipeline(cfg, [train_corpus, test_corpus])
+
+
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -410,6 +380,9 @@ def _lift_sigma(rks: RksSpec, train_F: FeatureMatrix) -> float:
     the training features."""
     if rks.sigma is not None:
         return rks.sigma
+    rows = len(train_F.values)
+    if rows < 2:
+        raise DataError(f"the median-heuristic bandwidth needs 2 or more training rows, got {rows}")
     return median_heuristic_sigma(train_F.values, seed=rks.seed)
 
 
@@ -452,6 +425,26 @@ def sweep_reports(
     return reports
 
 
+def run_sweep(cfg: ExperimentConfig, value_name: str, values: list) -> tuple[list[str], Path]:
+    """Sweep the SVM's C (``value_name`` "C") or the map dimension ("D")
+    over ``values``; writes the ``value,accuracy`` table into the output
+    directory and returns its lines and its path."""
+    if value_name == "C":
+        run_cfgs = [replace(cfg, C=c) for c in values]
+        table = "sweep_C.csv"
+    else:
+        run_cfgs = [replace(cfg, rks=replace(cfg.rks or RksSpec(dim=d), dim=d)) for d in values]
+        table = "sweep_dim.csv"
+    for run_cfg in run_cfgs:
+        run_cfg.validate()
+    train_corpus, test_corpus, pipeline = _prepare(cfg)
+    reports = sweep_reports(pipeline, train_corpus, test_corpus, run_cfgs)
+    rows = [(float(value), report.accuracy) for value, report in zip(values, reports)]
+    lines = sweep_csv_lines(rows, value_name=value_name)
+    write_artifacts(cfg.out_dir, {table: "".join(line + "\n" for line in lines)})
+    return lines, Path(cfg.out_dir) / table
+
+
 def _classifier_hyper(cfg: ExperimentConfig) -> dict:
     if cfg.classifier == "rlsc":
         return {"lambda": cfg.lam}
@@ -467,7 +460,6 @@ class ExperimentResult:
     report: MetricsReport
     manifest: dict
     model: object
-    out_files: dict
 
 
 def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> ExperimentResult:
@@ -476,11 +468,7 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> Experimen
     All outputs are computed before anything is written, then written via
     rename, so a failed run leaves no partial report files.
     """
-    cfg.validate()
-    cfg.check_inputs_exist()
-
-    train_corpus, test_corpus = load_corpora(cfg)
-    pipeline = build_pipeline(cfg, [train_corpus, test_corpus])
+    train_corpus, test_corpus, pipeline = _prepare(cfg)
     train_F = pipeline.featurize(train_corpus)
     model = fit(cfg, train_F, labels_to_signs(train_corpus))
     report = evaluate(model, test_corpus, pipeline.featurize)
@@ -519,45 +507,36 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> Experimen
         },
     }
 
-    out_files: dict[str, Path] = {}
     if write_files:
-        out_dir = Path(cfg.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         tsv, text = render_report([(cfg.name, report)])
-        payloads = {
-            "report.tsv": tsv.encode("utf-8"),
-            "report.txt": text.encode("utf-8"),
-            "manifest.json": (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode(
-                "utf-8"
-            ),
-        }
-        for filename, payload in payloads.items():
-            _atomic_write(out_dir / filename, payload)
-            out_files[filename] = out_dir / filename
-        model_path = out_dir / "model.offd"
-        tmp = model_path.with_suffix(".offd.tmp")
+        model_file = io.BytesIO()
+        save_model(model, model_file)
+        write_artifacts(cfg.out_dir, {
+            "report.tsv": tsv,
+            "report.txt": text,
+            "manifest.json": json.dumps(manifest, sort_keys=True, indent=2) + "\n",
+            "model.offd": model_file.getvalue(),
+        })
+    return ExperimentResult(report=report, manifest=manifest, model=model)
+
+
+def write_artifacts(out_dir, files: dict[str, str | bytes]) -> None:
+    """Create ``out_dir`` and write each named file whole (text as UTF-8):
+    to a temporary file first, then renamed into place, so no reader sees a
+    partial one."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for filename, payload in files.items():
+        tmp = out_dir / (filename + ".tmp")
         with open(tmp, "wb") as fh:
-            save_model(model, fh)
-        os.replace(tmp, model_path)
-        out_files["model.offd"] = model_path
-
-    return ExperimentResult(report=report, manifest=manifest, model=model, out_files=out_files)
-
-
-def _atomic_write(path: Path, payload: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+            fh.write(payload.encode("utf-8") if isinstance(payload, str) else payload)
+        os.replace(tmp, out_dir / filename)
 
 
 def export_feature_lines(cfg: ExperimentConfig) -> list[str]:
     """Raw (pre-lift) features of every train then test tweet, one
     ``id v1 ... v_dim`` line each, in the precomputed-vector text format."""
-    cfg.validate()
-    cfg.check_inputs_exist()
-    train_corpus, test_corpus = load_corpora(cfg)
-    pipeline = build_pipeline(cfg, [train_corpus, test_corpus])
+    train_corpus, test_corpus, pipeline = _prepare(cfg)
     lines: list[str] = []
     for corpus in (train_corpus, test_corpus):
         features = pipeline.featurize(corpus)

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from offdetect.corpus import load_olid_tsv
 from offdetect.embed import load_precomputed
 from offdetect.errors import DataError
 from offdetect.experiment import (
+    ExperimentConfig,
     RksSpec,
     build_pipeline,
     export_feature_lines,
@@ -48,6 +52,29 @@ class TestParseConfig:
         assert cfg.svm_epochs == 60
         assert cfg.seed == 0
         assert cfg.rks is None
+
+    def test_absent_keys_take_the_dataclass_defaults(self, tmp_path):
+        cfg_path = tmp_path / "least.cfg"
+        cfg_path.write_text(
+            "train_tsv = a.tsv\ntest_tsv = b.tsv\nvec_file = w.vec\nfeature = avg\n"
+            "classifier = svm\n",
+            encoding="utf-8",
+        )
+        required = ExperimentConfig(
+            name="least",
+            train_tsv=(tmp_path / "a.tsv").resolve(),
+            test_tsv=(tmp_path / "b.tsv").resolve(),
+            vec_file=(tmp_path / "w.vec").resolve(),
+            feature="avg",
+            classifier="svm",
+            out_dir=Path("runs") / "least",
+        )
+        assert parse_config(cfg_path) == required
+        with open(cfg_path, "a", encoding="utf-8") as fh:
+            fh.write("rks_dim = 64\n")
+        assert parse_config(cfg_path) == ExperimentConfig(
+            **{**vars(required), "rks": RksSpec(dim=64)}
+        )
 
     def test_hodmd_order_parsed(self, tmp_path, mini_dir):
         cfg_path = write_config(tmp_path / "h.cfg", mini_dir)
@@ -339,6 +366,39 @@ class TestCli:
         assert code == 2
         assert not (tmp_path / "o4b").exists()
 
+    @pytest.mark.parametrize("rows", [0, 1])
+    @pytest.mark.parametrize(
+        "command", [["run"], ["sweep", "--sweep-dim", "20,40"]], ids=["run", "sweep-dim"]
+    )
+    def test_tiny_training_set_with_median_lift_is_data_error(
+        self, tmp_path, mini_dir, capsys, rows, command
+    ):
+        lines = (mini_dir / "train.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        tiny = tmp_path / "tiny.tsv"
+        tiny.write_text("".join(lines[: 1 + rows]), encoding="utf-8")
+        cfg_path = write_config(tmp_path / "tiny.cfg", mini_dir, extra="rks_dim = 20\n")
+        text = cfg_path.read_text().replace(f"train_tsv = {mini_dir}/train.tsv", f"train_tsv = {tiny}")
+        cfg_path.write_text(text.replace("feature = avg", "feature = precomputed"))
+        out = tmp_path / "o"
+        assert main([command[0], "--config", str(cfg_path), "--out", str(out), *command[1:]]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["run"], ["export-features"], ["sweep", "--sweep-C", "1,10"], ["sweep", "--sweep-dim", "16"]],
+        ids=["run", "export", "sweep-C", "sweep-dim"],
+    )
+    def test_failed_command_leaves_no_output_directory(self, tmp_path, mini_dir, capsys, command):
+        bad_tsv = tmp_path / "bad.tsv"
+        bad_tsv.write_text("id\ttweet\tsubtask_a\nt1\tok\tNOT\nbroken\n", encoding="utf-8")
+        cfg_path = write_config(tmp_path / "f.cfg", mini_dir)
+        text = cfg_path.read_text().replace(f"train_tsv = {mini_dir}/train.tsv", f"train_tsv = {bad_tsv}")
+        cfg_path.write_text(text)
+        out = tmp_path / "o"
+        assert main([command[0], "--config", str(cfg_path), "--out", str(out), *command[1:]]) == 2
+        assert not out.exists()
+
     def test_inspect_model(self, tmp_path, mini_dir, capsys):
         cfg_path = write_config(tmp_path / "cli5.cfg", mini_dir)
         main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o5")])
@@ -374,11 +434,29 @@ class TestCli:
         assert manifest["seeds"]["train"] == 77
 
 
+class TestMiniScript:
+    def test_c_sweep_matches_the_cli(self, tmp_path, mini_dir):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_mini_experiments.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--out", str(tmp_path / "script")],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        cfg_path = tmp_path / "dmd.cfg"
+        cfg_path.write_text(
+            f"train_tsv = {mini_dir}/train.tsv\ntest_tsv = {mini_dir}/test.tsv\n"
+            f"test_labels = {mini_dir}/test_labels.csv\nvec_file = {mini_dir}/toy.vec\n"
+            "feature = dmd\nclassifier = svm\nsvm_epochs = 300\n",
+            encoding="utf-8",
+        )
+        argv = ["sweep", "--config", str(cfg_path), "--sweep-C", "0.1,1,100,500,1000"]
+        assert main(argv + ["--out", str(tmp_path / "cli")]) == 0
+        written = (tmp_path / "script" / "dmd-c-sweep" / "sweep_C.csv").read_bytes()
+        assert written == (tmp_path / "cli" / "sweep_C.csv").read_bytes()
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_run(self, tmp_path, mini_dir):
-        import subprocess
-        import sys
-
         cfg_path = write_config(tmp_path / "pm.cfg", mini_dir)
         proc = subprocess.run(
             [sys.executable, "-m", "offdetect", "run", "--config", str(cfg_path),
@@ -389,9 +467,6 @@ class TestModuleEntryPoint:
         assert (tmp_path / "pm_out" / "report.tsv").is_file()
 
     def test_cli_import_leaves_out_scipy_spatial_and_sparse(self):
-        import subprocess
-        import sys
-
         # only median_heuristic_sigma and the CG branch of train_rlsc use them
         code = (
             "import sys, offdetect.cli; "
@@ -404,9 +479,6 @@ class TestModuleEntryPoint:
         assert proc.stdout.strip() == "[]"
 
     def test_python_dash_m_usage_error(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "offdetect", "frobnicate"],
             capture_output=True, text=True, timeout=60,
