@@ -478,6 +478,42 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_only_ridge_runs_import_scipy(self, tmp_path):
+        # one process runs the commands in order and lists the scipy modules
+        # loaded after each; the rlsc run comes last, so the cases before it
+        # cannot see a module it loaded
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        out = tmp_path / "out"
+
+        def command(name, cfg, sub):
+            return [name, "--config", str(configs / cfg), "--out", str(out / sub)]
+
+        commands = {
+            "import": None,
+            "run avg/svm": command("run", "avg_svm.cfg", "avg"),
+            "run dmd/svm": command("run", "dmd_svm.cfg", "dmd"),
+            "export-features": command("export-features", "avg_svm.cfg", "export"),
+            "inspect-model": ["inspect-model", str(out / "avg" / "model.offd")],
+            "run hodmd/rlsc": command("run", "hodmd2_rks_rlsc.cfg", "rlsc"),
+        }
+        code = (
+            "import json, sys\n"
+            "from offdetect.cli import main\n"
+            "loaded = {}\n"
+            f"for case, argv in json.loads({json.dumps(json.dumps(commands))}).items():\n"
+            "    assert argv is None or main(argv) == 0, case\n"
+            "    loaded[case] = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "sys.stderr.write(json.dumps(loaded))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stderr)
+        for case in list(commands)[:-1]:
+            assert loaded[case] == [], case
+        assert "scipy.linalg" in loaded["run hodmd/rlsc"]
+
     def test_python_dash_m_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "offdetect", "frobnicate"],

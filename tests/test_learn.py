@@ -215,6 +215,17 @@ class TestLinearSvm:
         ref = np.append(w_ref, bias_ref)
         assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("C", [0.1, 1000.0])
+    def test_zero_columns_give_the_reference_bias_only_model(self, C):
+        # C = 0.1 on 6 rows runs the per-step prefix (C n < 2), C = 1000 only
+        # the lazy phase
+        y = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+        X = np.zeros((y.shape[0], 0))
+        model = train_linear_svm(X, y, C=C, epochs=40, seed=5)
+        w_ref, bias_ref = _reference_svm(X, y, C, 40, seed=5)
+        assert model.w.shape == w_ref.shape == (0,)
+        assert abs(model.bias - bias_ref) <= 1e-9 * abs(bias_ref)
+
     def test_row_duplication_keeps_separable_predictions(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [2.0, 2.0], [2.0, 3.0]])
         y = np.array([-1.0, -1.0, 1.0, 1.0])
