@@ -19,6 +19,7 @@ from .corpus import (  # noqa: F401
 )
 from .dmd import HodmdConfig, build_snapshots, compute_dmd, predict_state, sentence_feature  # noqa: F401
 from .embed import (  # noqa: F401
+    VectorTable,
     average_embedding,
     load_precomputed,
     load_vec_table,
@@ -27,7 +28,6 @@ from .embed import (  # noqa: F401
 from .errors import DataError, ModelFormatError, NumericError  # noqa: F401
 from .evaluation import ConfusionMatrix, MetricsReport, evaluate, macro_metrics, render_report  # noqa: F401
 from .learn import (  # noqa: F401
-    FeatureMatrix,
     GnbModel,
     LinearModel,
     predict,

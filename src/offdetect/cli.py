@@ -21,6 +21,7 @@ from .experiment import (
     write_artifacts,
 )
 from .experiment import build_pipeline  # noqa: F401  (bench/launch.py wraps it here as well)
+from .learn import GnbModel, LinearModel
 from .model_io import load_model
 from .rks import PRNG_ID
 
@@ -129,8 +130,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    from .learn import GnbModel, LinearModel
-
     try:
         with open(args.model, "rb") as fh:
             model = load_model(fh)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import EmbeddingSequence
 from .errors import NumericError
 
 __all__ = [
@@ -41,10 +40,6 @@ class SnapshotPair:
 
     X: np.ndarray
     Xp: np.ndarray
-
-    @property
-    def n_states(self) -> int:
-        return self.X.shape[0]
 
     @property
     def n_snapshots(self) -> int:
@@ -79,17 +74,17 @@ class HodmdConfig:
             raise ValueError(f"sv_rel_tol must be in (0, 1), got {self.sv_rel_tol}")
 
 
-def build_snapshots(seq: EmbeddingSequence, d: int = 1) -> SnapshotPair:
-    """Delay-embed the sequence at order d and split into lagged pairs.
+def build_snapshots(seq: np.ndarray, d: int = 1) -> SnapshotPair:
+    """Delay-embed an (n, L) sequence at order d and split into lagged pairs.
 
     Columns y_k = [x_k; ...; x_{k+d-1}] (length n*d) give
     X = [y_1 .. y_{L-d}] and Xp = [y_2 .. y_{L-d+1}] for a sequence of
     L columns.  Requires L >= d + 1.
     """
-    L = seq.length
+    L = seq.shape[1]
     if L < d + 1:
         raise NumericError(f"sequence of {L} columns is too short for delay order {d}")
-    stacked = np.vstack([seq.values[:, i : L - d + 1 + i] for i in range(d)])
+    stacked = np.vstack([seq[:, i : L - d + 1 + i] for i in range(d)])
     return SnapshotPair(X=stacked[:, :-1], Xp=stacked[:, 1:])
 
 
@@ -145,14 +140,12 @@ def reconstruction_error(dec: DmdDecomposition, snap: SnapshotPair) -> float:
     return float(err / scale)
 
 
-def sentence_feature(
-    seq: EmbeddingSequence | np.ndarray, cfg: HodmdConfig = HodmdConfig()
-) -> np.ndarray:
+def sentence_feature(seq: np.ndarray, cfg: HodmdConfig = HodmdConfig()) -> np.ndarray:
     """Fixed-length feature: one-step extrapolation past the last snapshot.
 
-    ``seq`` is one signal, an EmbeddingSequence or an (n, L) array, giving
-    an (n,) feature, or a stack of G signals of the same length, a
-    (G, n, L) array, giving a (G, n) one.  Each signal is decomposed
+    ``seq`` is one signal, an (n, L) array, giving an (n,) feature, or a
+    stack of G signals of the same length, a (G, n, L) array, giving a
+    (G, n) one.  Each signal is decomposed
     (after delay embedding), Phi Lambda^{m_s} b is evaluated where m_s is
     the stacked-snapshot count, and the real part of its first n
     components is kept, so the output length equals the channel count n
@@ -162,7 +155,7 @@ def sentence_feature(
     the zero vector, and a sequence shorter than d+1 columns is padded by
     repeating its last column.
     """
-    values = np.asarray(getattr(seq, "values", seq), dtype=np.float64)
+    values = np.asarray(seq, dtype=np.float64)
     if values.ndim == 2:
         return _stacked_feature(values[None], cfg)[0]
     return _stacked_feature(values, cfg)

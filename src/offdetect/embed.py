@@ -1,14 +1,16 @@
-"""Word-vector tables, averaged sentence vectors, and per-tweet signals.
+"""Vector tables, averaged sentence vectors, and per-tweet signals.
 
-A tweet is featurized either as the mean of its token vectors or as the
-full n x (m+1) matrix of token vectors in order (one column per token),
-which downstream decomposition treats as a multi-channel signal.
-Precomputed sentence vectors (e.g. from an external encoder) are ingested
-from a plain-text table keyed by tweet id.
+Word vectors (a ``.vec`` file keyed by token) and precomputed sentence
+vectors (e.g. from an external encoder, keyed by tweet id) both load into a
+VectorTable: the vectors as the rows of one matrix, and an index from key
+to row.  A tweet is featurized either as the mean of its token vectors or
+as the full n x (m+1) array of its token vectors in order (one column per
+token), which downstream decomposition treats as a multi-channel signal.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -17,9 +19,7 @@ import numpy as np
 from .errors import DataError
 
 __all__ = [
-    "WordVectorTable",
-    "EmbeddingSequence",
-    "PrecomputedTable",
+    "VectorTable",
     "load_vec_table",
     "average_embedding",
     "token_matrix",
@@ -28,9 +28,9 @@ __all__ = [
 
 
 @dataclass
-class WordVectorTable:
-    """Word vectors as the rows of one (V, dim) matrix; ``index`` maps each
-    token to its row."""
+class VectorTable:
+    """Vectors as the rows of one (V, dim) matrix; ``index`` maps each key
+    (a token or a tweet id) to its row."""
 
     matrix: np.ndarray
     index: dict[str, int]
@@ -51,37 +51,6 @@ class WordVectorTable:
         return len(self.index)
 
 
-@dataclass
-class EmbeddingSequence:
-    """Word vectors of one tweet as columns, in token order: shape (dim, m+1)."""
-
-    values: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass
-class PrecomputedTable:
-    """tweet id -> sentence vector; dim is fixed by the first row loaded."""
-
-    dim: int | None
-    vectors: dict[str, np.ndarray]
-
-    def lookup(self, tweet_id: str) -> np.ndarray:
-        if tweet_id not in self.vectors:
-            raise DataError(f"precomputed table: no vector for id {tweet_id!r}")
-        return self.vectors[tweet_id]
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-
 def _lines(source):
     if isinstance(source, bytes):
         source = source.decode("utf-8")
@@ -90,14 +59,14 @@ def _lines(source):
     return (raw.decode("utf-8") if isinstance(raw, bytes) else raw for raw in source)
 
 
-def load_vec_table(source, vocab_filter: set[str] | None = None) -> WordVectorTable:
+def load_vec_table(source, vocab_filter: set[str] | None = None) -> VectorTable:
     """Parse a ``.vec`` text table: header ``count dim``, then
     ``token v1 ... v_dim`` per line, space-separated.
 
     ``vocab_filter`` keeps only the listed tokens.  Rows whose width differs
     from the header dim, and kept rows with a non-numeric or non-finite
     (nan, inf) value, raise DataError naming the line.  Kept rows are parsed
-    in blocks (see ``_parsed_blocks``).
+    in blocks (see ``_parsed_rows``).
     """
     lines = iter(_lines(source))
     try:
@@ -133,19 +102,11 @@ def load_vec_table(source, vocab_filter: set[str] | None = None) -> WordVectorTa
             tokens.append(token)
             yield lineno, values
 
-    def parse(rows: list[tuple[int, str]]) -> np.ndarray:
-        values = _parse_block(rows, dim, " ", "vec file")
-        if values is None:
-            values = np.array(
-                [_parse_row(text.split(" "), f"vec file line {lineno}") for lineno, text in rows]
-            )
-        return values
-
     # rows go straight into one growing buffer, never all held twice
-    rows = (row for block in _parsed_blocks(kept_rows(), parse) for row in block)
+    rows = _parsed_rows(kept_rows(), dim, " ", "vec file")
     matrix = np.fromiter(rows, dtype=np.dtype((np.float64, dim)))
     # a repeated token maps to its last row
-    return WordVectorTable(matrix=matrix, index={tok: i for i, tok in enumerate(tokens)})
+    return VectorTable(matrix=matrix, index={tok: i for i, tok in enumerate(tokens)})
 
 
 # Rows parsed at a time by numpy's C parser: enough to amortise the call, few
@@ -153,9 +114,9 @@ def load_vec_table(source, vocab_filter: set[str] | None = None) -> WordVectorTa
 _BLOCK_ROWS = 256
 
 
-def _parsed_blocks(rows, parse):
-    """``parse(block)`` for each run of up to ``_BLOCK_ROWS`` consecutive
-    ``(lineno, text)`` pairs that ``rows`` yields.
+def _parsed_rows(rows, width: int, delimiter: str | None, what: str):
+    """The parsed values, row by row, of the ``(lineno, text)`` pairs that
+    ``rows`` yields, parsed ``_BLOCK_ROWS`` at a time by ``_parse_block``.
 
     When ``rows`` raises at a bad line, the rows held from earlier lines are
     parsed first, so that a bad value on an earlier line is the error
@@ -167,27 +128,28 @@ def _parsed_blocks(rows, parse):
             held.append(row)
             if len(held) == _BLOCK_ROWS:
                 block, held = held, []
-                yield parse(block)
+                yield from _parse_block(block, width, delimiter, what)
     except Exception:
         if held:
-            parse(held)
+            _parse_block(held, width, delimiter, what)
         raise
     if held:
-        yield parse(held)
+        yield from _parse_block(held, width, delimiter, what)
 
 
 def _parse_block(
     rows: list[tuple[int, str]], width: int, delimiter: str | None, what: str
-) -> np.ndarray | None:
+) -> np.ndarray:
     """The values of ``rows``, ``(lineno, text)`` pairs, as a (len(rows),
-    width) array parsed by numpy's C parser, or None when it refuses a row or
-    finds another width.  A non-finite value raises DataError naming the
-    first line that holds one.
+    width) array.  A row of another width, or with a non-numeric or
+    non-finite (nan, inf) value, raises DataError naming the first line that
+    holds one.
 
-    The C parser accepts less than ``float()`` does (no ``_`` digit
-    separators, no non-ASCII digits, no line break inside a row), reads what
-    it accepts to the same value, and splits as ``str.split(delimiter)``
-    does; the caller parses a refused block again line by line.
+    numpy's C parser reads the block in one call.  It accepts less than
+    ``float()`` does (no ``_`` digit separators, no non-ASCII digits, no line
+    break inside a row), reads what it accepts to the same value, and splits
+    as ``str.split(delimiter)`` does; when it refuses a row or finds another
+    width, the block is parsed again line by line with ``float()``.
     """
     try:
         with warnings.catch_warnings():
@@ -201,17 +163,22 @@ def _parse_block(
                 ndmin=2,
             )
     except ValueError:
-        return None
+        values = None
     # it skips blank rows, which a line-by-line parse rejects
-    if values.shape != (len(rows), width):
-        return None
+    if values is None or values.shape != (len(rows), width):
+        return np.array([
+            _parse_row(text.split(delimiter), width, f"{what} line {lineno}")
+            for lineno, text in rows
+        ])
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise DataError(f"{what} line {rows[int(np.argmin(finite))][0]}: non-finite value")
     return values
 
 
-def _parse_row(fields: list[str], where: str) -> np.ndarray:
+def _parse_row(fields: list[str], width: int, where: str) -> np.ndarray:
+    if len(fields) != width:
+        raise DataError(f"{where}: expected {width} values, got {len(fields)}")
     try:
         vec = np.array([float(value) for value in fields], dtype=np.float64)
     except ValueError:
@@ -221,7 +188,7 @@ def _parse_row(fields: list[str], where: str) -> np.ndarray:
     return vec
 
 
-def average_embedding(tokens: list[str], table: WordVectorTable) -> np.ndarray:
+def average_embedding(tokens: list[str], table: VectorTable) -> np.ndarray:
     """Mean of in-vocabulary token vectors; zero vector if none are known."""
     rows = table.rows(tokens)
     if not rows:
@@ -229,24 +196,23 @@ def average_embedding(tokens: list[str], table: WordVectorTable) -> np.ndarray:
     return table.matrix[rows].mean(axis=0)
 
 
-def token_matrix(tokens: list[str], table: WordVectorTable) -> EmbeddingSequence:
-    """In-vocabulary token vectors as ordered columns; OOV tokens skipped."""
-    return EmbeddingSequence(values=table.matrix[table.rows(tokens)].T)
+def token_matrix(tokens: list[str], table: VectorTable) -> np.ndarray:
+    """In-vocabulary token vectors as the ordered columns of a (dim, L)
+    array; OOV tokens skipped."""
+    return table.matrix[table.rows(tokens)].T
 
 
-def load_precomputed(source) -> PrecomputedTable:
+def load_precomputed(source) -> VectorTable:
     """Parse ``id v1 ... v_dim`` lines; dim inferred from the first row.
 
     Duplicate ids, rows of inconsistent width and non-numeric or
     non-finite (nan, inf) values raise DataError naming the line.  An empty
-    file yields an empty table whose lookups fail.  Rows are parsed in
-    blocks (see ``_parsed_blocks``).
+    file yields a (0, 0) table.  Rows are parsed in blocks (see
+    ``_parsed_rows``).
     """
-    ids: dict[str, int] = {}  # id -> line, in file order
-    dim: int | None = None
+    index: dict[str, int] = {}  # id -> row, in file order
 
     def checked_rows():
-        nonlocal dim
         for lineno, line in enumerate(_lines(source), start=1):
             parts = line.split(None, 1)
             if not parts:
@@ -254,27 +220,15 @@ def load_precomputed(source) -> PrecomputedTable:
             if len(parts) < 2:
                 raise DataError(f"precomputed file line {lineno}: expected 'id v1 ... v_dim'")
             tweet_id, values = parts
-            if tweet_id in ids:
+            if tweet_id in index:
                 raise DataError(f"precomputed file line {lineno}: duplicate id {tweet_id!r}")
-            if dim is None:
-                dim = len(values.split())
-            ids[tweet_id] = lineno
+            index[tweet_id] = len(index)
             yield lineno, values
 
-    def parse(rows: list[tuple[int, str]]) -> np.ndarray:
-        values = _parse_block(rows, dim, None, "precomputed file")
-        if values is None:
-            parsed = []
-            for lineno, text in rows:
-                fields = text.split()
-                if len(fields) != dim:
-                    raise DataError(
-                        f"precomputed file line {lineno}: expected {dim} values, got {len(fields)}"
-                    )
-                parsed.append(_parse_row(fields, f"precomputed file line {lineno}"))
-            values = np.array(parsed)
-        return values
-
-    blocks = list(_parsed_blocks(checked_rows(), parse))
-    rows = (row for block in blocks for row in block)
-    return PrecomputedTable(dim=dim, vectors=dict(zip(ids, rows)))
+    rows = checked_rows()
+    first = next(rows, None)
+    if first is None:
+        return VectorTable(matrix=np.zeros((0, 0)), index={})
+    dim = len(first[1].split())
+    rows = _parsed_rows(itertools.chain([first], rows), dim, None, "precomputed file")
+    return VectorTable(matrix=np.fromiter(rows, dtype=np.dtype((np.float64, dim))), index=index)

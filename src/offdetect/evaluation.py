@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import LABEL_TO_SIGN, LabeledCorpus
 from .errors import DataError
-from .learn import FeatureMatrix, predict
+from .learn import predict
 
 __all__ = [
     "ConfusionMatrix",
@@ -118,7 +118,7 @@ def labels_to_signs(corpus: LabeledCorpus) -> np.ndarray:
 def evaluate(
     model,
     corpus: LabeledCorpus,
-    featurize: Callable[[LabeledCorpus], FeatureMatrix],
+    featurize: Callable[[LabeledCorpus], np.ndarray],
 ) -> MetricsReport:
     """Featurize -> predict -> confusion -> macro metrics."""
     labels_to_signs(corpus)  # reject unlabeled records up front, naming the id
@@ -130,10 +130,17 @@ def evaluate(
 
 
 def sweep_csv_lines(rows: Sequence[tuple[float, float]], value_name: str = "C") -> list[str]:
-    """Plot-data CSV lines: header ``<value_name>,accuracy`` then one row each."""
+    """Plot-data CSV lines: header ``<value_name>,accuracy`` then one row each.
+
+    A value is written in ``:g`` form when that reads back to it, else as
+    its ``repr``, so no two values share a label.
+    """
     lines = [f"{value_name},accuracy"]
     for value, accuracy in rows:
-        lines.append(f"{value:g},{format_pct(accuracy)}")
+        text = f"{value:g}"
+        if float(text) != value:
+            text = repr(value)
+        lines.append(f"{text},{format_pct(accuracy)}")
     return lines
 
 

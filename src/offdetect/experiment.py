@@ -28,17 +28,10 @@ import numpy as np
 from . import __version__
 from .corpus import LabeledCorpus, default_stopwords, load_olid_tsv, load_stopwords, tokenize_clean
 from .dmd import HodmdConfig, sentence_feature
-from .embed import (
-    PrecomputedTable,
-    WordVectorTable,
-    average_embedding,
-    load_precomputed,
-    load_vec_table,
-    token_matrix,
-)
+from .embed import VectorTable, average_embedding, load_precomputed, load_vec_table, token_matrix
 from .errors import DataError
 from .evaluation import MetricsReport, evaluate, labels_to_signs, render_report, sweep_csv_lines
-from .learn import FeatureMatrix, train_gnb, train_linear_svm, train_logreg, train_rlsc
+from .learn import train_gnb, train_linear_svm, train_logreg, train_rlsc
 from .model_io import save_model
 from .rks import PRNG_ID, median_heuristic_sigma, sample_map, transform
 
@@ -257,32 +250,33 @@ def load_corpora(cfg: ExperimentConfig) -> tuple[LabeledCorpus, LabeledCorpus]:
 
 @dataclass
 class FeaturePipeline:
-    """Resolved feature extractor: corpus -> FeatureMatrix (one row per tweet)."""
+    """Resolved feature extractor: corpus -> (n, dim) float64 array, one row
+    per tweet.  ``table`` holds word vectors keyed by token, or for the
+    precomputed kind sentence vectors keyed by tweet id."""
 
     kind: str
     stopwords: frozenset[str]
-    vec_table: WordVectorTable | None = None
-    precomputed: PrecomputedTable | None = None
+    table: VectorTable
     hodmd: HodmdConfig | None = None
     # token lists by tweet text, filled by build_pipeline so that the corpora
     # it saw are tokenized once; any other text is tokenized when featurized
     tokens: dict[str, list[str]] = field(default_factory=dict)
 
-    def featurize(self, corpus: LabeledCorpus) -> FeatureMatrix:
-        records = corpus.records
+    def featurize(self, corpus: LabeledCorpus) -> np.ndarray:
         if self.kind == "avg":
-            values = np.empty((len(records), self.vec_table.dim), dtype=np.float64)
+            values = np.empty((len(corpus), self.table.dim), dtype=np.float64)
             for i, toks in enumerate(self._tokens(corpus)):
-                values[i] = average_embedding(toks, self.vec_table)
-        elif self.kind in ("dmd", "hodmd"):
-            values = self._dmd_features(corpus)
-        elif self.kind == "precomputed":
-            rows = [self.precomputed.lookup(rec.id) for rec in records]
-            dim = self.precomputed.dim or 0
-            values = np.array(rows, dtype=np.float64) if rows else np.zeros((0, dim))
-        else:
-            raise DataError(f"unknown feature kind {self.kind!r}")
-        return FeatureMatrix(values=values, ids=corpus.ids())
+                values[i] = average_embedding(toks, self.table)
+            return values
+        if self.kind in ("dmd", "hodmd"):
+            return self._dmd_features(corpus)
+        if self.kind == "precomputed":
+            try:
+                rows = [self.table.index[tweet_id] for tweet_id in corpus.ids()]
+            except KeyError as exc:
+                raise DataError(f"precomputed table: no vector for id {exc.args[0]!r}") from None
+            return self.table.matrix[rows]
+        raise DataError(f"unknown feature kind {self.kind!r}")
 
     def _tokens(self, corpus: LabeledCorpus) -> list[list[str]]:
         cached = self.tokens
@@ -294,14 +288,14 @@ class FeaturePipeline:
     def _dmd_features(self, corpus: LabeledCorpus) -> np.ndarray:
         """DMD features of every tweet, one stacked sentence_feature call per
         signal length.  Only one length's signals are held at a time."""
-        table = self.vec_table
+        table = self.table
         tokens = self._tokens(corpus)
         by_length: dict[int, list[int]] = {}
         for i, toks in enumerate(tokens):
             by_length.setdefault(len(table.rows(toks)), []).append(i)
         values = np.zeros((len(tokens), table.dim), dtype=np.float64)
         for members in by_length.values():
-            stack = np.stack([token_matrix(tokens[i], table).values for i in members])
+            stack = np.stack([token_matrix(tokens[i], table) for i in members])
             values[members] = sentence_feature(stack, self.hodmd)
         return values
 
@@ -321,8 +315,6 @@ def build_pipeline(cfg: ExperimentConfig, corpora: list[LabeledCorpus]) -> Featu
         if cfg.stopwords_file is not None
         else default_stopwords()
     )
-    vec_table = None
-    precomputed = None
     hodmd = None
     tokens: dict[str, list[str]] = {}
     if cfg.feature in ("avg", "dmd", "hodmd"):
@@ -332,17 +324,16 @@ def build_pipeline(cfg: ExperimentConfig, corpora: list[LabeledCorpus]) -> Featu
                     tokens[rec.text] = tokenize_clean(rec.text, stopwords)
         vocab = set().union(*tokens.values())
         with open(cfg.vec_file, "rb") as fh:
-            vec_table = load_vec_table(fh, vocab_filter=vocab)
+            table = load_vec_table(fh, vocab_filter=vocab)
         if cfg.feature in ("dmd", "hodmd"):
             hodmd = HodmdConfig(d=cfg.hodmd_d, r_max=cfg.r_max, sv_rel_tol=cfg.sv_rel_tol)
     else:
         with open(cfg.precomputed_file, "rb") as fh:
-            precomputed = load_precomputed(fh)
+            table = load_precomputed(fh)
     return FeaturePipeline(
         kind=cfg.feature,
         stopwords=stopwords,
-        vec_table=vec_table,
-        precomputed=precomputed,
+        table=table,
         hodmd=hodmd,
         tokens=tokens,
     )
@@ -375,27 +366,32 @@ def _train(cfg: ExperimentConfig, F, y):
     return train_gnb(F, y, var_floor=cfg.var_floor)
 
 
-def _lift_sigma(rks: RksSpec, train_F: FeatureMatrix) -> float:
+def _lift_sigma(rks: RksSpec, train_F: np.ndarray) -> float:
     """The lift bandwidth: the configured one, else the median heuristic on
     the training features."""
     if rks.sigma is not None:
         return rks.sigma
-    rows = len(train_F.values)
+    rows = len(train_F)
     if rows < 2:
         raise DataError(f"the median-heuristic bandwidth needs 2 or more training rows, got {rows}")
-    return median_heuristic_sigma(train_F.values, seed=rks.seed)
+    return median_heuristic_sigma(train_F, seed=rks.seed)
 
 
-def fit(cfg: ExperimentConfig, train_F: FeatureMatrix, y: np.ndarray):
-    """Train the configured classifier on ``train_F``, lifted first when the
-    config asks for the random-feature map (bandwidth -> ``sample_map`` ->
-    ``transform``); the returned model carries the map, so it predicts from
-    raw features."""
+def fit(cfg: ExperimentConfig, train_F: np.ndarray, y: np.ndarray):
+    """Train the configured classifier on the (n, dim) ``train_F``, lifted
+    first when the config asks for the random-feature map (bandwidth ->
+    ``sample_map`` -> ``transform``); the returned model carries the map, so
+    it predicts from raw features.  A map recipe that ``sample_map`` refuses
+    (e.g. one over its entry cap) is a DataError, raised before any map is
+    drawn."""
     if cfg.rks is None:
         return _train(cfg, train_F, y)
-    rks_map = sample_map(train_F.dim, cfg.rks.dim, _lift_sigma(cfg.rks, train_F), cfg.rks.seed)
-    lifted = FeatureMatrix(values=transform(rks_map, train_F.values), ids=train_F.ids)
-    model = _train(cfg, lifted, y)
+    sigma = _lift_sigma(cfg.rks, train_F)
+    try:
+        rks_map = sample_map(train_F.shape[1], cfg.rks.dim, sigma, cfg.rks.seed)
+    except ValueError as exc:
+        raise DataError(f"random-feature map: {exc}") from None
+    model = _train(cfg, transform(rks_map, train_F), y)
     model.rks = rks_map
     return model
 
@@ -481,7 +477,7 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> Experimen
             "d": cfg.hodmd_d if cfg.feature in ("dmd", "hodmd") else None,
             "r_max": cfg.r_max if cfg.feature in ("dmd", "hodmd") else None,
             "sv_rel_tol": cfg.sv_rel_tol if cfg.feature in ("dmd", "hodmd") else None,
-            "dim": train_F.dim,
+            "dim": train_F.shape[1],
         },
         "rks": None
         if cfg.rks is None
@@ -539,7 +535,6 @@ def export_feature_lines(cfg: ExperimentConfig) -> list[str]:
     train_corpus, test_corpus, pipeline = _prepare(cfg)
     lines: list[str] = []
     for corpus in (train_corpus, test_corpus):
-        features = pipeline.featurize(corpus)
-        for tweet_id, row in zip(features.ids, features.values):
+        for tweet_id, row in zip(corpus.ids(), pipeline.featurize(corpus)):
             lines.append(" ".join([tweet_id, *(repr(float(v)) for v in row)]))
     return lines

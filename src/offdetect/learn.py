@@ -10,7 +10,7 @@ map before scoring, so persisted models are self-contained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .errors import DataError, NumericError
 from .rks import RksMap, transform
 
 __all__ = [
-    "FeatureMatrix",
     "LinearModel",
     "GnbModel",
     "train_rlsc",
@@ -38,22 +37,6 @@ RLSC_DIRECT_MAX_COLS = 4096
 # whole chunk at once would raise peak memory by megabytes on OLID-size inputs.
 _SVM_CHUNK = 4096
 _SVM_WINDOW = 32
-
-
-@dataclass
-class FeatureMatrix:
-    """Row-per-sample feature block plus the tweet ids the rows came from."""
-
-    values: np.ndarray
-    ids: list[str] = field(default_factory=list)
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass
@@ -78,8 +61,7 @@ class GnbModel:
 
 
 def _as_matrix(F) -> np.ndarray:
-    values = F.values if isinstance(F, FeatureMatrix) else np.asarray(F)
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(F, dtype=np.float64)
     if values.ndim != 2:
         raise DataError(f"feature matrix must be 2-d, got shape {values.shape}")
     if not np.all(np.isfinite(values)):

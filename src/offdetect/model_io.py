@@ -20,9 +20,10 @@ Layout (version 1):
 The map block stores only the sampling recipe; loading re-draws the
 frequency matrix, which the seeded generator reproduces bit-exactly.  Any
 unexpected trailing bytes, short reads, or unknown identifiers fail the
-load with no partial model.  So does a map larger than MAX_MAP_ENTRIES, a
-weight count other than the map's output dimension, or a map recipe that
-sample_map refuses; the map is drawn last, after everything else is read.
+load with no partial model.  So does a weight count other than the map's
+output dimension, or a map recipe that sample_map refuses (among others, a
+map larger than rks.MAX_MAP_ENTRIES); the map is drawn last, after
+everything else is read.
 """
 
 from __future__ import annotations
@@ -36,14 +37,10 @@ from .errors import ModelFormatError
 from .learn import GnbModel, LinearModel
 from .rks import PRNG_ID, sample_map
 
-__all__ = ["MAGIC", "FORMAT_VERSION", "MAX_MAP_ENTRIES", "save_model", "load_model"]
+__all__ = ["MAGIC", "FORMAT_VERSION", "save_model", "load_model"]
 
 MAGIC = b"OFFD1"
 FORMAT_VERSION = 1
-
-# Largest d_in x dim_out map a file may ask load_model to draw (a 128 MiB
-# frequency matrix); shipped sweeps write at most 512 x 4000.
-MAX_MAP_ENTRIES = 1 << 24
 
 # Payload reads go in pieces of at most this many bytes, so a corrupt
 # length field cannot allocate more memory than the file holds.
@@ -174,9 +171,9 @@ def load_model(source):
 
 
 def _read_map_recipe(source) -> tuple[int, int, float, int]:
-    """The map block's (d_in, dim_out, sigma, seed), capped at MAX_MAP_ENTRIES.
+    """The map block's (d_in, dim_out, sigma, seed).
 
-    sample_map checks the rest of the recipe when load_model draws the map.
+    sample_map checks the recipe when load_model draws the map.
     """
     d_in, dim_out, seed, sigma = _read_struct(source, "<IIqd")
     (prng_len,) = _read_struct(source, "<H")
@@ -184,9 +181,5 @@ def _read_map_recipe(source) -> tuple[int, int, float, int]:
     if prng_id != PRNG_ID:
         raise ModelFormatError(
             f"map sampled with unknown generator {prng_id!r}; cannot reproduce it"
-        )
-    if d_in * dim_out > MAX_MAP_ENTRIES:
-        raise ModelFormatError(
-            f"map of {d_in} x {dim_out} exceeds the {MAX_MAP_ENTRIES}-entry limit"
         )
     return d_in, dim_out, sigma, seed

@@ -23,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "PRNG_ID",
+    "MAX_MAP_ENTRIES",
     "RksMap",
     "sample_map",
     "transform",
@@ -31,6 +32,11 @@ __all__ = [
 ]
 
 PRNG_ID = "numpy-pcg64"
+
+# Largest d_in x dim_out map sample_map draws (a 64 MiB frequency matrix of
+# d_in x dim_out/2), so every map a run fits is one load_model will draw
+# again; shipped sweeps draw at most 512 x 4000.
+MAX_MAP_ENTRIES = 1 << 24
 
 
 @dataclass
@@ -55,7 +61,11 @@ class RksMap:
 
 
 def sample_map(d_in: int, dim_out: int, sigma: float, seed: int) -> RksMap:
-    """Draw k = dim_out/2 Gaussian frequency columns with std 1/sigma."""
+    """Draw k = dim_out/2 Gaussian frequency columns with std 1/sigma.
+
+    The recipe is checked before anything is drawn, including that the map
+    has at most MAX_MAP_ENTRIES entries (d_in x dim_out).
+    """
     if dim_out < 2 or dim_out % 2 != 0:
         raise ValueError(f"output dimension must be even (cos/sin pairs), got {dim_out}")
     if not (math.isfinite(sigma) and sigma > 0):
@@ -64,6 +74,8 @@ def sample_map(d_in: int, dim_out: int, sigma: float, seed: int) -> RksMap:
         raise ValueError(f"input dimension must be >= 1, got {d_in}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if d_in * dim_out > MAX_MAP_ENTRIES:
+        raise ValueError(f"map of {d_in} x {dim_out} exceeds the {MAX_MAP_ENTRIES}-entry limit")
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((d_in, dim_out // 2)) / sigma
     return RksMap(omega=omega, sigma=float(sigma), seed=int(seed))

@@ -15,11 +15,9 @@ import scipy.optimize
 
 from offdetect.corpus import LabeledCorpus, TweetRecord
 from offdetect.dmd import HodmdConfig, build_snapshots, compute_dmd, reconstruction_error
-from offdetect.embed import EmbeddingSequence
 from offdetect.evaluation import evaluate, macro_metrics, ConfusionMatrix
 from offdetect.experiment import parse_config, run_experiment
 from offdetect.learn import (
-    FeatureMatrix,
     LinearModel,
     logreg_loss_grad,
     predict,
@@ -79,7 +77,7 @@ def test_c01_degenerate_row_reproduction():
         model = LinearModel(kind="rlsc", w=np.zeros(1), bias=-1.0, hyper={})
 
         def featurize(c):
-            return FeatureMatrix(values=np.zeros((len(c), 1)), ids=c.ids())
+            return np.zeros((len(c), 1))
 
         report = evaluate(model, corpus, featurize)
         elapsed = time.perf_counter() - start
@@ -139,7 +137,7 @@ def test_c04_dmd_oracle():
         cols = [rng.normal(size=5) + 2.0]
         for _ in range(11):
             cols.append(A @ cols[-1])
-        seq = EmbeddingSequence(values=np.column_stack(cols))  # 12 snapshots
+        seq = np.column_stack(cols)  # 12 snapshots
         snap = build_snapshots(seq, 1)
         dec = compute_dmd(snap, HodmdConfig(d=1, r_max=10, sv_rel_tol=1e-10))
         got = np.sort(np.real(dec.eigenvalues))
@@ -151,7 +149,7 @@ def test_c04_dmd_oracle():
 
 def test_c05_delay_embedding_necessity():
     with criterion(5, "period-2 scalar signal needs order 2: d=1 fails, d=2 exact"):
-        seq = EmbeddingSequence(values=np.array([[1.0, 2.0] * 6]))
+        seq = np.array([[1.0, 2.0] * 6])
         snap1 = build_snapshots(seq, 1)
         err1 = reconstruction_error(compute_dmd(snap1, HodmdConfig(d=1)), snap1)
         snap2 = build_snapshots(seq, 2)

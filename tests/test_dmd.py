@@ -11,7 +11,6 @@ from offdetect.dmd import (
     reconstruction_error,
     sentence_feature,
 )
-from offdetect.embed import EmbeddingSequence
 from offdetect.errors import NumericError
 
 
@@ -20,20 +19,20 @@ def linear_trajectory(A, x1, n_steps):
     cols = [np.asarray(x1, dtype=float)]
     for _ in range(n_steps - 1):
         cols.append(A @ cols[-1])
-    return EmbeddingSequence(values=np.column_stack(cols))
+    return np.column_stack(cols)
 
 
 def _reference_sentence_feature(seq, cfg=HodmdConfig()):
     """The per-tweet algorithm sentence_feature must reproduce: pad a short
     sequence, delay-embed it, run exact DMD on all n*d rows and keep the
     real part of the first n components of the one-step extrapolation."""
-    values = seq.values
+    values = seq
     n, L = values.shape
     if L == 0:
         return np.zeros(n)
     if L < cfg.d + 1:
         values = np.concatenate([values, np.repeat(values[:, -1:], cfg.d + 1 - L, axis=1)], axis=1)
-    snap = build_snapshots(EmbeddingSequence(values=values), cfg.d)
+    snap = build_snapshots(values, cfg.d)
     if not np.any(snap.X):
         return np.zeros(n)
     dec = compute_dmd(snap, cfg)
@@ -42,26 +41,26 @@ def _reference_sentence_feature(seq, cfg=HodmdConfig()):
 
 class TestBuildSnapshots:
     def test_order_one_shapes(self):
-        seq = EmbeddingSequence(values=np.arange(8.0).reshape(2, 4))
+        seq = np.arange(8.0).reshape(2, 4)
         snap = build_snapshots(seq, 1)
         assert snap.X.shape == (2, 3)
         assert snap.Xp.shape == (2, 3)
 
     def test_order_two_stacks_columns(self):
-        seq = EmbeddingSequence(values=np.arange(8.0).reshape(2, 4))
+        seq = np.arange(8.0).reshape(2, 4)
         snap = build_snapshots(seq, 2)
         assert snap.X.shape == (4, 2)
         np.testing.assert_array_equal(snap.X[:, 0], [0.0, 4.0, 1.0, 5.0])
 
     def test_shift_structure_on_random_fixture(self):
         rng = np.random.default_rng(3)
-        seq = EmbeddingSequence(values=rng.normal(size=(3, 9)))
+        seq = rng.normal(size=(3, 9))
         for d in (1, 2, 3):
             snap = build_snapshots(seq, d)
             np.testing.assert_array_equal(snap.Xp[:, :-1], snap.X[:, 1:])
 
     def test_too_short_sequence_raises(self):
-        seq = EmbeddingSequence(values=np.ones((2, 2)))
+        seq = np.ones((2, 2))
         with pytest.raises(NumericError, match="too short"):
             build_snapshots(seq, 2)
 
@@ -76,7 +75,7 @@ class TestComputeDmd:
 
     def test_constant_sequence_is_a_fixed_point(self):
         x = np.array([2.0, -1.0, 0.5])
-        seq = EmbeddingSequence(values=np.tile(x[:, None], 5))
+        seq = np.tile(x[:, None], 5)
         dec = compute_dmd(build_snapshots(seq, 1))
         assert dec.rank == 1
         np.testing.assert_allclose(dec.eigenvalues, [1.0], atol=1e-10)
@@ -84,7 +83,7 @@ class TestComputeDmd:
     def test_geometric_sequence_single_eigenvalue(self):
         v = np.array([1.0, 2.0, -1.0])
         cols = [v * 0.7**k for k in range(6)]
-        seq = EmbeddingSequence(values=np.column_stack(cols))
+        seq = np.column_stack(cols)
         dec = compute_dmd(build_snapshots(seq, 1))
         assert dec.rank == 1
         np.testing.assert_allclose(dec.eigenvalues, [0.7], atol=1e-10)
@@ -108,7 +107,7 @@ class TestComputeDmd:
 
     def test_conjugate_pair_eigenvalues_on_real_data(self):
         rng = np.random.default_rng(11)
-        seq = EmbeddingSequence(values=rng.normal(size=(4, 10)))
+        seq = rng.normal(size=(4, 10))
         dec = compute_dmd(build_snapshots(seq, 1))
         eigs = np.sort_complex(dec.eigenvalues)
         conj = np.sort_complex(np.conj(dec.eigenvalues))
@@ -137,9 +136,9 @@ class TestPredictState:
         A = Q @ np.diag([0.95, 0.8, 0.6, 0.4]) @ Q.T
         seq = linear_trajectory(A, rng.normal(size=4) + 1.0, 10)
         dec = compute_dmd(build_snapshots(seq, 1))
-        for k in range(seq.length):
+        for k in range(seq.shape[1]):
             np.testing.assert_allclose(
-                np.real(predict_state(dec, k)), seq.values[:, k], atol=1e-8
+                np.real(predict_state(dec, k)), seq[:, k], atol=1e-8
             )
 
     def test_one_step_extrapolation_matches_explicit_map(self):
@@ -158,21 +157,21 @@ class TestSentenceFeature:
         v1 = np.array([1.0, 0.5, -0.3])
         v2 = np.array([-0.2, 1.1, 0.8])
         cols = [v1, v2, v1, v2, v1]
-        seq = EmbeddingSequence(values=np.column_stack(cols))
+        seq = np.column_stack(cols)
         feat = sentence_feature(seq, HodmdConfig(d=1))
         np.testing.assert_allclose(feat, v2, atol=1e-8)  # next state after ...v2, v1
 
     def test_empty_sequence_gives_zero_vector(self):
-        seq = EmbeddingSequence(values=np.zeros((7, 0)))
+        seq = np.zeros((7, 0))
         np.testing.assert_array_equal(sentence_feature(seq), np.zeros(7))
 
     def test_zero_signal_gives_zero_vector(self):
-        seq = EmbeddingSequence(values=np.zeros((4, 5)))
+        seq = np.zeros((4, 5))
         np.testing.assert_array_equal(sentence_feature(seq), np.zeros(4))
 
     def test_single_token_padding_returns_that_vector(self):
         v = np.array([0.4, -1.2, 2.0])
-        seq = EmbeddingSequence(values=v[:, None])
+        seq = v[:, None]
         for d in (1, 2, 3):
             np.testing.assert_allclose(sentence_feature(seq, HodmdConfig(d=d)), v, atol=1e-8)
 
@@ -184,20 +183,20 @@ class TestSentenceFeature:
         }
         fwd = np.column_stack([table["a"], table["b"], table["c"]])
         rev = np.column_stack([table["c"], table["b"], table["a"]])
-        f_fwd = sentence_feature(EmbeddingSequence(values=fwd))
-        f_rev = sentence_feature(EmbeddingSequence(values=rev))
+        f_fwd = sentence_feature(fwd)
+        f_rev = sentence_feature(rev)
         assert not np.allclose(f_fwd, f_rev)
 
     def test_output_length_is_channel_count_for_higher_order(self):
         rng = np.random.default_rng(9)
-        seq = EmbeddingSequence(values=rng.normal(size=(5, 8)))
+        seq = rng.normal(size=(5, 8))
         for d in (1, 2, 3):
             assert sentence_feature(seq, HodmdConfig(d=d)).shape == (5,)
 
     def test_imaginary_part_cancels_on_real_data(self):
         rng = np.random.default_rng(13)
         for trial in range(10):
-            seq = EmbeddingSequence(values=rng.normal(size=(4, 9)))
+            seq = rng.normal(size=(4, 9))
             snap = build_snapshots(seq, 1)
             dec = compute_dmd(snap)
             extrapolated = predict_state(dec, snap.n_snapshots)
@@ -235,7 +234,7 @@ class TestStackedSentenceFeature:
         got = sentence_feature(stack, cfg)
         assert got.shape == (len(kinds), n)
         for g in range(len(kinds)):
-            ref = _reference_sentence_feature(EmbeddingSequence(values=stack[g]), cfg)
+            ref = _reference_sentence_feature(stack[g], cfg)
             assert np.linalg.norm(got[g] - ref) <= 1e-9 * np.linalg.norm(ref)
 
     def test_single_sequence_equals_its_row_of_a_stack(self):
@@ -245,7 +244,7 @@ class TestStackedSentenceFeature:
         rows = sentence_feature(stack, cfg)
         for g in range(3):
             np.testing.assert_array_equal(
-                sentence_feature(EmbeddingSequence(values=stack[g]), cfg), rows[g]
+                sentence_feature(stack[g], cfg), rows[g]
             )
 
 
@@ -254,7 +253,7 @@ class TestDelayEmbeddingNecessity:
         # one channel alternating between two levels: no scalar map fits it,
         # but the order-2 stacked system is exactly linear
         signal = np.array([[1.0, 2.0] * 6])
-        seq = EmbeddingSequence(values=signal)
+        seq = signal
         snap1 = build_snapshots(seq, 1)
         err1 = reconstruction_error(compute_dmd(snap1, HodmdConfig(d=1)), snap1)
         snap2 = build_snapshots(seq, 2)

@@ -6,20 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offdetect import embed
+from offdetect.corpus import LabeledCorpus, TweetRecord
 from offdetect.embed import (
-    WordVectorTable,
+    VectorTable,
     average_embedding,
     load_precomputed,
     load_vec_table,
     token_matrix,
 )
 from offdetect.errors import DataError
+from offdetect.experiment import FeaturePipeline
 
 MINI_VEC = "2 3\na 1 2 3\nb 4 5 6\n"
 
 
 def small_table():
-    return WordVectorTable(
+    return VectorTable(
         matrix=np.array([
             [1.0, 2.0, 3.0],
             [3.0, 2.0, 1.0],
@@ -33,6 +35,12 @@ def small_table():
 
 def vector(table, token):
     return table.matrix[table.index[token]]
+
+
+def precomputed_features(table, ids):
+    """The precomputed-feature rows of tweets with these ids."""
+    corpus = LabeledCorpus(records=[TweetRecord(id=i, text="x", label=None) for i in ids])
+    return FeaturePipeline(kind="precomputed", stopwords=frozenset(), table=table).featurize(corpus)
 
 
 class TestLoadVecTable:
@@ -128,26 +136,25 @@ class TestTokenMatrix:
     def test_lookup_in_order_with_repeats(self):
         table = small_table()
         seq = token_matrix(["a", "b", "a"], table)
-        assert seq.values.shape == (3, 3)
-        np.testing.assert_array_equal(seq.values[:, 0], vector(table, "a"))
-        np.testing.assert_array_equal(seq.values[:, 1], vector(table, "b"))
-        np.testing.assert_array_equal(seq.values[:, 2], vector(table, "a"))
+        assert seq.shape == (3, 3)
+        np.testing.assert_array_equal(seq[:, 0], vector(table, "a"))
+        np.testing.assert_array_equal(seq[:, 1], vector(table, "b"))
+        np.testing.assert_array_equal(seq[:, 2], vector(table, "a"))
 
     def test_empty_tokens_give_zero_columns(self):
         seq = token_matrix([], small_table())
-        assert seq.values.shape == (3, 0)
-        assert seq.length == 0
+        assert seq.shape == (3, 0)
 
     def test_oov_skipped(self):
         seq = token_matrix(["a", "nothere", "b"], small_table())
-        assert seq.length == 2
-        np.testing.assert_array_equal(seq.values[:, 1], vector(small_table(), "b"))
+        assert seq.shape[1] == 2
+        np.testing.assert_array_equal(seq[:, 1], vector(small_table(), "b"))
 
     @given(st.lists(st.sampled_from(["a", "b", "c", "oov1", "oov2"]), max_size=15))
     def test_column_count_equals_in_vocab_tokens(self, tokens):
         table = small_table()
         seq = token_matrix(tokens, table)
-        assert seq.length == sum(1 for t in tokens if t in table)
+        assert seq.shape[1] == sum(1 for t in tokens if t in table)
 
 
 class TestLoadPrecomputed:
@@ -163,9 +170,9 @@ class TestLoadPrecomputed:
 
     def test_empty_file_then_query_errors(self):
         table = load_precomputed("")
-        assert len(table) == 0 and table.dim is None
+        assert len(table) == 0 and table.matrix.shape == (0, 0)
         with pytest.raises(DataError, match="no vector"):
-            table.lookup("t1")
+            precomputed_features(table, ["t1"])
 
     def test_inconsistent_dim_names_line(self):
         lines = ["a " + " ".join(["0.5"] * 512), "b " + " ".join(["0.5"] * 511)]
@@ -184,7 +191,7 @@ class TestLoadPrecomputed:
     def test_missing_id_lookup_names_id(self):
         table = load_precomputed("a 1 2\n")
         with pytest.raises(DataError, match="'b'"):
-            table.lookup("b")
+            precomputed_features(table, ["a", "b", "c"])
 
 
 # --- block parsing against the line-by-line parse -------------------------
@@ -255,7 +262,7 @@ def _vec_outcome(load, source, vocab_filter):
         result = load(source, vocab_filter)
     except DataError as exc:
         return str(exc)
-    if isinstance(result, WordVectorTable):
+    if isinstance(result, VectorTable):
         return result.index, result.matrix.shape, result.matrix.tobytes()
     index, matrix = result
     return index, matrix.shape, matrix.tobytes()
@@ -266,7 +273,10 @@ def _precomputed_outcome(load, source):
         result = load(source)
     except DataError as exc:
         return str(exc)
-    vectors, dim = (result.vectors, result.dim) if hasattr(result, "vectors") else result
+    if isinstance(result, VectorTable):
+        dim = result.dim if len(result) else None
+        return dim, list(result.index), [result.matrix[i].tobytes() for i in result.index.values()]
+    vectors, dim = result
     return dim, list(vectors), [vec.tobytes() for vec in vectors.values()]
 
 

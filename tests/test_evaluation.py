@@ -15,7 +15,7 @@ from offdetect.evaluation import (
     render_report,
     sweep_csv_lines,
 )
-from offdetect.learn import FeatureMatrix, LinearModel
+from offdetect.learn import LinearModel
 
 
 def per_sample_oracle(gold, predicted):
@@ -46,7 +46,7 @@ def labeled_corpus(labels):
 
 
 def trivial_featurize(corpus):
-    return FeatureMatrix(values=np.zeros((len(corpus), 1)), ids=corpus.ids())
+    return np.zeros((len(corpus), 1))
 
 
 class TestMacroMetrics:
@@ -184,7 +184,7 @@ def separable_corpora():
             center = 2.0 if rec.label == "OFF" else -2.0
             rng_rec = np.random.default_rng(zlib.crc32(rec.id.encode()))
             rows.append(center + 0.3 * rng_rec.normal(size=2))
-        return FeatureMatrix(values=np.array(rows), ids=corpus.ids())
+        return np.array(rows)
 
     return make(40, "train"), make(24, "test"), featurize
 
@@ -194,18 +194,18 @@ def separable_sweep_setup(**cfg_fields):
     svm config for ``experiment.sweep_reports``."""
     from pathlib import Path
 
-    from offdetect.embed import PrecomputedTable
+    from offdetect.embed import VectorTable
     from offdetect.experiment import ExperimentConfig, FeaturePipeline
 
     train, test, featurize = separable_corpora()
-    vectors = {}
-    for corpus in (train, test):
-        features = featurize(corpus)
-        vectors.update(zip(features.ids, features.values))
+    ids = train.ids() + test.ids()
     pipeline = FeaturePipeline(
         kind="precomputed",
         stopwords=frozenset(),
-        precomputed=PrecomputedTable(dim=2, vectors=vectors),
+        table=VectorTable(
+            matrix=np.vstack([featurize(train), featurize(test)]),
+            index={tweet_id: i for i, tweet_id in enumerate(ids)},
+        ),
     )
     cfg = ExperimentConfig(
         name="separable",
@@ -347,6 +347,26 @@ class TestSweep:
         assert lines[0] == "C,accuracy"
         assert lines[1] == "0.1,83.33"
         assert lines[2] == "1000,91.00"
+
+    @pytest.mark.parametrize(
+        "values, cells",
+        [
+            ([0.1, 1, 100, 500, 1000], ["0.1", "1", "100", "500", "1000"]),
+            ([1000, 2000, 4000], ["1000", "2000", "4000"]),
+        ],
+    )
+    def test_csv_shipped_sweep_values_keep_their_text(self, values, cells):
+        lines = sweep_csv_lines([(float(v), 75.0) for v in values])
+        assert [line.split(",")[0] for line in lines[1:]] == cells
+
+    def test_csv_values_seven_digits_apart_stay_apart(self):
+        lines = sweep_csv_lines([(1234567.0, 75.0), (1234568.0, 75.0)], value_name="D")
+        assert lines[1:] == ["1234567.0,75.00", "1234568.0,75.00"]
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+    def test_csv_every_value_reads_back(self, values):
+        lines = sweep_csv_lines([(v, 50.0) for v in values])
+        assert [float(line.split(",")[0]) for line in lines[1:]] == values
 
 
 class TestRendering:

@@ -10,15 +10,21 @@ from offdetect.cli import main
 from offdetect.corpus import load_olid_tsv
 from offdetect.embed import load_precomputed
 from offdetect.errors import DataError
+from offdetect.evaluation import ConfusionMatrix, macro_metrics, render_report
 from offdetect.experiment import (
     ExperimentConfig,
     RksSpec,
     build_pipeline,
     export_feature_lines,
+    load_corpora,
     parse_config,
     run_experiment,
 )
+from offdetect.learn import predict
+from offdetect.model_io import load_model
 from offdetect.rks import median_heuristic_sigma
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(path, mini_dir, extra=""):
@@ -217,7 +223,7 @@ class TestRunExperiment:
             train_corpus = load_olid_tsv(fh, split="train")
         pipeline = build_pipeline(cfg, [train_corpus])
         train_only = pipeline.featurize(train_corpus)
-        expected = median_heuristic_sigma(train_only.values, seed=4)
+        expected = median_heuristic_sigma(train_only, seed=4)
         assert result.manifest["rks"]["sigma"] == expected
 
     def test_missing_input_file_raises_data_error(self, tmp_path, mini_dir):
@@ -226,6 +232,23 @@ class TestRunExperiment:
         cfg_path.write_text(text)
         with pytest.raises(DataError, match="no such file"):
             run_experiment(parse_config(cfg_path))
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+    def test_reloaded_model_reproduces_report(self, tmp_path, config, capsys):
+        # the benchmark's output check: predictions of the reloaded model on
+        # freshly featurized test tweets give the written report, byte for byte
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        with open(out / "model.offd", "rb") as fh:
+            model = load_model(fh)
+        cfg = parse_config(config)
+        _, test = load_corpora(cfg)
+        features = build_pipeline(cfg, [test]).featurize(test)
+        predicted = [label for label, _ in predict(model, features)]
+        gold = [rec.label for rec in test.records]
+        report = macro_metrics(ConfusionMatrix.from_pairs(gold, predicted))
+        tsv, _ = render_report([(cfg.name, report)])
+        assert tsv == (out / "report.tsv").read_text(encoding="utf-8")
 
     def test_failed_run_leaves_no_report(self, tmp_path, mini_dir):
         bad_tsv = tmp_path / "bad.tsv"
@@ -248,8 +271,8 @@ class TestExportFeatures:
             train_corpus = load_olid_tsv(fh, split="train")
         pipeline = build_pipeline(cfg, [train_corpus])
         features = pipeline.featurize(train_corpus)
-        for tweet_id, row in zip(features.ids, features.values):
-            np.testing.assert_allclose(table.lookup(tweet_id), row, atol=1e-9)
+        for tweet_id, row in zip(train_corpus.ids(), features):
+            np.testing.assert_allclose(table.matrix[table.index[tweet_id]], row, atol=1e-9)
 
     def test_line_field_count(self, tmp_path, mini_dir):
         cfg = parse_config(write_config(tmp_path / "c.cfg", mini_dir))
@@ -397,6 +420,23 @@ class TestCli:
         cfg_path.write_text(text)
         out = tmp_path / "o"
         assert main([command[0], "--config", str(cfg_path), "--out", str(out), *command[1:]]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", [["run"], ["sweep", "--sweep-dim", "100,1048578"]], ids=["run", "sweep-dim"]
+    )
+    def test_map_over_entry_cap_is_data_error(self, tmp_path, mini_dir, capsys, command):
+        # 16-dim precomputed vectors: a 1,048,578-wide map is 32 entries over 2^24
+        text = (CONFIGS / "precomputed_rks_rlsc.cfg").read_text(encoding="utf-8")
+        text = text.replace("../data/mini", str(mini_dir))
+        if command == ["run"]:
+            text = text.replace("rks_dim = 200", "rks_dim = 1048578")
+        cfg_path = tmp_path / "cap.cfg"
+        cfg_path.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([command[0], "--config", str(cfg_path), "--out", str(out), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "16 x 1048578 exceeds the 16777216-entry limit" in err
         assert not out.exists()
 
     def test_inspect_model(self, tmp_path, mini_dir, capsys):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from offdetect.errors import DataError, NumericError
 from offdetect.learn import (
-    FeatureMatrix,
     logreg_loss_grad,
     predict,
     svm_objective,
@@ -357,14 +356,6 @@ class TestPredict:
         model = LinearModel(kind="rlsc", w=np.array([1.0, 1.0]), bias=0.0, hyper={})
         with pytest.raises(DataError, match="dim"):
             predict(model, np.zeros((2, 3)))
-
-    def test_feature_matrix_wrapper_accepted(self):
-        from offdetect.learn import LinearModel
-
-        model = LinearModel(kind="rlsc", w=np.array([2.0]), bias=1.0, hyper={})
-        F = FeatureMatrix(values=np.array([[1.0], [-3.0]]), ids=["a", "b"])
-        labels = [label for label, _ in predict(model, F)]
-        assert labels == ["OFF", "NOT"]
 
 
 class TestXorLift:

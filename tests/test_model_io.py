@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from offdetect.errors import ModelFormatError
 from offdetect.learn import GnbModel, LinearModel, predict, train_gnb, train_rlsc
-from offdetect.model_io import MAGIC, MAX_MAP_ENTRIES, load_model, save_model
-from offdetect.rks import RksMap, sample_map
+from offdetect.model_io import MAGIC, load_model, save_model
+from offdetect.rks import MAX_MAP_ENTRIES, RksMap, sample_map
 
 
 def roundtrip(model):

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from offdetect.rks import approx_kernel, median_heuristic_sigma, sample_map, transform
+from offdetect.rks import (
+    MAX_MAP_ENTRIES,
+    approx_kernel,
+    median_heuristic_sigma,
+    sample_map,
+    transform,
+)
 
 
 def gaussian_kernel(x, y, sigma):
@@ -34,6 +40,12 @@ class TestSampleMap:
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
             sample_map(10, 10, sigma=0.0, seed=0)
+
+    def test_map_over_entry_cap_rejected_before_drawing(self):
+        # 16 x 1,048,578 is 32 entries over 2^24; drawn, omega would be 67 MB
+        assert 16 * 1_048_578 > MAX_MAP_ENTRIES == 1 << 24
+        with pytest.raises(ValueError, match="16 x 1048578 exceeds the 16777216-entry limit"):
+            sample_map(16, 1_048_578, sigma=1.0, seed=0)
 
     def test_entry_moments(self):
         d_in, k, sigma = 4, 10**5, 2.5
