@@ -4,7 +4,7 @@ Word vectors (a ``.vec`` file keyed by token) and precomputed sentence
 vectors (e.g. from an external encoder, keyed by tweet id) both load into a
 VectorTable: the vectors as the rows of one matrix, and an index from key
 to row.  A tweet is featurized either as the mean of its token vectors or
-as the full n x (m+1) array of its token vectors in order (one column per
+as the full dim x L array of its token vectors in order (one column per
 token), which downstream decomposition treats as a multi-channel signal.
 """
 
@@ -188,18 +188,22 @@ def _parse_row(fields: list[str], width: int, where: str) -> np.ndarray:
     return vec
 
 
-def average_embedding(tokens: list[str], table: VectorTable) -> np.ndarray:
-    """Mean of in-vocabulary token vectors; zero vector if none are known."""
-    rows = table.rows(tokens)
-    if not rows:
-        return np.zeros(table.dim, dtype=np.float64)
-    return table.matrix[rows].mean(axis=0)
+def average_embedding(rows: np.ndarray, table: VectorTable) -> np.ndarray:
+    """Mean token vectors, (G, dim), of G tweets given as a (G, L) array of
+    table rows; zeros when L is 0.  Summed in token order, then divided by
+    L, each mean has the bits of its own (L, dim) mean."""
+    if rows.shape[1] == 0:
+        return np.zeros((len(rows), table.dim))
+    total = table.matrix[rows[:, 0]]
+    for column in rows.T[1:]:
+        total += table.matrix[column]
+    return total / rows.shape[1]
 
 
-def token_matrix(tokens: list[str], table: VectorTable) -> np.ndarray:
-    """In-vocabulary token vectors as the ordered columns of a (dim, L)
-    array; OOV tokens skipped."""
-    return table.matrix[table.rows(tokens)].T
+def token_matrix(rows: np.ndarray, table: VectorTable) -> np.ndarray:
+    """Token vectors of G tweets given as a (G, L) array of table rows: a
+    C-ordered (G, dim, L) stack, one column per token in order."""
+    return np.ascontiguousarray(table.matrix[rows].transpose(0, 2, 1))
 
 
 def load_precomputed(source) -> VectorTable:

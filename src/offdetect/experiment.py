@@ -33,7 +33,7 @@ from .errors import DataError
 from .evaluation import MetricsReport, evaluate, labels_to_signs, render_report, sweep_csv_lines
 from .learn import train_gnb, train_linear_svm, train_logreg, train_rlsc
 from .model_io import save_model
-from .rks import PRNG_ID, median_heuristic_sigma, sample_map, transform
+from .rks import PRNG_ID, check_map_size, median_heuristic_sigma, sample_map, transform
 
 __all__ = [
     "RksSpec",
@@ -263,20 +263,28 @@ class FeaturePipeline:
     tokens: dict[str, list[str]] = field(default_factory=dict)
 
     def featurize(self, corpus: LabeledCorpus) -> np.ndarray:
-        if self.kind == "avg":
-            values = np.empty((len(corpus), self.table.dim), dtype=np.float64)
-            for i, toks in enumerate(self._tokens(corpus)):
-                values[i] = average_embedding(toks, self.table)
-            return values
-        if self.kind in ("dmd", "hodmd"):
-            return self._dmd_features(corpus)
         if self.kind == "precomputed":
             try:
                 rows = [self.table.index[tweet_id] for tweet_id in corpus.ids()]
             except KeyError as exc:
                 raise DataError(f"precomputed table: no vector for id {exc.args[0]!r}") from None
             return self.table.matrix[rows]
-        raise DataError(f"unknown feature kind {self.kind!r}")
+        if self.kind not in ("avg", "dmd", "hodmd"):
+            raise DataError(f"unknown feature kind {self.kind!r}")
+        # one (G, L) block of table rows per in-vocabulary length L, so only
+        # one group's vectors are held at a time
+        rows = [self.table.rows(toks) for toks in self._tokens(corpus)]
+        by_length: dict[int, list[int]] = {}
+        for i, tweet_rows in enumerate(rows):
+            by_length.setdefault(len(tweet_rows), []).append(i)
+        values = np.zeros((len(rows), self.table.dim), dtype=np.float64)
+        for members in by_length.values():
+            block = np.array([rows[i] for i in members], dtype=np.intp)
+            if self.kind == "avg":
+                values[members] = average_embedding(block, self.table)
+            else:
+                values[members] = sentence_feature(token_matrix(block, self.table), self.hodmd)
+        return values
 
     def _tokens(self, corpus: LabeledCorpus) -> list[list[str]]:
         cached = self.tokens
@@ -284,20 +292,6 @@ class FeaturePipeline:
             cached[rec.text] if rec.text in cached else tokenize_clean(rec.text, self.stopwords)
             for rec in corpus.records
         ]
-
-    def _dmd_features(self, corpus: LabeledCorpus) -> np.ndarray:
-        """DMD features of every tweet, one stacked sentence_feature call per
-        signal length.  Only one length's signals are held at a time."""
-        table = self.table
-        tokens = self._tokens(corpus)
-        by_length: dict[int, list[int]] = {}
-        for i, toks in enumerate(tokens):
-            by_length.setdefault(len(table.rows(toks)), []).append(i)
-        values = np.zeros((len(tokens), table.dim), dtype=np.float64)
-        for members in by_length.values():
-            stack = np.stack([token_matrix(tokens[i], table) for i in members])
-            values[members] = sentence_feature(stack, self.hodmd)
-        return values
 
 
 def build_pipeline(cfg: ExperimentConfig, corpora: list[LabeledCorpus]) -> FeaturePipeline:
@@ -405,10 +399,17 @@ def sweep_reports(
     """Test metrics of each config in ``run_cfgs``, configs that differ only
     in classifier settings or map dimension.  Each corpus is featurized
     once and the lift bandwidth fitted once, so each config costs only its
-    map, training and evaluation."""
+    map, training and evaluation.  Every map is checked against the entry
+    cap before the first config is trained."""
     train_F = pipeline.featurize(train_corpus)
     train_y = labels_to_signs(train_corpus)
     test_F = pipeline.featurize(test_corpus)
+    for run_cfg in run_cfgs:
+        if run_cfg.rks is not None:
+            try:
+                check_map_size(train_F.shape[1], run_cfg.rks.dim)
+            except ValueError as exc:
+                raise DataError(f"random-feature map: {exc}") from None
     sigma = None
     reports = []
     for run_cfg in run_cfgs:

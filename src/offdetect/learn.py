@@ -10,6 +10,7 @@ map before scoring, so persisted models are self-contained.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,6 @@ __all__ = [
     "svm_objective",
     "logreg_loss_grad",
 ]
-
-RLSC_DIRECT_MAX_COLS = 4096
 
 # Lazy SVM solver: steps per shrink-scale chunk, and the most rows scored per
 # margin look-ahead.  A look-ahead gathers window x dim floats; gathering a
@@ -91,38 +90,33 @@ def _augment(X: np.ndarray) -> np.ndarray:
 
 
 def train_rlsc(F, y, lam: float = 1e-3, fit_intercept: bool = True) -> LinearModel:
-    """Ridge regression on +-1 targets: solve (X^T X + lam I) w = X^T y.
+    """Ridge regression on +-1 targets: w minimizing ||X w - y||^2 + lam ||w||^2.
 
     The intercept rides along as an appended constant-1 column regularized
-    like every other weight.  Uses a Cholesky solve of the normal equations
-    up to RLSC_DIRECT_MAX_COLS columns and conjugate gradients beyond that.
+    like every other weight.  One Cholesky solve of the smaller normal-equation
+    system: the primal (X^T X + lam I) w = X^T y when X has no more columns
+    than rows, else the dual (X X^T + lam I) a = y with w = X^T a.
     """
     # imported here: scipy is slow to import and no other trainer needs it
     import scipy.linalg
 
-    if lam <= 0:
+    if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"ridge strength lam must be positive, got {lam}")
     X, y = _training_pair(F, y)
     Xa = _augment(X) if fit_intercept else X
-    rhs = Xa.T @ y
-    cols = Xa.shape[1]
-    if cols <= RLSC_DIRECT_MAX_COLS:
-        gram = Xa.T @ Xa
-        gram.flat[:: cols + 1] += lam
-        try:
-            # numpy fills Xa.T @ Xa symmetrically, so its Fortran-ordered
-            # transpose is the same matrix and LAPACK factors it in place
-            factor = scipy.linalg.cho_factor(gram.T, overwrite_a=True)
-            w_full = scipy.linalg.cho_solve(factor, rhs)
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericError(f"normal-equation solve failed: {exc}") from exc
-    else:
-        from scipy.sparse.linalg import LinearOperator, cg
-
-        op = LinearOperator((cols, cols), matvec=lambda v: Xa.T @ (Xa @ v) + lam * v)
-        w_full, info = cg(op, rhs, rtol=1e-10, atol=0.0, maxiter=20 * cols)
-        if info != 0:
-            raise NumericError(f"conjugate-gradient solve did not converge (info={info})")
+    primal = Xa.shape[1] <= Xa.shape[0]
+    gram = Xa.T @ Xa if primal else Xa @ Xa.T
+    gram.flat[:: len(gram) + 1] += lam
+    try:
+        # numpy fills a matrix times its transpose symmetrically, so its
+        # Fortran-ordered transpose is the same matrix and LAPACK factors it in place
+        factor = scipy.linalg.cho_factor(gram.T, overwrite_a=True)
+        if primal:
+            w_full = scipy.linalg.cho_solve(factor, Xa.T @ y)
+        else:
+            w_full = Xa.T @ scipy.linalg.cho_solve(factor, y)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericError(f"normal-equation solve failed: {exc}") from exc
     if fit_intercept:
         w, bias = w_full[:-1], float(w_full[-1])
     else:
@@ -171,7 +165,7 @@ def train_linear_svm(F, y, C: float = 1000.0, epochs: int = 200, seed: int = 0) 
     relative, not bit for bit; reruns on the same inputs are bit-identical.
     Deterministic given (data, C, epochs, seed).
     """
-    if C <= 0:
+    if not (math.isfinite(C) and C > 0):
         raise ValueError(f"control parameter C must be positive, got {C}")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -281,13 +275,7 @@ def logreg_loss_grad(w_full: np.ndarray, Xa: np.ndarray, y: np.ndarray, l2: floa
 
 
 def train_logreg(
-    F,
-    y,
-    lr: float = 0.1,
-    epochs: int = 500,
-    l2: float = 1e-3,
-    seed: int = 0,
-    fit_intercept: bool = True,
+    F, y, lr: float = 0.1, epochs: int = 500, l2: float = 1e-3, seed: int = 0
 ) -> LinearModel:
     """L2-regularized logistic regression by full-batch gradient descent.
 
@@ -297,15 +285,15 @@ def train_logreg(
     destabilize the descent.  Optimization starts from zero weights; the
     seed only tags the run.
     """
-    if lr <= 0:
+    if not (math.isfinite(lr) and lr > 0):
         raise ValueError(f"learning rate must be positive, got {lr}")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if l2 < 0:
+    if not (math.isfinite(l2) and l2 >= 0):
         raise ValueError(f"l2 strength must be >= 0, got {l2}")
     X, y = _training_pair(F, y)
     _require_two_classes(y)
-    Xa = _augment(X) if fit_intercept else X
+    Xa = _augment(X)
     if min(Xa.shape) <= 2000:
         top_sv = np.linalg.svd(Xa, compute_uv=False)[0]
         smoothness = top_sv**2 / (4.0 * Xa.shape[0]) + l2
@@ -316,17 +304,14 @@ def train_logreg(
     for _ in range(epochs):
         _, grad = logreg_loss_grad(w_full, Xa, y, l2)
         w_full -= step * grad
-    if fit_intercept:
-        w, bias = w_full[:-1], float(w_full[-1])
-    else:
-        w, bias = w_full, 0.0
+    w, bias = w_full[:-1], float(w_full[-1])
     hyper = {"lr": float(lr), "epochs": int(epochs), "l2": float(l2), "seed": int(seed)}
     return LinearModel(kind="logreg", w=w, bias=bias, hyper=hyper)
 
 
 def train_gnb(F, y, var_floor: float = 1e-9) -> GnbModel:
     """Per-class diagonal Gaussians with a variance floor; priors from counts."""
-    if var_floor <= 0:
+    if not (math.isfinite(var_floor) and var_floor > 0):
         raise ValueError(f"variance floor must be positive, got {var_floor}")
     X, y = _training_pair(F, y)
     _require_two_classes(y)

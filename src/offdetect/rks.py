@@ -25,6 +25,7 @@ __all__ = [
     "PRNG_ID",
     "MAX_MAP_ENTRIES",
     "RksMap",
+    "check_map_size",
     "sample_map",
     "transform",
     "approx_kernel",
@@ -60,6 +61,12 @@ class RksMap:
         return 2 * self.omega.shape[1]
 
 
+def check_map_size(d_in: int, dim_out: int) -> None:
+    """Refuse (ValueError) a d_in x dim_out map over MAX_MAP_ENTRIES entries."""
+    if d_in * dim_out > MAX_MAP_ENTRIES:
+        raise ValueError(f"map of {d_in} x {dim_out} exceeds the {MAX_MAP_ENTRIES}-entry limit")
+
+
 def sample_map(d_in: int, dim_out: int, sigma: float, seed: int) -> RksMap:
     """Draw k = dim_out/2 Gaussian frequency columns with std 1/sigma.
 
@@ -74,8 +81,7 @@ def sample_map(d_in: int, dim_out: int, sigma: float, seed: int) -> RksMap:
         raise ValueError(f"input dimension must be >= 1, got {d_in}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if d_in * dim_out > MAX_MAP_ENTRIES:
-        raise ValueError(f"map of {d_in} x {dim_out} exceeds the {MAX_MAP_ENTRIES}-entry limit")
+    check_map_size(d_in, dim_out)
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((d_in, dim_out // 2)) / sigma
     return RksMap(omega=omega, sigma=float(sigma), seed=int(seed))

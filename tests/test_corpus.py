@@ -1,4 +1,6 @@
+import importlib.util
 import io
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -209,3 +211,16 @@ def test_shipped_stopword_list_has_179_entries():
     words = default_stopwords()
     assert len(words) == 179
     assert "now" in words and "the" in words and "off" in words
+
+
+def test_mini_corpus_regenerates_byte_for_byte(tmp_path, mini_dir):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_mini_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_mini_corpus", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.write_corpus(tmp_path)
+    names = sorted(path.name for path in mini_dir.iterdir())
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    assert len(names) == 5
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (mini_dir / name).read_bytes(), name

@@ -86,14 +86,22 @@ class TestLoadVecTable:
         assert len(table) == 2
 
 
+def block(table, *tweets):
+    """The (G, L) row block of tweets (token lists) of equal in-vocabulary
+    length, as featurize builds it."""
+    return np.array([table.rows(tokens) for tokens in tweets], dtype=np.intp)
+
+
 class TestAverageEmbedding:
     def test_two_point_mean(self):
-        got = average_embedding(["a", "b"], small_table())
-        np.testing.assert_allclose(got, [2.0, 2.0, 2.0])
+        table = small_table()
+        got = average_embedding(block(table, ["a", "b"]), table)
+        np.testing.assert_allclose(got, [[2.0, 2.0, 2.0]])
 
     def test_all_oov_gives_zero_vector(self):
-        got = average_embedding(["nope", "nada"], small_table())
-        np.testing.assert_array_equal(got, np.zeros(3))
+        table = small_table()
+        got = average_embedding(block(table, ["nope", "nada"], []), table)
+        np.testing.assert_array_equal(got, np.zeros((2, 3)))
 
     def test_against_bruteforce_column_mean(self):
         table = small_table()
@@ -104,19 +112,20 @@ class TestAverageEmbedding:
             for j in range(3):
                 expected[j] += float(vector(table, tok)[j])
         expected = [v / len(tokens) for v in expected]
-        got = average_embedding(tokens, table)
-        np.testing.assert_allclose(got, expected, atol=1e-12)
+        got = average_embedding(block(table, tokens), table)
+        np.testing.assert_allclose(got, [expected], atol=1e-12)
 
     def test_oov_tokens_skipped_in_mean(self):
         table = small_table()
-        with_oov = average_embedding(["a", "zzz", "b"], table)
-        without = average_embedding(["a", "b"], table)
+        with_oov = average_embedding(block(table, ["a", "zzz", "b"]), table)
+        without = average_embedding(block(table, ["a", "b"]), table)
         np.testing.assert_allclose(with_oov, without)
 
     @given(st.permutations(["a", "b", "c", "d", "e"]))
     def test_permutation_invariance(self, tokens):
-        base = average_embedding(["a", "b", "c", "d", "e"], small_table())
-        got = average_embedding(list(tokens), small_table())
+        table = small_table()
+        base = average_embedding(block(table, ["a", "b", "c", "d", "e"]), table)
+        got = average_embedding(block(table, list(tokens)), table)
         np.testing.assert_allclose(got, base, atol=1e-12)
 
     @settings(max_examples=100)
@@ -124,37 +133,55 @@ class TestAverageEmbedding:
     def test_inf_norm_bounded_by_used_columns(self, tokens):
         table = small_table()
         used = [vector(table, t) for t in tokens if t in table]
-        got = average_embedding(tokens, table)
+        got = average_embedding(block(table, tokens), table)
         if not used:
             assert np.all(got == 0.0)
         else:
             bound = max(np.max(np.abs(v)) for v in used)
             assert np.max(np.abs(got)) <= bound + 1e-12
 
+    @settings(max_examples=50)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 9),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_each_row_has_the_bits_of_its_own_mean(self, tweets, length, seed):
+        rng = np.random.default_rng(seed)
+        table = VectorTable(matrix=rng.normal(size=(7, 5)), index={})
+        rows = rng.integers(0, 7, size=(tweets, length))
+        got = average_embedding(rows, table)
+        expected = np.array([table.matrix[r].mean(axis=0) for r in rows])
+        assert np.array_equal(got, expected)
+
 
 class TestTokenMatrix:
     def test_lookup_in_order_with_repeats(self):
         table = small_table()
-        seq = token_matrix(["a", "b", "a"], table)
-        assert seq.shape == (3, 3)
-        np.testing.assert_array_equal(seq[:, 0], vector(table, "a"))
-        np.testing.assert_array_equal(seq[:, 1], vector(table, "b"))
-        np.testing.assert_array_equal(seq[:, 2], vector(table, "a"))
+        seq = token_matrix(block(table, ["a", "b", "a"], ["c", "a", "c"]), table)
+        assert seq.shape == (2, 3, 3) and seq.flags.c_contiguous
+        np.testing.assert_array_equal(seq[0][:, 0], vector(table, "a"))
+        np.testing.assert_array_equal(seq[0][:, 1], vector(table, "b"))
+        np.testing.assert_array_equal(seq[0][:, 2], vector(table, "a"))
+        np.testing.assert_array_equal(seq[1][:, 0], vector(table, "c"))
+        np.testing.assert_array_equal(seq[1][:, 1], vector(table, "a"))
 
     def test_empty_tokens_give_zero_columns(self):
-        seq = token_matrix([], small_table())
-        assert seq.shape == (3, 0)
+        table = small_table()
+        seq = token_matrix(block(table, []), table)
+        assert seq.shape == (1, 3, 0)
 
     def test_oov_skipped(self):
-        seq = token_matrix(["a", "nothere", "b"], small_table())
-        assert seq.shape[1] == 2
-        np.testing.assert_array_equal(seq[:, 1], vector(small_table(), "b"))
+        table = small_table()
+        seq = token_matrix(block(table, ["a", "nothere", "b"]), table)
+        assert seq.shape[2] == 2
+        np.testing.assert_array_equal(seq[0][:, 1], vector(table, "b"))
 
     @given(st.lists(st.sampled_from(["a", "b", "c", "oov1", "oov2"]), max_size=15))
     def test_column_count_equals_in_vocab_tokens(self, tokens):
         table = small_table()
-        seq = token_matrix(tokens, table)
-        assert seq.shape[1] == sum(1 for t in tokens if t in table)
+        seq = token_matrix(block(table, tokens), table)
+        assert seq.shape[2] == sum(1 for t in tokens if t in table)
 
 
 class TestLoadPrecomputed:

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,19 @@ svm_epochs = 60
 
 
 class TestParseConfig:
+    def test_readme_table_lists_every_config_key(self):
+        from offdetect.experiment import _CONFIG_KEYS
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Config files", 1)[1].split("\n## ", 1)[0]
+        documented = [
+            key
+            for line in section.splitlines()
+            if line.startswith("| `")
+            for key in re.findall(r"`([^`]+)`", line.split("|")[1])
+        ]
+        assert sorted(documented) == sorted(_CONFIG_KEYS)
+
     def test_reads_keys_and_defaults(self, tmp_path, mini_dir):
         cfg_path = write_config(tmp_path / "exp.cfg", mini_dir)
         cfg = parse_config(cfg_path)
@@ -425,8 +439,18 @@ class TestCli:
     @pytest.mark.parametrize(
         "command", [["run"], ["sweep", "--sweep-dim", "100,1048578"]], ids=["run", "sweep-dim"]
     )
-    def test_map_over_entry_cap_is_data_error(self, tmp_path, mini_dir, capsys, command):
-        # 16-dim precomputed vectors: a 1,048,578-wide map is 32 entries over 2^24
+    def test_map_over_entry_cap_is_data_error(
+        self, tmp_path, mini_dir, capsys, monkeypatch, command
+    ):
+        # 16-dim precomputed vectors: a 1,048,578-wide map is 32 entries over
+        # 2^24; the sweep refuses it before training its valid D=100 point
+        import offdetect.experiment as experiment_mod
+
+        fits = []
+        train_rlsc = experiment_mod.train_rlsc
+        monkeypatch.setattr(
+            experiment_mod, "train_rlsc", lambda *a, **k: fits.append(1) or train_rlsc(*a, **k)
+        )
         text = (CONFIGS / "precomputed_rks_rlsc.cfg").read_text(encoding="utf-8")
         text = text.replace("../data/mini", str(mini_dir))
         if command == ["run"]:
@@ -438,6 +462,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "16 x 1048578 exceeds the 16777216-entry limit" in err
         assert not out.exists()
+        assert fits == []
 
     def test_inspect_model(self, tmp_path, mini_dir, capsys):
         cfg_path = write_config(tmp_path / "cli5.cfg", mini_dir)
@@ -507,7 +532,7 @@ class TestModuleEntryPoint:
         assert (tmp_path / "pm_out" / "report.tsv").is_file()
 
     def test_cli_import_leaves_out_scipy_spatial_and_sparse(self):
-        # only median_heuristic_sigma and the CG branch of train_rlsc use them
+        # scipy.spatial is for median_heuristic_sigma alone; nothing uses scipy.sparse
         code = (
             "import sys, offdetect.cli; "
             "print(sorted(m for m in ('scipy.spatial', 'scipy.sparse') if m in sys.modules))"

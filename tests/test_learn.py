@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from offdetect.errors import DataError, NumericError
@@ -103,14 +103,15 @@ class TestRlsc:
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(1)
-        X = rng.normal(size=(20, 5))
-        y = np.where(rng.random(20) < 0.5, 1.0, -1.0)
         lam = 0.37
-        model = train_rlsc(X, y, lam=lam)
-        # independent dense solve on the explicitly formed system
-        Xa = np.hstack([X, np.ones((20, 1))])
-        expected = np.linalg.solve(Xa.T @ Xa + lam * np.eye(6), Xa.T @ y)
-        np.testing.assert_allclose(np.append(model.w, model.bias), expected, atol=1e-8)
+        for rows in (20, 4):  # 6 columns: the primal, then the dual system
+            X = rng.normal(size=(rows, 5))
+            y = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
+            model = train_rlsc(X, y, lam=lam)
+            # independent dense solve on the explicitly formed primal system
+            Xa = np.hstack([X, np.ones((rows, 1))])
+            expected = np.linalg.solve(Xa.T @ Xa + lam * np.eye(6), Xa.T @ y)
+            np.testing.assert_allclose(np.append(model.w, model.bias), expected, atol=1e-8)
 
     def test_normal_equation_residual_invariant(self):
         rng = np.random.default_rng(2)
@@ -127,36 +128,27 @@ class TestRlsc:
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @pytest.mark.parametrize("fit_intercept", [True, False])
     def test_bit_identical_to_explicit_system(self, layout, fit_intercept):
-        # the Gram matrix is shifted and factored in place; the weights are
-        # those of factoring the explicitly formed X^T X + lam I
+        # the smaller Gram matrix is shifted and factored in place; the
+        # weights are those of factoring the explicitly formed X^T X + lam I
+        # (60 rows, no more columns than rows) or X X^T + lam I (12 rows)
         import scipy.linalg
 
         rng = np.random.default_rng(4)
-        X = rng.normal(size=(60, 34))
-        X = {"C": X, "F": np.asfortranarray(X), "strided": X[:, ::2]}[layout]
-        y = np.where(rng.random(60) < 0.5, 1.0, -1.0)
         lam = 0.05
-        model = train_rlsc(X, y, lam=lam, fit_intercept=fit_intercept)
-        Xa = np.hstack([X, np.ones((60, 1))]) if fit_intercept else X
-        gram = Xa.T @ Xa + lam * np.eye(Xa.shape[1])
-        expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), Xa.T @ y)
-        got = np.append(model.w, model.bias) if fit_intercept else model.w
-        assert np.array_equal(got, expected)
-
-    def test_conjugate_gradient_path_agrees_with_direct(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(40, 12))
-        y = np.where(rng.random(40) < 0.5, 1.0, -1.0)
-        direct = train_rlsc(X, y, lam=1e-2)
-        import offdetect.learn as learn_mod
-
-        old = learn_mod.RLSC_DIRECT_MAX_COLS
-        learn_mod.RLSC_DIRECT_MAX_COLS = 4
-        try:
-            iterative = train_rlsc(X, y, lam=1e-2)
-        finally:
-            learn_mod.RLSC_DIRECT_MAX_COLS = old
-        np.testing.assert_allclose(iterative.w, direct.w, atol=1e-6)
+        for rows in (60, 12):
+            X = rng.normal(size=(rows, 34))
+            X = {"C": X, "F": np.asfortranarray(X), "strided": X[:, ::2]}[layout]
+            y = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
+            model = train_rlsc(X, y, lam=lam, fit_intercept=fit_intercept)
+            Xa = np.hstack([X, np.ones((rows, 1))]) if fit_intercept else X
+            if rows == 60:
+                gram = Xa.T @ Xa + lam * np.eye(Xa.shape[1])
+                expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), Xa.T @ y)
+            else:
+                gram = Xa @ Xa.T + lam * np.eye(rows)
+                expected = Xa.T @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), y)
+            got = np.append(model.w, model.bias) if fit_intercept else model.w
+            assert np.array_equal(got, expected)
 
     def test_zero_rows_rejected(self):
         with pytest.raises(DataError, match="zero rows"):
@@ -206,7 +198,7 @@ class TestLinearSvm:
         rng = np.random.default_rng(data_seed)
         X = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-2, 2)
         y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-        y[:2] = (1.0, -1.0)
+        assume(np.any(y != y[0]))  # a one-class training set is refused
         C = 10.0**log_c
         model = train_linear_svm(X, y, C=C, epochs=epochs, seed=seed)
         w_ref, bias_ref = _reference_svm(X, y, C, epochs, seed)
@@ -315,6 +307,23 @@ class TestGnb:
     def test_single_class_rejected(self):
         with pytest.raises(NumericError, match="degenerate"):
             train_gnb(np.ones((3, 2)), np.ones(3))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "trainer, setting, message",
+    [
+        pytest.param(train_rlsc, "lam", "ridge strength lam", id="rlsc-lam"),
+        pytest.param(train_linear_svm, "C", "control parameter C", id="svm-C"),
+        pytest.param(train_logreg, "lr", "learning rate", id="logreg-lr"),
+        pytest.param(train_logreg, "l2", "l2 strength", id="logreg-l2"),
+        pytest.param(train_gnb, "var_floor", "variance floor", id="gnb-var_floor"),
+    ],
+)
+def test_non_finite_hyperparameter_rejected(trainer, setting, message, value):
+    X, y = blobs_fixture(n=10)
+    with pytest.raises(ValueError, match=message):
+        trainer(X, y, **{setting: value})
 
 
 class TestPredict:
