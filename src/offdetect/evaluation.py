@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -115,15 +115,11 @@ def labels_to_signs(corpus: LabeledCorpus) -> np.ndarray:
     return np.array(signs, dtype=np.float64)
 
 
-def evaluate(
-    model,
-    corpus: LabeledCorpus,
-    featurize: Callable[[LabeledCorpus], np.ndarray],
-) -> MetricsReport:
-    """Featurize -> predict -> confusion -> macro metrics."""
+def evaluate(model, corpus: LabeledCorpus, features: np.ndarray) -> MetricsReport:
+    """Predict -> confusion -> macro metrics, from ``features``, the (n, dim)
+    array of ``corpus``'s tweets in record order."""
     labels_to_signs(corpus)  # reject unlabeled records up front, naming the id
     gold = [rec.label for rec in corpus.records]
-    features = featurize(corpus)
     predictions = predict(model, features)
     cm = ConfusionMatrix.from_pairs(gold, [label for label, _ in predictions])
     return macro_metrics(cm)

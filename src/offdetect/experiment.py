@@ -8,7 +8,7 @@ evaluates on the test corpus, and writes a metrics report, the model file,
 and a manifest with every seed, hyperparameter, and input checksum, so a
 run can be reproduced bit-exactly.
 
-The test corpus is only touched by the final evaluation; in particular the
+Test features are read only by the final evaluation; in particular the
 median-heuristic bandwidth is fitted on training features alone.
 """
 
@@ -333,13 +333,17 @@ def build_pipeline(cfg: ExperimentConfig, corpora: list[LabeledCorpus]) -> Featu
     )
 
 
-def _prepare(cfg: ExperimentConfig) -> tuple[LabeledCorpus, LabeledCorpus, FeaturePipeline]:
-    """Validate the config, check that its inputs exist, then load the
-    (train, test) corpora and build the feature pipeline."""
+def _prepare(cfg: ExperimentConfig) -> tuple[LabeledCorpus, LabeledCorpus, np.ndarray, np.ndarray]:
+    """Validate the config, check that its inputs exist, load the (train,
+    test) corpora and return them with their (n, dim) feature arrays.  The
+    pipeline (vector table, token lists) is dropped here, before training."""
     cfg.validate()
     cfg.check_inputs_exist()
     train_corpus, test_corpus = load_corpora(cfg)
-    return train_corpus, test_corpus, build_pipeline(cfg, [train_corpus, test_corpus])
+    pipeline = build_pipeline(cfg, [train_corpus, test_corpus])
+    train_F = pipeline.featurize(train_corpus)
+    test_F = pipeline.featurize(test_corpus)
+    return train_corpus, test_corpus, train_F, test_F
 
 
 def _sha256(path: Path) -> str:
@@ -391,19 +395,18 @@ def fit(cfg: ExperimentConfig, train_F: np.ndarray, y: np.ndarray):
 
 
 def sweep_reports(
-    pipeline: FeaturePipeline,
     train_corpus: LabeledCorpus,
     test_corpus: LabeledCorpus,
+    train_F: np.ndarray,
+    test_F: np.ndarray,
     run_cfgs: list[ExperimentConfig],
-) -> list[MetricsReport]:
-    """Test metrics of each config in ``run_cfgs``, configs that differ only
-    in classifier settings or map dimension.  Each corpus is featurized
-    once and the lift bandwidth fitted once, so each config costs only its
-    map, training and evaluation.  Every map is checked against the entry
-    cap before the first config is trained."""
-    train_F = pipeline.featurize(train_corpus)
+) -> list[tuple[object, MetricsReport]]:
+    """(model, test metrics) of each config in ``run_cfgs``, configs that
+    differ only in classifier settings or map dimension, fitted on the given
+    feature arrays.  The lift bandwidth is fitted once, so each config costs
+    only its map, training and evaluation.  Every map is checked against the
+    entry cap before the first config is trained."""
     train_y = labels_to_signs(train_corpus)
-    test_F = pipeline.featurize(test_corpus)
     for run_cfg in run_cfgs:
         if run_cfg.rks is not None:
             try:
@@ -411,15 +414,15 @@ def sweep_reports(
             except ValueError as exc:
                 raise DataError(f"random-feature map: {exc}") from None
     sigma = None
-    reports = []
+    results = []
     for run_cfg in run_cfgs:
         if run_cfg.rks is not None:
             if sigma is None:
                 sigma = _lift_sigma(run_cfg.rks, train_F)
             run_cfg = replace(run_cfg, rks=replace(run_cfg.rks, sigma=sigma))
         model = fit(run_cfg, train_F, train_y)
-        reports.append(evaluate(model, test_corpus, lambda _: test_F))
-    return reports
+        results.append((model, evaluate(model, test_corpus, test_F)))
+    return results
 
 
 def run_sweep(cfg: ExperimentConfig, value_name: str, values: list) -> tuple[list[str], Path]:
@@ -434,9 +437,8 @@ def run_sweep(cfg: ExperimentConfig, value_name: str, values: list) -> tuple[lis
         table = "sweep_dim.csv"
     for run_cfg in run_cfgs:
         run_cfg.validate()
-    train_corpus, test_corpus, pipeline = _prepare(cfg)
-    reports = sweep_reports(pipeline, train_corpus, test_corpus, run_cfgs)
-    rows = [(float(value), report.accuracy) for value, report in zip(values, reports)]
+    results = sweep_reports(*_prepare(cfg), run_cfgs)
+    rows = [(float(value), report.accuracy) for value, (_, report) in zip(values, results)]
     lines = sweep_csv_lines(rows, value_name=value_name)
     write_artifacts(cfg.out_dir, {table: "".join(line + "\n" for line in lines)})
     return lines, Path(cfg.out_dir) / table
@@ -460,15 +462,14 @@ class ExperimentResult:
 
 
 def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> ExperimentResult:
-    """Train per config, evaluate on the test corpus, emit artifacts.
+    """Train per config and evaluate on the test corpus (a one-config
+    ``sweep_reports``), then emit artifacts.
 
     All outputs are computed before anything is written, then written via
     rename, so a failed run leaves no partial report files.
     """
-    train_corpus, test_corpus, pipeline = _prepare(cfg)
-    train_F = pipeline.featurize(train_corpus)
-    model = fit(cfg, train_F, labels_to_signs(train_corpus))
-    report = evaluate(model, test_corpus, pipeline.featurize)
+    train_corpus, test_corpus, train_F, test_F = _prepare(cfg)
+    [(model, report)] = sweep_reports(train_corpus, test_corpus, train_F, test_F, [cfg])
 
     manifest = {
         "name": cfg.name,
@@ -533,9 +534,6 @@ def write_artifacts(out_dir, files: dict[str, str | bytes]) -> None:
 def export_feature_lines(cfg: ExperimentConfig) -> list[str]:
     """Raw (pre-lift) features of every train then test tweet, one
     ``id v1 ... v_dim`` line each, in the precomputed-vector text format."""
-    train_corpus, test_corpus, pipeline = _prepare(cfg)
-    lines: list[str] = []
-    for corpus in (train_corpus, test_corpus):
-        for tweet_id, row in zip(corpus.ids(), pipeline.featurize(corpus)):
-            lines.append(" ".join([tweet_id, *(repr(float(v)) for v in row)]))
-    return lines
+    train_corpus, test_corpus, train_F, test_F = _prepare(cfg)
+    rows = zip(train_corpus.ids() + test_corpus.ids(), [*train_F, *test_F])
+    return [" ".join([tweet_id, *(repr(float(v)) for v in row)]) for tweet_id, row in rows]

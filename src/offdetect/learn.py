@@ -299,7 +299,7 @@ def train_logreg(
         smoothness = top_sv**2 / (4.0 * Xa.shape[0]) + l2
     else:
         smoothness = np.sum(Xa * Xa) / (4.0 * Xa.shape[0]) + l2
-    step = min(lr, 1.0 / smoothness) if smoothness > 0 else lr
+    step = min(lr, 1.0 / smoothness)
     w_full = np.zeros(Xa.shape[1])
     for _ in range(epochs):
         _, grad = logreg_loss_grad(w_full, Xa, y, l2)

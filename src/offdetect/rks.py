@@ -39,6 +39,8 @@ PRNG_ID = "numpy-pcg64"
 # again; shipped sweeps draw at most 512 x 4000.
 MAX_MAP_ENTRIES = 1 << 24
 
+MEDIAN_MAX_POINTS = 1000  # most rows median_heuristic_sigma hands to pdist
+
 
 @dataclass
 class RksMap:
@@ -109,10 +111,10 @@ def approx_kernel(rks: RksMap, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(transform(rks, x), transform(rks, y)))
 
 
-def median_heuristic_sigma(sample: np.ndarray, max_points: int = 1000, seed: int = 0) -> float:
+def median_heuristic_sigma(sample: np.ndarray, seed: int = 0) -> float:
     """Bandwidth = median pairwise distance over (a subsample of) the rows.
 
-    At most ``max_points`` rows enter the O(n^2) distance computation,
+    At most ``MEDIAN_MAX_POINTS`` rows enter the O(n^2) distance computation,
     chosen by a seeded draw so the result is reproducible.  Falls back to
     1.0 when the median distance is zero (all points identical).
     """
@@ -122,9 +124,9 @@ def median_heuristic_sigma(sample: np.ndarray, max_points: int = 1000, seed: int
     sample = np.asarray(sample, dtype=np.float64)
     if sample.ndim != 2 or sample.shape[0] < 2:
         raise ValueError("median heuristic needs at least 2 vectors")
-    if sample.shape[0] > max_points:
+    if sample.shape[0] > MEDIAN_MAX_POINTS:
         rng = np.random.default_rng(seed)
-        idx = rng.choice(sample.shape[0], size=max_points, replace=False)
+        idx = rng.choice(sample.shape[0], size=MEDIAN_MAX_POINTS, replace=False)
         sample = sample[np.sort(idx)]
     median = float(np.median(pdist(sample)))
     return median if median > 0.0 else 1.0

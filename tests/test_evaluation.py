@@ -135,7 +135,7 @@ class TestMacroMetrics:
 class TestEvaluate:
     def test_constant_not_model_reproduces_degenerate_row(self):
         corpus = labeled_corpus(["NOT"] * 620 + ["OFF"] * 240)
-        report = evaluate(constant_not_model(), corpus, trivial_featurize)
+        report = evaluate(constant_not_model(), corpus, trivial_featurize(corpus))
         assert abs(report.accuracy - 72.09) <= 0.01
         assert abs(report.macro_precision - 36.05) <= 0.01
         assert abs(report.macro_recall - 50.00) <= 0.01
@@ -149,12 +149,12 @@ class TestEvaluate:
             ]
         )
         with pytest.raises(DataError, match="missing7"):
-            evaluate(constant_not_model(), corpus, trivial_featurize)
+            evaluate(constant_not_model(), corpus, trivial_featurize(corpus))
 
     def test_deterministic_repeated_runs(self):
         corpus = labeled_corpus(["NOT", "OFF", "NOT", "OFF", "NOT"])
-        a = evaluate(constant_not_model(), corpus, trivial_featurize)
-        b = evaluate(constant_not_model(), corpus, trivial_featurize)
+        a = evaluate(constant_not_model(), corpus, trivial_featurize(corpus))
+        b = evaluate(constant_not_model(), corpus, trivial_featurize(corpus))
         assert a == b
         tsv_a, txt_a = render_report([("run", a)])
         tsv_b, txt_b = render_report([("run", b)])
@@ -165,7 +165,7 @@ class TestEvaluate:
 
         train, _, featurize = separable_corpora()
         model = train_rlsc(featurize(train), labels_to_signs(train), lam=1e-6)
-        report = evaluate(model, train, featurize)
+        report = evaluate(model, train, featurize(train))
         assert report.as_tuple() == (100.0, 100.0, 100.0, 100.0)
 
 
@@ -190,23 +190,13 @@ def separable_corpora():
 
 
 def separable_sweep_setup(**cfg_fields):
-    """The separable corpora behind a precomputed-feature pipeline, with an
-    svm config for ``experiment.sweep_reports``."""
+    """The separable corpora and their feature arrays, as
+    ``experiment.sweep_reports`` takes them, with an svm config."""
     from pathlib import Path
 
-    from offdetect.embed import VectorTable
-    from offdetect.experiment import ExperimentConfig, FeaturePipeline
+    from offdetect.experiment import ExperimentConfig
 
     train, test, featurize = separable_corpora()
-    ids = train.ids() + test.ids()
-    pipeline = FeaturePipeline(
-        kind="precomputed",
-        stopwords=frozenset(),
-        table=VectorTable(
-            matrix=np.vstack([featurize(train), featurize(test)]),
-            index={tweet_id: i for i, tweet_id in enumerate(ids)},
-        ),
-    )
     cfg = ExperimentConfig(
         name="separable",
         train_tsv=Path("train.tsv"),
@@ -216,7 +206,7 @@ def separable_sweep_setup(**cfg_fields):
         out_dir=Path("out"),
         **cfg_fields,
     )
-    return pipeline, train, test, cfg, featurize
+    return (train, test, featurize(train), featurize(test)), cfg, featurize
 
 
 class TestSweep:
@@ -325,10 +315,11 @@ class TestSweep:
         from offdetect.experiment import sweep_reports
         from offdetect.learn import train_linear_svm
 
-        pipeline, train, test, cfg, featurize = separable_sweep_setup(svm_epochs=60, seed=5)
-        reports = sweep_reports(pipeline, train, test, [replace(cfg, C=10.0)])
+        data, cfg, featurize = separable_sweep_setup(svm_epochs=60, seed=5)
+        train, test = data[:2]
+        reports = [report for _, report in sweep_reports(*data, [replace(cfg, C=10.0)])]
         model = train_linear_svm(featurize(train), labels_to_signs(train), C=10.0, epochs=60, seed=5)
-        direct = evaluate(model, test, featurize)
+        direct = evaluate(model, test, featurize(test))
         assert [report.as_tuple() for report in reports] == [direct.as_tuple()]
 
     def test_separable_accuracy_nondecreasing_in_c(self):
@@ -336,9 +327,9 @@ class TestSweep:
 
         from offdetect.experiment import sweep_reports
 
-        pipeline, train, test, cfg, _ = separable_sweep_setup(svm_epochs=200)
-        reports = sweep_reports(pipeline, train, test, [replace(cfg, C=c) for c in self.C_VALUES])
-        accs = [report.accuracy for report in reports]
+        data, cfg, _ = separable_sweep_setup(svm_epochs=200)
+        results = sweep_reports(*data, [replace(cfg, C=c) for c in self.C_VALUES])
+        accs = [report.accuracy for _, report in results]
         for lo, hi in zip(accs, accs[1:]):
             assert hi >= lo - 2.0
 

@@ -464,6 +464,59 @@ class TestCli:
         assert not out.exists()
         assert fits == []
 
+    @pytest.mark.parametrize(
+        "config, command",
+        [(path, ["run"]) for path in sorted(CONFIGS.glob("*.cfg"))]
+        + [(CONFIGS / "hodmd2_rks_rlsc.cfg", ["sweep", "--sweep-dim", "16,32"])],
+        ids=[path.stem for path in sorted(CONFIGS.glob("*.cfg"))] + ["sweep-dim"],
+    )
+    def test_vector_table_freed_before_training(self, tmp_path, monkeypatch, config, command):
+        import weakref
+
+        from offdetect import experiment
+
+        tables, alive_at_train = [], []
+        build_pipeline, train = experiment.build_pipeline, experiment._train
+
+        def recording_build(*args):
+            pipeline = build_pipeline(*args)
+            tables.append(weakref.ref(pipeline.table.matrix))
+            return pipeline
+
+        def checking_train(*args):
+            alive_at_train.append(tables[0]() is not None)
+            return train(*args)
+
+        monkeypatch.setattr(experiment, "build_pipeline", recording_build)
+        monkeypatch.setattr(experiment, "_train", checking_train)
+        argv = [command[0], "--config", str(config), "--out", str(tmp_path / "o"), *command[1:]]
+        assert main(argv) == 0
+        assert len(tables) == 1
+        assert alive_at_train[0] is False
+
+    def test_precomputed_table_missing_a_test_id_fails_before_training(
+        self, tmp_path, mini_dir, capsys, monkeypatch
+    ):
+        from offdetect import experiment
+
+        with open(mini_dir / "test.tsv", "rb") as fh:
+            dropped = load_olid_tsv(fh).records[-1].id
+        lines = (mini_dir / "precomputed.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+        table = tmp_path / "precomputed.txt"
+        table.write_text("".join(l for l in lines if l.split()[0] != dropped), encoding="utf-8")
+        assert len(table.read_text(encoding="utf-8").splitlines()) == len(lines) - 1
+        cfg_path = write_config(tmp_path / "p.cfg", mini_dir)
+        text = cfg_path.read_text().replace(f"{mini_dir}/precomputed.txt", str(table))
+        cfg_path.write_text(text.replace("feature = avg", "feature = precomputed"))
+        trained = []
+        train = experiment._train
+        monkeypatch.setattr(experiment, "_train", lambda *a: trained.append(1) or train(*a))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"precomputed table: no vector for id {dropped!r}" in capsys.readouterr().err
+        assert trained == []
+        assert not out.exists()
+
     def test_inspect_model(self, tmp_path, mini_dir, capsys):
         cfg_path = write_config(tmp_path / "cli5.cfg", mini_dir)
         main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o5")])

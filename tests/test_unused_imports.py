@@ -1,4 +1,4 @@
-"""No module under src/offdetect or scripts imports a name it never uses.
+"""No module under src/offdetect, scripts or tests imports a name it never uses.
 
 A stdlib stand-in for a linter's unused-import rule (F401): an imported
 name counts as used when it appears anywhere in the module as a name, or
@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*(ROOT / "src" / "offdetect").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+FILES = sorted(
+    path for folder in ("src/offdetect", "scripts", "tests") for path in (ROOT / folder).glob("*.py")
+)
 
 
 def unused_imports(source: str) -> list[str]:
