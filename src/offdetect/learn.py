@@ -92,10 +92,15 @@ def _augment(X: np.ndarray) -> np.ndarray:
 def train_rlsc(F, y, lam: float = 1e-3, fit_intercept: bool = True) -> LinearModel:
     """Ridge regression on +-1 targets: w minimizing ||X w - y||^2 + lam ||w||^2.
 
-    The intercept rides along as an appended constant-1 column regularized
-    like every other weight.  One Cholesky solve of the smaller normal-equation
-    system: the primal (X^T X + lam I) w = X^T y when X has no more columns
-    than rows, else the dual (X X^T + lam I) a = y with w = X^T a.
+    The intercept is the weight of a constant-1 column regularized like
+    every other weight, but that column is never formed: its products with
+    X are X's column sums and n.  One Cholesky solve of the smaller
+    normal-equation system.  With k = dim + 1 unknowns (dim without an
+    intercept), the primal, taken when k <= n, is the bordered system
+    [[X^T X, X^T 1], [1^T X, n]] + lam I with right-hand side [X^T y, sum y].
+    Otherwise the dual (X X^T + 1 1^T + lam I) a = y gives w = X^T a and
+    bias = sum a.  Either way the solve holds X and one Gram matrix, with
+    no widened copy of X.
     """
     # imported here: scipy is slow to import and no other trainer needs it
     import scipy.linalg
@@ -103,21 +108,35 @@ def train_rlsc(F, y, lam: float = 1e-3, fit_intercept: bool = True) -> LinearMod
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"ridge strength lam must be positive, got {lam}")
     X, y = _training_pair(F, y)
-    Xa = _augment(X) if fit_intercept else X
-    primal = Xa.shape[1] <= Xa.shape[0]
-    gram = Xa.T @ Xa if primal else Xa @ Xa.T
+    n, dim = X.shape
+    k = dim + 1 if fit_intercept else dim
+    primal = k <= n
+    if primal:
+        gram = np.empty((k, k))
+        np.matmul(X.T, X, out=gram[:dim, :dim])
+        rhs = X.T @ y
+        if fit_intercept:
+            gram[dim, :dim] = gram[:dim, dim] = X.sum(axis=0)
+            gram[dim, dim] = n
+            rhs = np.append(rhs, y.sum())
+    else:
+        gram = X @ X.T
+        if fit_intercept:
+            gram += 1.0
     gram.flat[:: len(gram) + 1] += lam
     try:
         # numpy fills a matrix times its transpose symmetrically, so its
         # Fortran-ordered transpose is the same matrix and LAPACK factors it in place
         factor = scipy.linalg.cho_factor(gram.T, overwrite_a=True)
         if primal:
-            w_full = scipy.linalg.cho_solve(factor, Xa.T @ y)
+            w_full = scipy.linalg.cho_solve(factor, rhs)
         else:
-            w_full = Xa.T @ scipy.linalg.cho_solve(factor, y)
+            a = scipy.linalg.cho_solve(factor, y)
     except scipy.linalg.LinAlgError as exc:
         raise NumericError(f"normal-equation solve failed: {exc}") from exc
-    if fit_intercept:
+    if not primal:
+        w, bias = X.T @ a, float(a.sum()) if fit_intercept else 0.0
+    elif fit_intercept:
         w, bias = w_full[:-1], float(w_full[-1])
     else:
         w, bias = w_full, 0.0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -128,9 +130,12 @@ class TestRlsc:
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @pytest.mark.parametrize("fit_intercept", [True, False])
     def test_bit_identical_to_explicit_system(self, layout, fit_intercept):
-        # the smaller Gram matrix is shifted and factored in place; the
-        # weights are those of factoring the explicitly formed X^T X + lam I
-        # (60 rows, no more columns than rows) or X X^T + lam I (12 rows)
+        # the smaller Gram matrix is built in place, shifted and factored in
+        # place; the weights are those of factoring the explicitly formed
+        # system: X^T X + lam I (60 rows, no more unknowns than rows) or
+        # X X^T + lam I (12 rows), and with an intercept the bordered
+        # [[X^T X, X^T 1], [1^T X, n]] + lam I with right-hand side
+        # [X^T y, sum y], or X X^T + 1 1^T + lam I with w = [X^T a, sum a]
         import scipy.linalg
 
         rng = np.random.default_rng(4)
@@ -140,15 +145,64 @@ class TestRlsc:
             X = {"C": X, "F": np.asfortranarray(X), "strided": X[:, ::2]}[layout]
             y = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
             model = train_rlsc(X, y, lam=lam, fit_intercept=fit_intercept)
-            Xa = np.hstack([X, np.ones((rows, 1))]) if fit_intercept else X
             if rows == 60:
-                gram = Xa.T @ Xa + lam * np.eye(Xa.shape[1])
-                expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), Xa.T @ y)
+                gram, rhs = X.T @ X, X.T @ y
+                if fit_intercept:
+                    col_sums = X.sum(axis=0)[:, None]
+                    gram = np.block([[gram, col_sums], [col_sums.T, np.full((1, 1), rows)]])
+                    rhs = np.append(rhs, y.sum())
+                gram = gram + lam * np.eye(len(gram))
+                expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs)
             else:
-                gram = Xa @ Xa.T + lam * np.eye(rows)
-                expected = Xa.T @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), y)
+                gram = X @ X.T + 1.0 if fit_intercept else X @ X.T
+                gram = gram + lam * np.eye(rows)
+                a = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), y)
+                expected = np.append(X.T @ a, a.sum()) if fit_intercept else X.T @ a
             got = np.append(model.w, model.bias) if fit_intercept else model.w
             assert np.array_equal(got, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        shift=st.integers(-1, 1),
+        log_lam=st.floats(-6.0, 1.0),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_oracle_at_primal_dual_switch(self, n, shift, log_lam, data_seed):
+        # dim + 1 unknowns in {n - 1, n, n + 1}: the last primal systems
+        # (dim + 1 <= n) and the first dual one.  Near-square designs at
+        # small lam reach weights in the hundreds, and any two solves of
+        # such a system differ in proportion to the weights, so the 1e-8
+        # bound scales with the largest weight once that exceeds 1
+        dim = n - 1 + shift
+        rng = np.random.default_rng(data_seed)
+        X = rng.normal(size=(n, dim))
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        lam = 10.0**log_lam
+        model = train_rlsc(X, y, lam=lam)
+        Xa = np.hstack([X, np.ones((n, 1))])
+        expected = np.linalg.solve(Xa.T @ Xa + lam * np.eye(dim + 1), Xa.T @ y)
+        error = np.max(np.abs(np.append(model.w, model.bias) - expected))
+        assert error <= 1e-8 * max(1.0, np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("rows, cols", [(300, 1200), (1200, 300)])
+    def test_peak_memory_holds_no_widened_copy(self, rows, cols):
+        # the dual (300 rows) and the primal (1200 rows) solve hold X, one
+        # Gram matrix, which LAPACK factors in place, and transients such as
+        # the (rows, cols) finiteness mask; an (n, dim + 1) copy of X held
+        # next to its Gram matrix exceeds the bound
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(rows, cols))
+        y = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
+        train_rlsc(X[:4, :2], y[:4])  # the first call imports scipy.linalg
+        gram_bytes = min(rows, cols + 1) ** 2 * X.itemsize
+        tracemalloc.start()
+        try:
+            train_rlsc(X, y, lam=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 2 + 2 * gram_bytes
 
     def test_zero_rows_rejected(self):
         with pytest.raises(DataError, match="zero rows"):
