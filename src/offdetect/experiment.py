@@ -248,6 +248,14 @@ def load_corpora(cfg: ExperimentConfig) -> tuple[LabeledCorpus, LabeledCorpus]:
     return train_corpus, test_corpus
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 @dataclass
 class FeaturePipeline:
     """Resolved feature extractor: corpus -> (n, dim) float64 array, one row
@@ -263,6 +271,17 @@ class FeaturePipeline:
     tokens: dict[str, list[str]] = field(default_factory=dict)
 
     def featurize(self, corpus: LabeledCorpus) -> np.ndarray:
+        """The (n, dim) feature array of ``corpus``, one row per tweet.
+
+        The word-vector modes group tweets by in-vocabulary length and
+        featurize each group whole, as one (G, L) block of table rows.  The
+        groups run on a thread pool with one worker per CPU this process may
+        use (numpy's batched LAPACK calls release the interpreter lock), so
+        at most one group's vectors per worker are held at a time.  Each
+        group gets the same block as in a serial loop over the groups, so
+        the output does not depend on the worker count, and an error is the
+        one that loop would raise first.
+        """
         if self.kind == "precomputed":
             try:
                 rows = [self.table.index[tweet_id] for tweet_id in corpus.ids()]
@@ -271,19 +290,27 @@ class FeaturePipeline:
             return self.table.matrix[rows]
         if self.kind not in ("avg", "dmd", "hodmd"):
             raise DataError(f"unknown feature kind {self.kind!r}")
-        # one (G, L) block of table rows per in-vocabulary length L, so only
-        # one group's vectors are held at a time
+        # imported here: concurrent.futures loads logging, and only this needs it
+        from concurrent.futures import ThreadPoolExecutor
+
         rows = [self.table.rows(toks) for toks in self._tokens(corpus)]
         by_length: dict[int, list[int]] = {}
         for i, tweet_rows in enumerate(rows):
             by_length.setdefault(len(tweet_rows), []).append(i)
         values = np.zeros((len(rows), self.table.dim), dtype=np.float64)
-        for members in by_length.values():
+
+        def featurize_group(members: list[int]) -> None:
             block = np.array([rows[i] for i in members], dtype=np.intp)
             if self.kind == "avg":
                 values[members] = average_embedding(block, self.table)
             else:
                 values[members] = sentence_feature(token_matrix(block, self.table), self.hodmd)
+
+        # results are read in submission order; the first error read cancels
+        # the groups not yet started
+        with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
+            for _ in pool.map(featurize_group, by_length.values()):
+                pass
         return values
 
     def _tokens(self, corpus: LabeledCorpus) -> list[list[str]]:

@@ -100,7 +100,8 @@ def train_rlsc(F, y, lam: float = 1e-3, fit_intercept: bool = True) -> LinearMod
     [[X^T X, X^T 1], [1^T X, n]] + lam I with right-hand side [X^T y, sum y].
     Otherwise the dual (X X^T + 1 1^T + lam I) a = y gives w = X^T a and
     bias = sum a.  Either way the solve holds X and one Gram matrix, with
-    no widened copy of X.
+    no widened copy of X.  Features so large that the Gram matrix or the
+    weights overflow raise NumericError.
     """
     # imported here: scipy is slow to import and no other trainer needs it
     import scipy.linalg
@@ -124,22 +125,25 @@ def train_rlsc(F, y, lam: float = 1e-3, fit_intercept: bool = True) -> LinearMod
         if fit_intercept:
             gram += 1.0
     gram.flat[:: len(gram) + 1] += lam
+    # one sum in place of scipy's Gram-sized finiteness mask: any inf or nan
+    # entry makes it non-finite, and so does a sum past the float range
+    if not math.isfinite(gram.sum()):
+        raise NumericError("normal-equation matrix overflows: features too large")
     try:
         # numpy fills a matrix times its transpose symmetrically, so its
         # Fortran-ordered transpose is the same matrix and LAPACK factors it in place
-        factor = scipy.linalg.cho_factor(gram.T, overwrite_a=True)
-        if primal:
-            w_full = scipy.linalg.cho_solve(factor, rhs)
-        else:
-            a = scipy.linalg.cho_solve(factor, y)
+        factor = scipy.linalg.cho_factor(gram.T, overwrite_a=True, check_finite=False)
+        solution = scipy.linalg.cho_solve(factor, rhs if primal else y, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NumericError(f"normal-equation solve failed: {exc}") from exc
     if not primal:
-        w, bias = X.T @ a, float(a.sum()) if fit_intercept else 0.0
+        w, bias = X.T @ solution, float(solution.sum()) if fit_intercept else 0.0
     elif fit_intercept:
-        w, bias = w_full[:-1], float(w_full[-1])
+        w, bias = solution[:-1], float(solution[-1])
     else:
-        w, bias = w_full, 0.0
+        w, bias = solution, 0.0
+    if not (np.isfinite(w).all() and math.isfinite(bias)):
+        raise NumericError("normal-equation solve gave non-finite weights")
     return LinearModel(kind="rlsc", w=w, bias=bias, hyper={"lam": float(lam)})
 
 

@@ -39,7 +39,7 @@ PRNG_ID = "numpy-pcg64"
 # again; shipped sweeps draw at most 512 x 4000.
 MAX_MAP_ENTRIES = 1 << 24
 
-MEDIAN_MAX_POINTS = 1000  # most rows median_heuristic_sigma hands to pdist
+MEDIAN_MAX_POINTS = 1000  # most rows whose pairwise distances median_heuristic_sigma forms
 
 
 @dataclass
@@ -112,15 +112,21 @@ def approx_kernel(rks: RksMap, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def median_heuristic_sigma(sample: np.ndarray, seed: int = 0) -> float:
-    """Bandwidth = median pairwise distance over (a subsample of) the rows.
+    """Bandwidth = median pairwise Euclidean distance over (a subsample of)
+    the rows.
 
     At most ``MEDIAN_MAX_POINTS`` rows enter the O(n^2) distance computation,
-    chosen by a seeded draw so the result is reproducible.  Falls back to
-    1.0 when the median distance is zero (all points identical).
+    chosen by a seeded draw so the result is reproducible.  The rows are
+    centered on their column mean, which leaves every distance unchanged,
+    and the squared distances are read from one Gram matrix G of the
+    centered rows as G_ii + G_jj - 2 G_ij, clipped at 0.  Each carries a
+    rounding error of about 1e-16 times its two rows' squared norms, so the
+    median matches an exact distance computation to about 1e-16 relative
+    unless most distances are many orders of magnitude shorter than the
+    rows' spread about their mean.  Identical rows give identical Gram
+    entries, so their distance is exactly 0.  Falls back to 1.0 when the median
+    distance is zero (e.g. all points identical).
     """
-    # imported here: scipy.spatial is slow to import and only this needs it
-    from scipy.spatial.distance import pdist
-
     sample = np.asarray(sample, dtype=np.float64)
     if sample.ndim != 2 or sample.shape[0] < 2:
         raise ValueError("median heuristic needs at least 2 vectors")
@@ -128,5 +134,10 @@ def median_heuristic_sigma(sample: np.ndarray, seed: int = 0) -> float:
         rng = np.random.default_rng(seed)
         idx = rng.choice(sample.shape[0], size=MEDIAN_MAX_POINTS, replace=False)
         sample = sample[np.sort(idx)]
-    median = float(np.median(pdist(sample)))
+    centered = sample - sample.mean(axis=0)
+    gram = centered @ centered.T
+    sq_norms = gram.diagonal()
+    i, j = np.triu_indices(len(gram), k=1)
+    sq_dist = sq_norms[i] + sq_norms[j] - 2.0 * gram[i, j]
+    median = float(np.median(np.sqrt(np.maximum(sq_dist, 0.0, out=sq_dist))))
     return median if median > 0.0 else 1.0

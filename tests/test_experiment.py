@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from offdetect.cli import main
 from offdetect.corpus import load_olid_tsv
 from offdetect.embed import load_precomputed
-from offdetect.errors import DataError
+from offdetect.errors import DataError, NumericError
 from offdetect.evaluation import ConfusionMatrix, macro_metrics, render_report
 from offdetect.experiment import (
     ExperimentConfig,
@@ -273,6 +274,48 @@ class TestRunExperiment:
         with pytest.raises(DataError):
             run_experiment(parse_config(cfg_path))
         assert not (tmp_path / "f" / "report.tsv").exists()
+
+
+class TestFeaturize:
+    @pytest.mark.parametrize("workers", [1, 8])
+    @pytest.mark.parametrize("feature", ["avg", "dmd", "hodmd(2)"])
+    def test_matches_a_serial_loop_over_length_groups(
+        self, tmp_path, mini_dir, monkeypatch, feature, workers
+    ):
+        # more workers than groups of some lengths, switching threads as
+        # often as the interpreter allows: a lost or misplaced row write
+        # would break the equality with one thread featurizing each group
+        from offdetect import experiment
+        from offdetect.dmd import sentence_feature
+        from offdetect.embed import average_embedding, token_matrix
+
+        cfg_path = write_config(tmp_path / "g.cfg", mini_dir)
+        cfg_path.write_text(cfg_path.read_text().replace("feature = avg", f"feature = {feature}"))
+        cfg = parse_config(cfg_path)
+        corpora = load_corpora(cfg)
+        pipeline = build_pipeline(cfg, list(corpora))
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            features = [pipeline.featurize(corpus) for corpus in corpora]
+        finally:
+            sys.setswitchinterval(interval)
+        for corpus, got in zip(corpora, features):
+            rows = [pipeline.table.rows(tokens) for tokens in pipeline._tokens(corpus)]
+            groups: dict[int, list[int]] = {}
+            for i, tweet_rows in enumerate(rows):
+                groups.setdefault(len(tweet_rows), []).append(i)
+            expected = np.zeros((len(rows), pipeline.table.dim))
+            for members in groups.values():
+                block = np.array([rows[i] for i in members], dtype=np.intp)
+                if feature == "avg":
+                    expected[members] = average_embedding(block, pipeline.table)
+                else:
+                    stack = token_matrix(block, pipeline.table)
+                    expected[members] = sentence_feature(stack, pipeline.hodmd)
+            assert len(groups) > 1
+            assert np.array_equal(got, expected)
 
 
 class TestExportFeatures:
@@ -545,6 +588,55 @@ class TestCli:
         cfg_path.write_text(text)
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o6")]) == 3
 
+    def test_overflowing_ridge_solve_exits_3(self, tmp_path, mini_dir, capsys):
+        # one precomputed value of 1e200 is finite, but its square is not
+        lines = (mini_dir / "precomputed.txt").read_text(encoding="utf-8").splitlines()
+        tweet_id, first, *rest = lines[0].split()
+        table = tmp_path / "precomputed.txt"
+        table.write_text("\n".join([" ".join([tweet_id, "1e200", *rest]), *lines[1:]]) + "\n")
+        cfg_path = write_config(tmp_path / "huge.cfg", mini_dir)
+        text = cfg_path.read_text().replace(f"{mini_dir}/precomputed.txt", str(table))
+        text = text.replace("feature = avg", "feature = precomputed")
+        cfg_path.write_text(text.replace("classifier = svm", "classifier = rlsc"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_numeric_error_in_a_featurize_worker_exits_3(self, tmp_path, mini_dir, capsys, monkeypatch):
+        # every length group after the first fails; the second, the first
+        # failure a serial loop meets, fails last, and its error is reported
+        import time
+
+        from offdetect import experiment
+
+        cfg_path = write_config(tmp_path / "w.cfg", mini_dir)
+        cfg_path.write_text(cfg_path.read_text().replace("feature = avg", "feature = dmd"))
+        cfg = parse_config(cfg_path)
+        train, _ = load_corpora(cfg)
+        pipeline = build_pipeline(cfg, [train])
+        lengths = list(dict.fromkeys(len(pipeline.table.rows(t)) for t in pipeline._tokens(train)))
+        assert len(lengths) > 2
+        sentence_feature = experiment.sentence_feature
+
+        def failing(stack, hodmd):
+            length = stack.shape[2]
+            if length == lengths[1]:
+                time.sleep(0.2)
+                raise NumericError(f"group of length {length}")
+            if length != lengths[0]:
+                raise NumericError(f"later group of length {length}")
+            return sentence_feature(stack, hodmd)
+
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(experiment, "sentence_feature", failing)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"numeric failure: group of length {lengths[1]}\n"
+        assert not out.exists()
+
     def test_seed_override_changes_manifest(self, tmp_path, mini_dir):
         cfg_path = write_config(tmp_path / "cli7.cfg", mini_dir)
         main(["run", "--config", str(cfg_path), "--seed", "77", "--out", str(tmp_path / "o7")])
@@ -631,6 +723,38 @@ class TestModuleEntryPoint:
         for case in list(commands)[:-1]:
             assert loaded[case] == [], case
         assert "scipy.linalg" in loaded["run hodmd/rlsc"]
+        # its median-heuristic lift computes distances with numpy alone
+        assert not any(m.startswith("scipy.spatial") for m in loaded["run hodmd/rlsc"])
+
+    @pytest.mark.parametrize(
+        "command", [["run"], ["sweep", "--sweep-dim", "16,32"]], ids=["run", "sweep-dim"]
+    )
+    def test_closed_stdout_exits_1_without_traceback(self, tmp_path, command):
+        # the reader of stdout is gone before anything is printed; the
+        # output files are the ones an ordinary invocation writes
+        config = CONFIGS / "hodmd2_rks_rlsc.cfg"
+
+        def invoke(out, stdout):
+            argv = [command[0], "--config", str(config), "--out", str(out), *command[1:]]
+            return subprocess.run(
+                [sys.executable, "-m", "offdetect", *argv],
+                stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = invoke(tmp_path / "closed", write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "BrokenPipe" not in proc.stderr
+        reference = invoke(tmp_path / "open", subprocess.PIPE)
+        assert reference.returncode == 0, reference.stderr
+        written = sorted(path.name for path in (tmp_path / "open").iterdir())
+        assert written == sorted(path.name for path in (tmp_path / "closed").iterdir())
+        for name in written:
+            assert (tmp_path / "closed" / name).read_bytes() == (tmp_path / "open" / name).read_bytes()
 
     def test_python_dash_m_usage_error(self):
         proc = subprocess.run(

@@ -213,6 +213,16 @@ class TestRlsc:
         with pytest.raises(DataError, match="non-finite"):
             train_rlsc(X, np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("rows", [40, 3], ids=["primal", "dual"])
+    def test_overflowing_gram_is_numeric_error(self, rows):
+        # finite features whose products pass the float range
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(rows, 4))
+        X[1, 2] = 1e200
+        y = np.where(np.arange(rows) % 2 == 0, 1.0, -1.0)
+        with pytest.raises(NumericError, match="overflows"):
+            train_rlsc(X, y)
+
 
 class TestLinearSvm:
     def test_separable_four_points_large_C(self):

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from offdetect.rks import (
     MAX_MAP_ENTRIES,
+    MEDIAN_MAX_POINTS,
     approx_kernel,
     median_heuristic_sigma,
     sample_map,
@@ -205,3 +206,38 @@ class TestMedianHeuristic:
     def test_too_few_vectors_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             median_heuristic_sigma(np.ones((1, 3)))
+
+    @pytest.mark.parametrize("rows", [2, 3, 17, 1000, 1001])
+    @pytest.mark.parametrize("dim", [1, 7, 300])
+    def test_identical_unrepresentable_rows_fall_back_to_one(self, rows, dim):
+        # 0.1 + 1e3 has no exact binary form, so the rows' mean need not
+        # equal the rows; every pairwise distance must still be exactly 0
+        assert median_heuristic_sigma(np.full((rows, dim), 0.1 + 1e3)) == 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(2, 1200),
+        dim=st.integers(1, 512),
+        log_scale=st.floats(-3.0, 3.0),
+        offset=st.floats(0.0, 1e6),
+        distinct=st.one_of(st.none(), st.integers(1, 1200)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_pdist_oracle(self, rows, dim, log_scale, offset, distinct, seed):
+        # scipy's direct pairwise distances on the same seeded subsample;
+        # ``distinct`` rows drawn with repetition give duplicated rows, and
+        # the common offset moves every row far from the origin
+        from scipy.spatial.distance import pdist
+
+        rng = np.random.default_rng(seed)
+        sample = rng.normal(size=(rows, dim)) * 10.0**log_scale + offset * rng.normal(size=dim)
+        if distinct is not None:
+            sample = sample[rng.integers(0, min(distinct, rows), size=rows)]
+        subsample = sample
+        if rows > MEDIAN_MAX_POINTS:
+            idx = np.random.default_rng(seed).choice(rows, size=MEDIAN_MAX_POINTS, replace=False)
+            subsample = sample[np.sort(idx)]
+        median = float(np.median(pdist(subsample)))
+        expected = median if median > 0.0 else 1.0
+        got = median_heuristic_sigma(sample, seed=seed)
+        assert abs(got - expected) <= 1e-12 * expected
