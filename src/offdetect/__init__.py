@@ -14,10 +14,9 @@ from .corpus import (  # noqa: F401
     TweetRecord,
     default_stopwords,
     load_olid_tsv,
-    normalize_social,
     tokenize_clean,
 )
-from .dmd import HodmdConfig, build_snapshots, compute_dmd, predict_state, sentence_feature  # noqa: F401
+from .dmd import HodmdConfig, sentence_feature  # noqa: F401
 from .embed import (  # noqa: F401
     VectorTable,
     average_embedding,
@@ -37,4 +36,4 @@ from .learn import (  # noqa: F401
     train_rlsc,
 )
 from .model_io import load_model, save_model  # noqa: F401
-from .rks import RksMap, approx_kernel, median_heuristic_sigma, sample_map, transform  # noqa: F401
+from .rks import RksMap, median_heuristic_sigma, sample_map, transform  # noqa: F401

@@ -1,13 +1,7 @@
-"""OLID-format tweet loading and the two text-preprocessing regimes.
+"""OLID-format tweet loading and word-token cleaning.
 
-Two cleaning paths feed the feature extractors:
-
-* ``normalize_social`` collapses social markup (#tags, @-mentions, URLs) into
-  fixed placeholder tokens and leaves everything else untouched.  This is the
-  regime used to prepare text for external sentence encoders.
-* ``tokenize_clean`` strips URLs, hashtags, mentions, numbers and punctuation,
-  lowercases, and drops stopwords.  This is the regime for word-vector
-  features.
+``tokenize_clean`` strips URLs, hashtags, mentions, numbers and punctuation,
+lowercases, and drops stopwords; its tokens feed the word-vector features.
 """
 
 from __future__ import annotations
@@ -15,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 
@@ -28,7 +23,6 @@ __all__ = [
     "SIGN_TO_LABEL",
     "load_olid_tsv",
     "load_label_csv",
-    "normalize_social",
     "tokenize_clean",
     "load_stopwords",
     "default_stopwords",
@@ -58,13 +52,6 @@ class LabeledCorpus:
     def __len__(self) -> int:
         return len(self.records)
 
-    def label_counts(self) -> dict[str, int]:
-        counts = {label: 0 for label in LABELS}
-        for rec in self.records:
-            if rec.label is not None:
-                counts[rec.label] += 1
-        return counts
-
     def ids(self) -> list[str]:
         return [rec.id for rec in self.records]
 
@@ -78,30 +65,39 @@ def _check_label(value: str, where: str) -> str:
 def load_label_csv(source) -> dict[str, str]:
     """Parse an ``id,label`` CSV (no header) into an id -> label map."""
     labels: dict[str, str] = {}
-    for lineno, raw in enumerate(_text_lines(source), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise DataError(f"label csv line {lineno}: expected 'id,label', got {raw!r}")
-        tweet_id, label = parts[0].strip(), parts[1].strip()
-        if not tweet_id:
-            raise DataError(f"label csv line {lineno}: empty id")
-        if tweet_id in labels:
-            raise DataError(f"label csv line {lineno}: duplicate id {tweet_id!r}")
-        labels[tweet_id] = _check_label(label, f"label csv line {lineno}")
+    with _text_lines(source) as lines:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise DataError(f"label csv line {lineno}: expected 'id,label', got {raw!r}")
+            tweet_id, label = parts[0].strip(), parts[1].strip()
+            if not tweet_id:
+                raise DataError(f"label csv line {lineno}: empty id")
+            if tweet_id in labels:
+                raise DataError(f"label csv line {lineno}: duplicate id {tweet_id!r}")
+            labels[tweet_id] = _check_label(label, f"label csv line {lineno}")
     return labels
 
 
+@contextmanager
 def _text_lines(source):
-    if isinstance(source, str):
-        return io.StringIO(source)
+    """Text stream over a str, bytes, or a text or byte stream.  A byte
+    stream's UTF-8 wrapper is detached on exit, leaving the stream open."""
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.TextIOBase):
-        return source
-    return io.TextIOWrapper(source, encoding="utf-8")
+        source = source.decode("utf-8")
+    if isinstance(source, str):
+        yield io.StringIO(source)
+    elif isinstance(source, io.TextIOBase):
+        yield source
+    else:
+        wrapper = io.TextIOWrapper(source, encoding="utf-8")
+        try:
+            yield wrapper
+        finally:
+            wrapper.detach()
 
 
 def load_olid_tsv(tweet_source, label_source=None, split: str = "train") -> LabeledCorpus:
@@ -112,38 +108,39 @@ def load_olid_tsv(tweet_source, label_source=None, split: str = "train") -> Labe
     file order.  Rows with the wrong column count, unknown labels, or
     duplicate ids raise DataError naming the offending line.
     """
-    reader = csv.reader(_text_lines(tweet_source), delimiter="\t", quoting=csv.QUOTE_NONE)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("tweet tsv: missing header row") from None
-    columns = {name.strip(): idx for idx, name in enumerate(header)}
-    for required in ("id", "tweet"):
-        if required not in columns:
-            raise DataError(f"tweet tsv header: missing column {required!r}")
-    id_col = columns["id"]
-    text_col = columns["tweet"]
-    label_col = columns.get("subtask_a")
+    with _text_lines(tweet_source) as lines:
+        reader = csv.reader(lines, delimiter="\t", quoting=csv.QUOTE_NONE)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError("tweet tsv: missing header row") from None
+        columns = {name.strip(): idx for idx, name in enumerate(header)}
+        for required in ("id", "tweet"):
+            if required not in columns:
+                raise DataError(f"tweet tsv header: missing column {required!r}")
+        id_col = columns["id"]
+        text_col = columns["tweet"]
+        label_col = columns.get("subtask_a")
 
-    overrides = load_label_csv(label_source) if label_source is not None else None
+        overrides = load_label_csv(label_source) if label_source is not None else None
 
-    records: list[TweetRecord] = []
-    seen: set[str] = set()
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise DataError(
-                f"tweet tsv line {lineno}: expected {len(header)} columns, got {len(row)}"
-            )
-        tweet_id = row[id_col].strip()
-        if not tweet_id:
-            raise DataError(f"tweet tsv line {lineno}: empty id")
-        if tweet_id in seen:
-            raise DataError(f"tweet tsv line {lineno}: duplicate id {tweet_id!r}")
-        seen.add(tweet_id)
-        label: str | None = None
-        if label_col is not None and row[label_col].strip():
-            label = _check_label(row[label_col].strip(), f"tweet tsv line {lineno}")
-        records.append(TweetRecord(id=tweet_id, text=row[text_col], label=label))
+        records: list[TweetRecord] = []
+        seen: set[str] = set()
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DataError(
+                    f"tweet tsv line {lineno}: expected {len(header)} columns, got {len(row)}"
+                )
+            tweet_id = row[id_col].strip()
+            if not tweet_id:
+                raise DataError(f"tweet tsv line {lineno}: empty id")
+            if tweet_id in seen:
+                raise DataError(f"tweet tsv line {lineno}: duplicate id {tweet_id!r}")
+            seen.add(tweet_id)
+            label: str | None = None
+            if label_col is not None and row[label_col].strip():
+                label = _check_label(row[label_col].strip(), f"tweet tsv line {lineno}")
+            records.append(TweetRecord(id=tweet_id, text=row[text_col], label=label))
 
     if overrides is not None:
         unknown = set(overrides) - seen
@@ -159,35 +156,9 @@ def load_olid_tsv(tweet_source, label_source=None, split: str = "train") -> Labe
     return LabeledCorpus(records=records, split=split)
 
 
-# --- social-markup normalization ------------------------------------------
-
-HASHTAG_TOKEN = "#TAG"
-MENTION_TOKEN = "@MENTION"
-URL_TOKEN = "URLS"
-
-_URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
-_HASHTAG_RUN_RE = re.compile(r"#\w+(?:\s+#\w+)*")
-_MENTION_RUN_RE = re.compile(r"@\w+(?:\s+@\w+)*")
-
-
-def normalize_social(text: str) -> str:
-    """Collapse URLs, @-mention runs, and #tag runs into placeholder tokens.
-
-    URLs (http://, https://, www. prefixes, matched case-insensitively)
-    become ``URLS``; each maximal whitespace-separated run of @-mentions
-    becomes ``@MENTION``; each run of hashtags becomes ``#TAG``.  Everything
-    else is untouched; in particular case is preserved, since the sentence
-    encoders this regime feeds take raw-cased text.  Idempotent: the
-    placeholders themselves re-normalize to themselves.
-    """
-    text = _URL_RE.sub(URL_TOKEN, text)
-    text = _MENTION_RUN_RE.sub(MENTION_TOKEN, text)
-    text = _HASHTAG_RUN_RE.sub(HASHTAG_TOKEN, text)
-    return text
-
-
 # --- word-token cleaning ---------------------------------------------------
 
+_URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _MENTION_STRIP_RE = re.compile(r"@\w+")
 _HASHTAG_STRIP_RE = re.compile(r"#\w+")
 # candidate runs: word characters other than digits and "_", apostrophes
@@ -246,7 +217,8 @@ def tokenize_clean(text: str, stopwords: frozenset[str] | set[str]) -> list[str]
 
 def load_stopwords(source) -> frozenset[str]:
     """Read a one-token-per-line stopword file."""
-    words = [line.strip() for line in _text_lines(source)]
+    with _text_lines(source) as lines:
+        words = [line.strip() for line in lines]
     return frozenset(word for word in words if word)
 
 

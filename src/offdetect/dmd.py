@@ -1,17 +1,18 @@
 """Dynamic mode decomposition of word-vector signals, with delay embedding.
 
-A tweet's ordered word vectors x_1..x_{m+1} are treated as snapshots of a
+A tweet's ordered word vectors x_1..x_L are treated as snapshots of a
 linear evolution x_{k+1} = A x_k.  The operator A is never formed: its
 action is carried by the triple (Phi, Lambda, b) obtained from the truncated
-SVD of the snapshot matrix, so that Phi Lambda^k b estimates x_{k+1}.
+SVD of the snapshot matrix, so that Phi Lambda^{k-1} b estimates snapshot k.
 
-Delay order d >= 2 stacks d consecutive snapshots into one column before
-decomposing, which lets a linear model capture oscillations a first-order
-fit cannot (higher-order DMD).  d = 1 is plain DMD.
+Delay order d >= 2 stacks d consecutive snapshots into one column,
+y_k = [x_k; ...; x_{k+d-1}], before decomposing, which lets a linear model
+capture oscillations a first-order fit cannot (higher-order DMD).  d = 1 is
+plain DMD.
 
-The fixed-length sentence feature is the real part of the extrapolation one
-step past the final observed (stacked) snapshot, truncated to the original
-channel count.
+The sentence feature is the real part of the first n rows of the fit's next
+stacked snapshot y_{L-d+2}: the one-step extrapolation x_{L+1} for d = 1,
+but the fit's value at the observed token x_{L-d+2} for d >= 2.
 """
 
 from __future__ import annotations
@@ -22,39 +23,7 @@ import numpy as np
 
 from .errors import NumericError
 
-__all__ = [
-    "SnapshotPair",
-    "DmdDecomposition",
-    "HodmdConfig",
-    "build_snapshots",
-    "compute_dmd",
-    "predict_state",
-    "reconstruction_error",
-    "sentence_feature",
-]
-
-
-@dataclass
-class SnapshotPair:
-    """Time-lagged matrices: Xp's columns are X's shifted one step forward."""
-
-    X: np.ndarray
-    Xp: np.ndarray
-
-    @property
-    def n_snapshots(self) -> int:
-        """Count of distinct stacked snapshot vectors covered by (X, Xp)."""
-        return self.X.shape[1] + 1
-
-
-@dataclass
-class DmdDecomposition:
-    """Modes Phi (columns), eigenvalues, amplitudes b = Phi^+ x_1, rank r."""
-
-    Phi: np.ndarray
-    eigenvalues: np.ndarray
-    amplitudes: np.ndarray
-    rank: int
+__all__ = ["HodmdConfig", "sentence_feature"]
 
 
 @dataclass(frozen=True)
@@ -74,82 +43,18 @@ class HodmdConfig:
             raise ValueError(f"sv_rel_tol must be in (0, 1), got {self.sv_rel_tol}")
 
 
-def build_snapshots(seq: np.ndarray, d: int = 1) -> SnapshotPair:
-    """Delay-embed an (n, L) sequence at order d and split into lagged pairs.
-
-    Columns y_k = [x_k; ...; x_{k+d-1}] (length n*d) give
-    X = [y_1 .. y_{L-d}] and Xp = [y_2 .. y_{L-d+1}] for a sequence of
-    L columns.  Requires L >= d + 1.
-    """
-    L = seq.shape[1]
-    if L < d + 1:
-        raise NumericError(f"sequence of {L} columns is too short for delay order {d}")
-    stacked = np.vstack([seq[:, i : L - d + 1 + i] for i in range(d)])
-    return SnapshotPair(X=stacked[:, :-1], Xp=stacked[:, 1:])
-
-
-def compute_dmd(snap: SnapshotPair, cfg: HodmdConfig = HodmdConfig()) -> DmdDecomposition:
-    """Exact DMD of a snapshot pair via the truncated SVD of X.
-
-    X = U S V^H; the rank keeps singular values above cfg.sv_rel_tol
-    relative to the largest, capped at cfg.r_max.  The reduced operator
-    U_r^H Xp V_r S_r^{-1} is diagonalized, modes are lifted through Xp, and
-    amplitudes solve Phi b = x_1 in the least-squares sense.
-    """
-    X, Xp = snap.X, snap.Xp
-    if not np.any(X):
-        raise NumericError("degenerate signal: snapshot matrix X is all zero")
-    try:
-        U, s, Vh = np.linalg.svd(X, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD of snapshot matrix failed: {exc}") from exc
-    r = min(cfg.r_max, int(np.count_nonzero(s > cfg.sv_rel_tol * s[0])))
-    Ur = U[:, :r]
-    sr = s[:r]
-    Vr = Vh[:r].conj().T
-    lifted = (Xp @ Vr) / sr
-    atilde = Ur.conj().T @ lifted
-    try:
-        eigenvalues, W = np.linalg.eig(atilde)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition of reduced operator failed: {exc}") from exc
-    Phi = lifted @ W
-    x1 = X[:, 0].astype(np.complex128)
-    amplitudes, *_ = np.linalg.lstsq(Phi, x1, rcond=cfg.sv_rel_tol)
-    return DmdDecomposition(Phi=Phi, eigenvalues=eigenvalues, amplitudes=amplitudes, rank=r)
-
-
-def predict_state(dec: DmdDecomposition, k: int) -> np.ndarray:
-    """DMD estimate of snapshot x_{k+1}: Phi Lambda^k b (complex vector)."""
-    if k < 0:
-        raise ValueError(f"step index must be >= 0, got {k}")
-    return dec.Phi @ (dec.eigenvalues**k * dec.amplitudes)
-
-
-def reconstruction_error(dec: DmdDecomposition, snap: SnapshotPair) -> float:
-    """max_k ||Phi Lambda^{k-1} b - y_k||_2 / max_k ||y_k||_2 over all
-    observed stacked snapshots y_1..y_{m_s}."""
-    observed = np.column_stack([snap.X, snap.Xp[:, -1]])
-    m_s = observed.shape[1]
-    powers = dec.eigenvalues[:, None] ** np.arange(m_s)[None, :]
-    predicted = dec.Phi @ (powers * dec.amplitudes[:, None])
-    scale = np.max(np.linalg.norm(observed, axis=0))
-    if scale == 0.0:
-        return 0.0
-    err = np.max(np.linalg.norm(predicted - observed, axis=0))
-    return float(err / scale)
-
-
 def sentence_feature(seq: np.ndarray, cfg: HodmdConfig = HodmdConfig()) -> np.ndarray:
-    """Fixed-length feature: one-step extrapolation past the last snapshot.
+    """Fixed-length feature: the fit's next stacked snapshot, first n rows.
 
     ``seq`` is one signal, an (n, L) array, giving an (n,) feature, or a
     stack of G signals of the same length, a (G, n, L) array, giving a
     (G, n) one.  Each signal is decomposed
-    (after delay embedding), Phi Lambda^{m_s} b is evaluated where m_s is
-    the stacked-snapshot count, and the real part of its first n
-    components is kept, so the output length equals the channel count n
-    regardless of tweet length.
+    (after delay embedding), Phi Lambda^{m_s} b is evaluated where
+    m_s = L-d+1 is the stacked-snapshot count, and the real part of its
+    first n components is kept, so the output length equals the channel
+    count n regardless of tweet length.  Those rows are the fit's value at
+    token L-d+2: the one-step extrapolation x_{L+1} for d = 1, but an
+    observed token for d >= 2 (the last n rows would hold x_{L+1}).
 
     Total on any input: an empty sequence (or an all-zero signal) maps to
     the zero vector, and a sequence shorter than d+1 columns is padded by

@@ -53,10 +53,6 @@ class ConfusionMatrix:
             counts[index[g], index[p]] += 1
         return cls(counts=counts)
 
-    @classmethod
-    def from_counts(cls, off_off: int, off_not: int, not_off: int, not_not: int):
-        return cls(counts=np.array([[off_off, off_not], [not_off, not_not]], dtype=np.int64))
-
     @property
     def total(self) -> int:
         return int(self.counts.sum())

@@ -112,23 +112,25 @@ def train_rlsc(F, y, lam: float = 1e-3, fit_intercept: bool = True) -> LinearMod
     n, dim = X.shape
     k = dim + 1 if fit_intercept else dim
     primal = k <= n
-    if primal:
-        gram = np.empty((k, k))
-        np.matmul(X.T, X, out=gram[:dim, :dim])
-        rhs = X.T @ y
-        if fit_intercept:
-            gram[dim, :dim] = gram[:dim, dim] = X.sum(axis=0)
-            gram[dim, dim] = n
-            rhs = np.append(rhs, y.sum())
-    else:
-        gram = X @ X.T
-        if fit_intercept:
-            gram += 1.0
-    gram.flat[:: len(gram) + 1] += lam
-    # one sum in place of scipy's Gram-sized finiteness mask: any inf or nan
-    # entry makes it non-finite, and so does a sum past the float range
-    if not math.isfinite(gram.sum()):
-        raise NumericError("normal-equation matrix overflows: features too large")
+    # an overflow is reported by the NumericError below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if primal:
+            gram = np.empty((k, k))
+            np.matmul(X.T, X, out=gram[:dim, :dim])
+            rhs = X.T @ y
+            if fit_intercept:
+                gram[dim, :dim] = gram[:dim, dim] = X.sum(axis=0)
+                gram[dim, dim] = n
+                rhs = np.append(rhs, y.sum())
+        else:
+            gram = X @ X.T
+            if fit_intercept:
+                gram += 1.0
+        gram.flat[:: len(gram) + 1] += lam
+        # one sum in place of scipy's Gram-sized finiteness mask: any inf or
+        # nan entry makes it non-finite, and so does a sum past the float range
+        if not math.isfinite(gram.sum()):
+            raise NumericError("normal-equation matrix overflows: features too large")
     try:
         # numpy fills a matrix times its transpose symmetrically, so its
         # Fortran-ordered transpose is the same matrix and LAPACK factors it in place

@@ -28,7 +28,6 @@ __all__ = [
     "check_map_size",
     "sample_map",
     "transform",
-    "approx_kernel",
     "median_heuristic_sigma",
 ]
 
@@ -104,11 +103,6 @@ def transform(rks: RksMap, x: np.ndarray) -> np.ndarray:
     np.sin(proj, out=z[..., rks.k :])
     z *= np.sqrt(1.0 / rks.k)
     return z
-
-
-def approx_kernel(rks: RksMap, x: np.ndarray, y: np.ndarray) -> float:
-    """Kernel estimate <Z(x), Z(y)>."""
-    return float(np.dot(transform(rks, x), transform(rks, y)))
 
 
 def median_heuristic_sigma(sample: np.ndarray, seed: int = 0) -> float:

@@ -12,8 +12,9 @@ from contextlib import contextmanager
 import numpy as np
 import scipy.optimize
 
+from dmd_reference import build_snapshots, compute_dmd, reconstruction_error
 from offdetect.corpus import LabeledCorpus, TweetRecord
-from offdetect.dmd import HodmdConfig, build_snapshots, compute_dmd, reconstruction_error
+from offdetect.dmd import HodmdConfig
 from offdetect.evaluation import evaluate
 from offdetect.experiment import parse_config, run_experiment
 from offdetect.learn import (

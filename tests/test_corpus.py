@@ -1,5 +1,7 @@
+import gc
 import importlib.util
 import io
+import warnings
 from pathlib import Path
 
 import pytest
@@ -8,10 +10,10 @@ from hypothesis import strategies as st
 
 from offdetect import corpus
 from offdetect.corpus import (
+    LABELS,
     default_stopwords,
     load_label_csv,
     load_olid_tsv,
-    normalize_social,
     tokenize_clean,
 )
 from offdetect.errors import DataError
@@ -30,10 +32,14 @@ def make_tsv(rows):
     return "\n".join(lines) + "\n"
 
 
+def label_counts(corpus):
+    return {label: sum(rec.label == label for rec in corpus.records) for label in LABELS}
+
+
 class TestLoadOlidTsv:
     def test_three_row_fixture_counts(self):
         corpus = load_olid_tsv(THREE_ROW_TSV)
-        assert corpus.label_counts() == {"OFF": 2, "NOT": 1}
+        assert label_counts(corpus) == {"OFF": 2, "NOT": 1}
         assert corpus.ids() == ["t1", "t2", "t3"]
 
     def test_header_only_gives_empty_corpus(self):
@@ -45,11 +51,27 @@ class TestLoadOlidTsv:
         rows = [("some tweet", "NOT")] * 8840 + [("other tweet", "OFF")] * 4400
         corpus = load_olid_tsv(make_tsv(rows))
         assert len(corpus) == 13240
-        assert corpus.label_counts() == {"NOT": 8840, "OFF": 4400}
+        assert label_counts(corpus) == {"NOT": 8840, "OFF": 4400}
 
     def test_byte_stream_input(self):
         corpus = load_olid_tsv(io.BytesIO(THREE_ROW_TSV.encode("utf-8")))
         assert len(corpus) == 3
+
+    def test_byte_streams_stay_open_and_leave_no_wrapper(self, mini_dir):
+        # the text wrapper over a byte stream is detached, so it neither
+        # closes the caller's file nor lingers unclosed for the collector
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with open(mini_dir / "test.tsv", "rb") as fh, open(
+                mini_dir / "test_labels.csv", "rb"
+            ) as label_fh:
+                corpus = load_olid_tsv(fh, label_fh, split="test")
+                assert not fh.closed and not label_fh.closed
+            with open(mini_dir / "train.tsv", "rb") as fh:
+                load_olid_tsv(fh)
+            gc.collect()
+        assert len(corpus) == 60
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_malformed_row_names_line_number(self):
         bad = "id\ttweet\tsubtask_a\nt1\tok\tNOT\nt2\tmissing-label-column\n"
@@ -77,7 +99,7 @@ class TestLoadOlidTsv:
             "90194\t@USER go home you're drunk!!!\tOFF\tTIN\tIND\n"
         )
         corpus = load_olid_tsv(tsv)
-        assert corpus.label_counts() == {"OFF": 2, "NOT": 0}
+        assert label_counts(corpus) == {"OFF": 2, "NOT": 0}
         assert corpus.records[0].id == "86426"
 
     def test_label_csv_fills_and_overrides(self):
@@ -107,50 +129,6 @@ class TestLoadOlidTsv:
         corpus = load_olid_tsv(make_tsv(rows))
         assert len(corpus) == len(rows)
         assert [rec.label for rec in corpus.records] == [label for _, label in rows]
-
-
-class TestNormalizeSocial:
-    def test_collapses_runs_and_urls(self):
-        assert normalize_social("@a @b go #x #y www.z.com") == "@MENTION go #TAG URLS"
-
-    def test_plain_text_unchanged(self):
-        assert normalize_social("hello world") == "hello world"
-
-    def test_url_schemes(self):
-        assert normalize_social("see http://a.io/x") == "see URLS"
-        assert normalize_social("see https://a.io/x?q=1") == "see URLS"
-        assert normalize_social("see WWW.A.IO/x") == "see URLS"
-
-    def test_separated_runs_stay_separate(self):
-        assert normalize_social("#a and #b") == "#TAG and #TAG"
-
-    def test_idempotent_on_random_tweets(self):
-        tweets = _random_tweets(1000)
-        for tweet in tweets:
-            once = normalize_social(tweet)
-            assert normalize_social(once) == once
-
-    @settings(max_examples=300)
-    @given(st.text(max_size=80))
-    def test_idempotent_on_arbitrary_text(self, text):
-        once = normalize_social(text)
-        assert normalize_social(once) == once
-
-
-def _random_tweets(count):
-    # seeded mix of words, hashtags, mentions, urls, punctuation
-    import random
-
-    rng = random.Random(1234)
-    pieces = [
-        "hello", "world", "so", "fun", "#tag1", "#b", "@user", "@x9",
-        "www.site.org/a", "http://t.co/q", "https://x.yz", "!!", "123", "?",
-        "#TAG", "@MENTION", "URLS",
-    ]
-    tweets = []
-    for _ in range(count):
-        tweets.append(" ".join(rng.choice(pieces) for _ in range(rng.randint(0, 10))))
-    return tweets
 
 
 class TestTokenizeClean:

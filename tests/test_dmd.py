@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offdetect.dmd import (
-    HodmdConfig,
+from dmd_reference import (
+    SnapshotPair,
     build_snapshots,
     compute_dmd,
     predict_state,
     reconstruction_error,
-    sentence_feature,
 )
+from offdetect.dmd import HodmdConfig, sentence_feature
 from offdetect.errors import NumericError
 
 
@@ -114,8 +114,6 @@ class TestComputeDmd:
         np.testing.assert_allclose(eigs, conj, atol=1e-10)
 
     def test_all_zero_signal_rejected(self):
-        from offdetect.dmd import SnapshotPair
-
         snap = SnapshotPair(X=np.zeros((3, 4)), Xp=np.zeros((3, 4)))
         with pytest.raises(NumericError, match="degenerate"):
             compute_dmd(snap)
@@ -160,6 +158,17 @@ class TestSentenceFeature:
         seq = np.column_stack(cols)
         feat = sentence_feature(seq, HodmdConfig(d=1))
         np.testing.assert_allclose(feat, v2, atol=1e-8)  # next state after ...v2, v1
+
+    def test_rotated_decaying_system_extrapolates_one_step(self):
+        # c04's system: a 5x5 rotated diagonal map with decaying spectrum,
+        # 12 snapshots; plain DMD through the compressed path gives A x_L
+        rng = np.random.default_rng(4)
+        Q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+        A = Q @ np.diag([0.9, 0.7, 0.5, 0.3, 0.1]) @ Q.T
+        seq = linear_trajectory(A, rng.normal(size=5) + 2.0, 12)
+        want = A @ seq[:, -1]
+        got = sentence_feature(seq, HodmdConfig(d=1))
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
     def test_empty_sequence_gives_zero_vector(self):
         seq = np.zeros((7, 0))

@@ -49,11 +49,17 @@ def trivial_featurize(corpus):
     return np.zeros((len(corpus), 1))
 
 
+def confusion(off_off, off_not, not_off, not_not):
+    """Confusion matrix with gold labels as rows, OFF first."""
+    counts = np.array([[off_off, off_not], [not_off, not_not]], dtype=np.int64)
+    return ConfusionMatrix(counts=counts)
+
+
 class TestMacroMetrics:
     def test_all_not_predictor_on_imbalanced_test_split(self):
         # 620 NOT / 240 OFF, everything predicted NOT: the degenerate
         # baseline row that pins macro averaging and the zero-division rule
-        cm = ConfusionMatrix.from_counts(off_off=0, off_not=240, not_off=0, not_not=620)
+        cm = confusion(off_off=0, off_not=240, not_off=0, not_not=620)
         report = macro_metrics(cm)
         assert abs(report.accuracy - 72.09) <= 0.01
         assert abs(report.macro_precision - 36.05) <= 0.01
@@ -63,12 +69,12 @@ class TestMacroMetrics:
         assert abs(report.macro_precision - report.accuracy / 2) < 1e-9
 
     def test_perfect_predictions(self):
-        cm = ConfusionMatrix.from_counts(off_off=30, off_not=0, not_off=0, not_not=70)
+        cm = confusion(off_off=30, off_not=0, not_off=0, not_not=70)
         report = macro_metrics(cm)
         assert report.as_tuple() == (100.0, 100.0, 100.0, 100.0)
 
     def test_matches_per_class_hand_computation(self):
-        cm = ConfusionMatrix.from_counts(off_off=50, off_not=30, not_off=20, not_not=100)
+        cm = confusion(off_off=50, off_not=30, not_off=20, not_not=100)
         report = macro_metrics(cm)
         gold = ["OFF"] * 80 + ["NOT"] * 120
         pred = ["OFF"] * 50 + ["NOT"] * 30 + ["OFF"] * 20 + ["NOT"] * 100
@@ -78,7 +84,7 @@ class TestMacroMetrics:
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            macro_metrics(ConfusionMatrix.from_counts(0, 0, 0, 0))
+            macro_metrics(confusion(0, 0, 0, 0))
 
     def test_agrees_with_per_sample_oracle_on_random_pairings(self):
         rng = np.random.default_rng(0)
@@ -96,8 +102,8 @@ class TestMacroMetrics:
         a, b, c, d = counts
         if a + b + c + d == 0:
             return
-        direct = macro_metrics(ConfusionMatrix.from_counts(a, b, c, d))
-        swapped = macro_metrics(ConfusionMatrix.from_counts(d, c, b, a))
+        direct = macro_metrics(confusion(a, b, c, d))
+        swapped = macro_metrics(confusion(d, c, b, a))
         for x, y in zip(direct.as_tuple(), swapped.as_tuple()):
             assert abs(x - y) < 1e-12
 
@@ -106,7 +112,7 @@ class TestMacroMetrics:
         a, b, c, d = counts
         if a + b + c + d == 0:
             return
-        cm = ConfusionMatrix.from_counts(a, b, c, d)
+        cm = confusion(a, b, c, d)
         report = macro_metrics(cm)
         f1s = []
         for i in range(2):
@@ -124,7 +130,7 @@ class TestMacroMetrics:
         total = a + b + c + d
         if total == 0:
             return
-        cm = ConfusionMatrix.from_counts(a, b, c, d)
+        cm = confusion(a, b, c, d)
         report = macro_metrics(cm)
         rec_off = a / (a + b) if a + b else 0.0
         rec_not = d / (c + d) if c + d else 0.0

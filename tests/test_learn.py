@@ -213,9 +213,11 @@ class TestRlsc:
         with pytest.raises(DataError, match="non-finite"):
             train_rlsc(X, np.array([1.0, -1.0]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("rows", [40, 3], ids=["primal", "dual"])
     def test_overflowing_gram_is_numeric_error(self, rows):
-        # finite features whose products pass the float range
+        # finite features whose products pass the float range: the
+        # NumericError reports the overflow, and no numpy warning does
         rng = np.random.default_rng(6)
         X = rng.normal(size=(rows, 4))
         X[1, 2] = 1e200

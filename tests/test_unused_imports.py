@@ -1,12 +1,16 @@
-"""No module under src/offdetect, scripts or tests imports a name it never uses.
+"""No module under src/offdetect, scripts or tests imports a name it never uses,
+and no public name of the package is stale.
 
 A stdlib stand-in for a linter's unused-import rule (F401): an imported
 name counts as used when it appears anywhere in the module as a name, or
 is listed in ``__all__``.  An import statement carrying ``# noqa: F401``
-is exempt, as the package's re-exports are.
+is exempt, as the package's re-exports are.  Every name in a module's
+``__all__`` and every package re-export must exist, since tools that wrap
+a module's public functions look each one up.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -53,3 +57,27 @@ def test_check_flags_unused_and_honours_noqa():
         "__all__ = ['loads']\nprint(os.sep)\n"
     )
     assert unused_imports(source) == ["2: osp", "3: dumps"]
+
+
+PACKAGE = ROOT / "src" / "offdetect"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if not path.stem.startswith("__"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_all_entry_resolves(name):
+    module = importlib.import_module(f"offdetect.{name}")
+    public = getattr(module, "__all__", ())
+    assert [attr for attr in public if not hasattr(module, attr)] == []
+
+
+def test_every_package_reexport_resolves():
+    package = importlib.import_module("offdetect")
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    names = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert names
+    assert [name for name in names if not hasattr(package, name)] == []
