@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the full experiment grid on the bundled mini corpus.
 
-Three stages, mirroring how the pipeline is meant to be exercised:
+The grid's cells, mirroring how the pipeline is meant to be exercised:
 
 1. baseline classifiers on averaged-word-vector and precomputed features,
 2. DMD / delay-embedded DMD features under a linear SVM, plus the
@@ -9,8 +9,9 @@ Three stages, mirroring how the pipeline is meant to be exercised:
 3. the random-feature lift at increasing output dimensions under ridge
    classification, for both embedding families.
 
-Writes reports and sweep CSVs under --out (default runs/mini) and prints
-the aligned tables.
+The cells run in one ``run_experiments`` call, which featurizes once per
+feature setting.  Writes reports and sweep CSVs under --out (default
+runs/mini) and prints the aligned tables.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from offdetect.evaluation import render_report  # noqa: E402
-from offdetect.experiment import ExperimentConfig, RksSpec, run_experiment, run_sweep  # noqa: E402
+from offdetect.experiment import ExperimentConfig, RksSpec, run_experiments, run_sweep  # noqa: E402
 
 MINI = REPO / "data" / "mini"
 
@@ -45,57 +46,44 @@ def base_config(name: str, out_root: Path, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def stage_baselines(out_root: Path) -> None:
-    rows = []
-    for feature in ("avg", "precomputed"):
-        for classifier in ("rlsc", "svm", "logreg", "gnb"):
-            name = f"{feature}-{classifier}"
-            cfg = base_config(name, out_root, feature=feature, classifier=classifier)
-            rows.append((name, run_experiment(cfg).report))
-    _, text = render_report(rows)
-    print("== baseline classifiers ==")
-    print(text)
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", type=Path, default=REPO / "runs" / "mini")
+    args = parser.parse_args()
+    baselines = [
+        base_config(f"{feature}-{classifier}", args.out, feature=feature, classifier=classifier)
+        for feature in ("avg", "precomputed")
+        for classifier in ("rlsc", "svm", "logreg", "gnb")
+    ]
+    decomposition = [
+        base_config(name, args.out, feature=feature, hodmd_d=d, classifier="svm")
+        for name, feature, d in (("dmd", "dmd", 1), ("hodmd-d2", "hodmd", 2), ("hodmd-d3", "hodmd", 3))
+    ]
+    lifts = {
+        feature: [
+            base_config(f"{feature}-rks{dim}-rlsc", args.out, feature=feature, rks=RksSpec(dim=dim))
+            for dim in (100, 200, 500, 1000)
+        ]
+        for feature in ("avg", "precomputed")
+    }
+    cells = baselines + decomposition + [cfg for cfgs in lifts.values() for cfg in cfgs]
+    reports = {cfg.name: result.report for cfg, result in zip(cells, run_experiments(cells))}
 
+    def print_table(title: str, cfgs: list[ExperimentConfig]) -> None:
+        _, text = render_report([(cfg.name, reports[cfg.name]) for cfg in cfgs])
+        print(f"== {title} ==")
+        print(text)
 
-def stage_dmd(out_root: Path) -> None:
-    rows = []
-    for name, feature, d in (("dmd", "dmd", 1), ("hodmd-d2", "hodmd", 2), ("hodmd-d3", "hodmd", 3)):
-        cfg = base_config(name, out_root, feature=feature, hodmd_d=d, classifier="svm")
-        rows.append((name, run_experiment(cfg).report))
-    _, text = render_report(rows)
-    print("== decomposition features, linear SVM (C=1000) ==")
-    print(text)
-
-    cfg = base_config("dmd-c-sweep", out_root, feature="dmd", classifier="svm")
+    print_table("baseline classifiers", baselines)
+    print_table("decomposition features, linear SVM (C=1000)", decomposition)
+    cfg = base_config("dmd-c-sweep", args.out, feature="dmd", classifier="svm")
     lines, _ = run_sweep(cfg, "C", [0.1, 1.0, 100.0, 500.0, 1000.0])
     print("== control-parameter sweep (DMD features) ==")
     for line in lines:
         print(line.replace(",", "\t"))
     print()
-
-
-def stage_rks(out_root: Path) -> None:
-    for feature in ("avg", "precomputed"):
-        rows = []
-        for dim in (100, 200, 500, 1000):
-            name = f"{feature}-rks{dim}-rlsc"
-            cfg = base_config(
-                name, out_root, feature=feature, classifier="rlsc",
-                rks=RksSpec(dim=dim),
-            )
-            rows.append((name, run_experiment(cfg).report))
-        _, text = render_report(rows)
-        print(f"== random-feature lift, ridge classifier ({feature} features) ==")
-        print(text)
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", type=Path, default=REPO / "runs" / "mini")
-    args = parser.parse_args()
-    stage_baselines(args.out)
-    stage_dmd(args.out)
-    stage_rks(args.out)
+    for feature, cfgs in lifts.items():
+        print_table(f"random-feature lift, ridge classifier ({feature} features)", cfgs)
     print(f"artifacts under {args.out}")
 
 

@@ -43,9 +43,9 @@ __all__ = [
     "FeaturePipeline",
     "build_pipeline",
     "ExperimentResult",
-    "fit",
     "sweep_reports",
     "run_sweep",
+    "run_experiments",
     "run_experiment",
     "write_artifacts",
     "export_feature_lines",
@@ -280,7 +280,8 @@ class FeaturePipeline:
         at most one group's vectors per worker are held at a time.  Each
         group gets the same block as in a serial loop over the groups, so
         the output does not depend on the worker count, and an error is the
-        one that loop would raise first.
+        one that loop would raise first.  A non-finite feature row (word
+        vectors so large that it overflows) is a DataError naming its tweet.
         """
         if self.kind == "precomputed":
             try:
@@ -301,16 +302,23 @@ class FeaturePipeline:
 
         def featurize_group(members: list[int]) -> None:
             block = np.array([rows[i] for i in members], dtype=np.intp)
-            if self.kind == "avg":
-                values[members] = average_embedding(block, self.table)
-            else:
-                values[members] = sentence_feature(token_matrix(block, self.table), self.hodmd)
+            # an overflow is reported by the row check below, not by numpy
+            # warnings; the error state is per thread, so it is set here
+            with np.errstate(all="ignore"):
+                if self.kind == "avg":
+                    values[members] = average_embedding(block, self.table)
+                else:
+                    values[members] = sentence_feature(token_matrix(block, self.table), self.hodmd)
 
         # results are read in submission order; the first error read cancels
         # the groups not yet started
         with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
             for _ in pool.map(featurize_group, by_length.values()):
                 pass
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            tweet_id = corpus.records[int(finite.argmin())].id
+            raise DataError(f"tweet {tweet_id!r}: feature is not finite (word vectors too large)")
         return values
 
     def _tokens(self, corpus: LabeledCorpus) -> list[list[str]]:
@@ -402,25 +410,6 @@ def _lift_sigma(rks: RksSpec, train_F: np.ndarray) -> float:
     return median_heuristic_sigma(train_F, seed=rks.seed)
 
 
-def fit(cfg: ExperimentConfig, train_F: np.ndarray, y: np.ndarray):
-    """Train the configured classifier on the (n, dim) ``train_F``, lifted
-    first when the config asks for the random-feature map (bandwidth ->
-    ``sample_map`` -> ``transform``); the returned model carries the map, so
-    it predicts from raw features.  A map recipe that ``sample_map`` refuses
-    (e.g. one over its entry cap) is a DataError, raised before any map is
-    drawn."""
-    if cfg.rks is None:
-        return _train(cfg, train_F, y)
-    sigma = _lift_sigma(cfg.rks, train_F)
-    try:
-        rks_map = sample_map(train_F.shape[1], cfg.rks.dim, sigma, cfg.rks.seed)
-    except ValueError as exc:
-        raise DataError(f"random-feature map: {exc}") from None
-    model = _train(cfg, transform(rks_map, train_F), y)
-    model.rks = rks_map
-    return model
-
-
 def sweep_reports(
     train_corpus: LabeledCorpus,
     test_corpus: LabeledCorpus,
@@ -428,11 +417,13 @@ def sweep_reports(
     test_F: np.ndarray,
     run_cfgs: list[ExperimentConfig],
 ) -> list[tuple[object, MetricsReport]]:
-    """(model, test metrics) of each config in ``run_cfgs``, configs that
-    differ only in classifier settings or map dimension, fitted on the given
-    feature arrays.  The lift bandwidth is fitted once, so each config costs
-    only its map, training and evaluation.  Every map is checked against the
-    entry cap before the first config is trained."""
+    """(model, test metrics) of each config in ``run_cfgs``, fitted on the
+    given feature arrays.  A config with a lift trains on the lifted
+    features (bandwidth -> ``sample_map`` -> ``transform``), and its model
+    carries the map.  A median-heuristic bandwidth is fitted once per lift
+    seed, so each config gets the bandwidth it gets alone.  Every map is
+    checked against the entry cap before the first config is trained, and a
+    recipe ``sample_map`` refuses is a DataError."""
     train_y = labels_to_signs(train_corpus)
     for run_cfg in run_cfgs:
         if run_cfg.rks is not None:
@@ -440,14 +431,21 @@ def sweep_reports(
                 check_map_size(train_F.shape[1], run_cfg.rks.dim)
             except ValueError as exc:
                 raise DataError(f"random-feature map: {exc}") from None
-    sigma = None
+    sigmas: dict[tuple, float] = {}  # (rks_sigma, rks_seed) -> bandwidth
     results = []
     for run_cfg in run_cfgs:
-        if run_cfg.rks is not None:
-            if sigma is None:
-                sigma = _lift_sigma(run_cfg.rks, train_F)
-            run_cfg = replace(run_cfg, rks=replace(run_cfg.rks, sigma=sigma))
-        model = fit(run_cfg, train_F, train_y)
+        rks = run_cfg.rks
+        if rks is None:
+            model = _train(run_cfg, train_F, train_y)
+        else:
+            if (rks.sigma, rks.seed) not in sigmas:
+                sigmas[rks.sigma, rks.seed] = _lift_sigma(rks, train_F)
+            try:
+                rks_map = sample_map(train_F.shape[1], rks.dim, sigmas[rks.sigma, rks.seed], rks.seed)
+            except ValueError as exc:
+                raise DataError(f"random-feature map: {exc}") from None
+            model = _train(run_cfg, transform(rks_map, train_F), train_y)
+            model.rks = rks_map
         results.append((model, evaluate(model, test_corpus, test_F)))
     return results
 
@@ -488,61 +486,83 @@ class ExperimentResult:
     model: object
 
 
-def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> ExperimentResult:
-    """Train per config and evaluate on the test corpus (a one-config
-    ``sweep_reports``), then emit artifacts.
+def _feature_settings(cfg: ExperimentConfig) -> ExperimentConfig:
+    """``cfg`` with the fields that only training or the artifacts read
+    reset, so a field not listed here keeps configs from sharing features."""
+    training = ("name", "out_dir", "classifier", "rks", "lam", "C", "svm_epochs", "lr",
+                "logreg_epochs", "l2", "var_floor", "seed")
+    return replace(cfg, **dict.fromkeys(training))
 
-    All outputs are computed before anything is written, then written via
-    rename, so a failed run leaves no partial report files.
-    """
-    train_corpus, test_corpus, train_F, test_F = _prepare(cfg)
-    [(model, report)] = sweep_reports(train_corpus, test_corpus, train_F, test_F, [cfg])
 
-    manifest = {
-        "name": cfg.name,
-        "package": {"name": "offdetect", "version": __version__},
-        "feature": {
-            "kind": cfg.feature,
-            "d": cfg.hodmd_d if cfg.feature in ("dmd", "hodmd") else None,
-            "r_max": cfg.r_max if cfg.feature in ("dmd", "hodmd") else None,
-            "sv_rel_tol": cfg.sv_rel_tol if cfg.feature in ("dmd", "hodmd") else None,
-            "dim": train_F.shape[1],
-        },
-        "rks": None
-        if cfg.rks is None
-        else {
-            "dim": cfg.rks.dim,
-            "sigma": model.rks.sigma,
-            "sigma_spec": "median" if cfg.rks.sigma is None else "fixed",
-            "seed": cfg.rks.seed,
-            "prng": PRNG_ID,
-        },
-        "classifier": {"kind": cfg.classifier, **_classifier_hyper(cfg)},
-        "seeds": {
-            "train": cfg.seed,
-            "rks": None if cfg.rks is None else cfg.rks.seed,
-        },
-        "inputs": {
+def run_experiments(cfgs: list[ExperimentConfig], write_files: bool = True) -> list[ExperimentResult]:
+    """Train and evaluate each config, then write its artifacts (via
+    rename); one result per config, in input order.  All configs are
+    validated before any data loads.  Configs with equal feature settings
+    share one ``_prepare``, input checksum pass and ``sweep_reports`` call,
+    group by group in first-seen order, and a group's files are written only
+    once all of it is fitted: a failure stops the call there."""
+    for cfg in cfgs:
+        cfg.validate()
+    groups: dict[ExperimentConfig, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(_feature_settings(cfg), []).append(i)
+    results: list = [None] * len(cfgs)
+    for settings, members in groups.items():
+        train_corpus, test_corpus, train_F, test_F = _prepare(cfgs[members[0]])
+        fitted = sweep_reports(train_corpus, test_corpus, train_F, test_F, [cfgs[i] for i in members])
+        dim = train_F.shape[1]
+        counts = {"train_records": len(train_corpus), "test_records": len(test_corpus)}
+        del train_corpus, test_corpus, train_F, test_F
+        inputs = {
             key: {"path": str(path), "sha256": _sha256(path)}
-            for key, path in sorted(cfg.input_paths().items())
-        },
-        "corpus": {
-            "train_records": len(train_corpus),
-            "test_records": len(test_corpus),
-        },
-    }
+            for key, path in sorted(settings.input_paths().items())
+        }
+        for i, (model, report) in zip(members, fitted):
+            cfg = cfgs[i]
+            manifest = {
+                "name": cfg.name,
+                "package": {"name": "offdetect", "version": __version__},
+                "feature": {
+                    "kind": cfg.feature,
+                    "d": cfg.hodmd_d if cfg.feature in ("dmd", "hodmd") else None,
+                    "r_max": cfg.r_max if cfg.feature in ("dmd", "hodmd") else None,
+                    "sv_rel_tol": cfg.sv_rel_tol if cfg.feature in ("dmd", "hodmd") else None,
+                    "dim": dim,
+                },
+                "rks": None
+                if cfg.rks is None
+                else {
+                    "dim": cfg.rks.dim,
+                    "sigma": model.rks.sigma,
+                    "sigma_spec": "median" if cfg.rks.sigma is None else "fixed",
+                    "seed": cfg.rks.seed,
+                    "prng": PRNG_ID,
+                },
+                "classifier": {"kind": cfg.classifier, **_classifier_hyper(cfg)},
+                "seeds": {
+                    "train": cfg.seed,
+                    "rks": None if cfg.rks is None else cfg.rks.seed,
+                },
+                "inputs": inputs,
+                "corpus": counts,
+            }
+            results[i] = ExperimentResult(report=report, manifest=manifest, model=model)
+            if write_files:
+                tsv, text = render_report([(cfg.name, report)])
+                model_file = io.BytesIO()
+                save_model(model, model_file)
+                write_artifacts(cfg.out_dir, {
+                    "report.tsv": tsv,
+                    "report.txt": text,
+                    "manifest.json": json.dumps(manifest, sort_keys=True, indent=2) + "\n",
+                    "model.offd": model_file.getvalue(),
+                })
+    return results
 
-    if write_files:
-        tsv, text = render_report([(cfg.name, report)])
-        model_file = io.BytesIO()
-        save_model(model, model_file)
-        write_artifacts(cfg.out_dir, {
-            "report.tsv": tsv,
-            "report.txt": text,
-            "manifest.json": json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-            "model.offd": model_file.getvalue(),
-        })
-    return ExperimentResult(report=report, manifest=manifest, model=model)
+
+def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> ExperimentResult:
+    """``run_experiments`` of the one config ``cfg``."""
+    return run_experiments([cfg], write_files)[0]
 
 
 def write_artifacts(out_dir, files: dict[str, str | bytes]) -> None:

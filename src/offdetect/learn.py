@@ -308,7 +308,8 @@ def train_logreg(
     The step is the requested rate capped at the loss's curvature bound
     1 / (sigma_max(X)^2 / 4n + l2), so a large regularizer cannot
     destabilize the descent.  Optimization starts from zero weights; the
-    seed only tags the run.
+    seed only tags the run.  Features so large that the step bound or the
+    weights overflow raise NumericError.
     """
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError(f"learning rate must be positive, got {lr}")
@@ -319,23 +320,31 @@ def train_logreg(
     X, y = _training_pair(F, y)
     _require_two_classes(y)
     Xa = _augment(X)
-    if min(Xa.shape) <= 2000:
-        top_sv = np.linalg.svd(Xa, compute_uv=False)[0]
-        smoothness = top_sv**2 / (4.0 * Xa.shape[0]) + l2
-    else:
-        smoothness = np.sum(Xa * Xa) / (4.0 * Xa.shape[0]) + l2
+    # an overflow is reported by the NumericError below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if min(Xa.shape) <= 2000:
+            top_sv = np.linalg.svd(Xa, compute_uv=False)[0]
+            smoothness = top_sv**2 / (4.0 * Xa.shape[0]) + l2
+        else:
+            smoothness = np.sum(Xa * Xa) / (4.0 * Xa.shape[0]) + l2
+    if not math.isfinite(smoothness):
+        raise NumericError("logistic step bound overflows: features too large")
     step = min(lr, 1.0 / smoothness)
     w_full = np.zeros(Xa.shape[1])
     for _ in range(epochs):
         _, grad = logreg_loss_grad(w_full, Xa, y, l2)
         w_full -= step * grad
+    if not np.isfinite(w_full).all():
+        raise NumericError("logistic regression gave non-finite weights")
     w, bias = w_full[:-1], float(w_full[-1])
     hyper = {"lr": float(lr), "epochs": int(epochs), "l2": float(l2), "seed": int(seed)}
     return LinearModel(kind="logreg", w=w, bias=bias, hyper=hyper)
 
 
 def train_gnb(F, y, var_floor: float = 1e-9) -> GnbModel:
-    """Per-class diagonal Gaussians with a variance floor; priors from counts."""
+    """Per-class diagonal Gaussians with a variance floor; priors from counts.
+    Features so large that a class mean or variance overflows raise
+    NumericError."""
     if not (math.isfinite(var_floor) and var_floor > 0):
         raise ValueError(f"variance floor must be positive, got {var_floor}")
     X, y = _training_pair(F, y)
@@ -343,14 +352,19 @@ def train_gnb(F, y, var_floor: float = 1e-9) -> GnbModel:
     means = []
     variances = []
     priors = []
-    for sign in (+1.0, -1.0):
-        rows = X[y == sign]
-        means.append(rows.mean(axis=0))
-        variances.append(np.maximum(rows.var(axis=0), var_floor))
-        priors.append(rows.shape[0] / X.shape[0])
+    # an overflow is reported by the NumericError below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sign in (+1.0, -1.0):
+            rows = X[y == sign]
+            means.append(rows.mean(axis=0))
+            variances.append(np.maximum(rows.var(axis=0), var_floor))
+            priors.append(rows.shape[0] / X.shape[0])
+    means, variances = np.array(means), np.array(variances)
+    if not (np.isfinite(means).all() and np.isfinite(variances).all()):
+        raise NumericError("class means or variances overflow: features too large")
     return GnbModel(
-        means=np.array(means),
-        variances=np.array(variances),
+        means=means,
+        variances=variances,
         priors=np.array(priors),
         var_floor=float(var_floor),
     )

@@ -339,6 +339,36 @@ class TestSweep:
         for lo, hi in zip(accs, accs[1:]):
             assert hi >= lo - 2.0
 
+    def test_each_lift_gets_the_bandwidth_it_gets_alone(self, mini_dir, monkeypatch):
+        # fewer median-heuristic rows than the 140 training rows, so the
+        # lift seed picks the subsample and seeds 0 and 7 give different bandwidths
+        from dataclasses import replace
+        from pathlib import Path
+
+        from offdetect import rks
+        from offdetect.experiment import ExperimentConfig, RksSpec, _prepare, sweep_reports
+
+        monkeypatch.setattr(rks, "MEDIAN_MAX_POINTS", 50)
+        cfg = ExperimentConfig(
+            name="mixed",
+            train_tsv=mini_dir / "train.tsv",
+            test_tsv=mini_dir / "test.tsv",
+            test_labels=mini_dir / "test_labels.csv",
+            precomputed_file=mini_dir / "precomputed.txt",
+            feature="precomputed",
+            classifier="rlsc",
+            out_dir=Path("unused"),
+        )
+        data = _prepare(cfg)
+        specs = [RksSpec(dim=16, sigma=2.0), RksSpec(dim=16, seed=0), RksSpec(dim=16, seed=7)]
+        cfgs = [replace(cfg, rks=spec) for spec in specs]
+        together = sweep_reports(*data, cfgs)
+        alone = [sweep_reports(*data, [run_cfg])[0] for run_cfg in cfgs]
+        sigmas = [model.rks.sigma for model, _ in alone]
+        assert sigmas[0] == 2.0 and len(set(sigmas)) == 3
+        assert [model.rks.sigma for model, _ in together] == sigmas
+        assert [r.as_tuple() for _, r in together] == [r.as_tuple() for _, r in alone]
+
     def test_csv_lines_format(self):
         lines = sweep_csv_lines([(0.1, 83.333333), (1000.0, 91.0)])
         assert lines[0] == "C,accuracy"

@@ -1,8 +1,10 @@
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from offdetect.experiment import (
     load_corpora,
     parse_config,
     run_experiment,
+    run_experiments,
 )
 from offdetect.learn import predict
 from offdetect.model_io import load_model
@@ -274,6 +277,77 @@ class TestRunExperiment:
         with pytest.raises(DataError):
             run_experiment(parse_config(cfg_path))
         assert not (tmp_path / "f" / "report.tsv").exists()
+
+
+def counting(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so each call is appended to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(a) or original(*a, **k))
+    return calls
+
+
+class TestRunExperiments:
+    def mixed_configs(self, mini_dir, root):
+        # two feature modes, repeated out of order; fixed and median
+        # bandwidths; two lift seeds
+        base = ExperimentConfig(
+            name="", train_tsv=mini_dir / "train.tsv", test_tsv=mini_dir / "test.tsv",
+            test_labels=mini_dir / "test_labels.csv", vec_file=mini_dir / "toy.vec",
+            precomputed_file=mini_dir / "precomputed.txt", feature="avg", classifier="rlsc",
+            out_dir=root, C=10.0, svm_epochs=60,
+        )
+        cells = {
+            "avg-svm": dict(classifier="svm"),
+            "pre-fixed": dict(feature="precomputed", rks=RksSpec(dim=32, sigma=2.0)),
+            "avg-median0": dict(rks=RksSpec(dim=32)),
+            "pre-logreg": dict(feature="precomputed", classifier="logreg"),
+            "avg-median7": dict(rks=RksSpec(dim=16, seed=7)),
+            "pre-median7": dict(feature="precomputed", classifier="svm", rks=RksSpec(dim=32, seed=7)),
+            "avg-gnb": dict(classifier="gnb"),
+        }
+        return [replace(base, name=name, out_dir=root / name, **kw) for name, kw in cells.items()]
+
+    def test_mixed_list_matches_one_run_per_config(self, tmp_path, mini_dir, monkeypatch):
+        from offdetect import experiment, rks
+        from offdetect.model_io import save_model
+
+        # fewer median-heuristic rows than training rows, so the lift seeds matter
+        monkeypatch.setattr(rks, "MEDIAN_MAX_POINTS", 50)
+        prepared = counting(monkeypatch, experiment, "_prepare")
+        grouped = run_experiments(self.mixed_configs(mini_dir, tmp_path / "grouped"))
+        assert [cfg.feature for cfg, *_ in prepared] == ["avg", "precomputed"]
+        single = [run_experiment(cfg) for cfg in self.mixed_configs(mini_dir, tmp_path / "single")]
+        assert len({r.manifest["rks"]["sigma"] for r in single if r.manifest["rks"]}) == 4
+
+        def as_bytes(result):
+            model_file = io.BytesIO()
+            save_model(result.model, model_file)
+            return result.report.as_tuple(), result.manifest, model_file.getvalue()
+
+        assert [as_bytes(r) for r in grouped] == [as_bytes(r) for r in single]
+        for cfg in self.mixed_configs(mini_dir, tmp_path):
+            for name in ("report.tsv", "report.txt", "manifest.json", "model.offd"):
+                grouped_file = tmp_path / "grouped" / cfg.name / name
+                assert grouped_file.read_bytes() == (tmp_path / "single" / cfg.name / name).read_bytes()
+
+    def test_invalid_config_fails_before_any_data_loads(self, tmp_path, mini_dir, monkeypatch):
+        from offdetect import experiment
+
+        prepared = counting(monkeypatch, experiment, "_prepare")
+        good, bad = self.mixed_configs(mini_dir, tmp_path)[:2]
+        with pytest.raises(DataError, match="C must be positive"):
+            run_experiments([good, replace(bad, C=-1.0)])
+        assert prepared == [] and not tmp_path.joinpath(good.name).exists()
+
+    def test_failing_group_writes_nothing_and_stops_the_call(self, tmp_path, mini_dir):
+        avg_svm, pre_fixed, avg_median0, *_ = self.mixed_configs(mini_dir, tmp_path)
+        pre_fixed = replace(pre_fixed, precomputed_file=tmp_path / "missing.txt")
+        with pytest.raises(DataError, match="no such file"):
+            run_experiments([avg_svm, pre_fixed, replace(pre_fixed, name="other"), avg_median0])
+        assert (tmp_path / avg_svm.name / "report.tsv").is_file()
+        assert (tmp_path / avg_median0.name / "report.tsv").is_file()
+        assert not (tmp_path / pre_fixed.name).exists()
 
 
 class TestFeaturize:
@@ -588,8 +662,11 @@ class TestCli:
         cfg_path.write_text(text)
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o6")]) == 3
 
-    def test_overflowing_ridge_solve_exits_3(self, tmp_path, mini_dir, capsys):
-        # one precomputed value of 1e200 is finite, but its square is not
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("classifier", ["rlsc", "logreg", "gnb"])
+    def test_overflowing_ridge_solve_exits_3(self, tmp_path, mini_dir, capsys, classifier):
+        # one precomputed value of 1e200 is finite, but its square is not:
+        # the Gram matrix, logreg's step bound and gnb's variances overflow
         lines = (mini_dir / "precomputed.txt").read_text(encoding="utf-8").splitlines()
         tweet_id, first, *rest = lines[0].split()
         table = tmp_path / "precomputed.txt"
@@ -597,11 +674,37 @@ class TestCli:
         cfg_path = write_config(tmp_path / "huge.cfg", mini_dir)
         text = cfg_path.read_text().replace(f"{mini_dir}/precomputed.txt", str(table))
         text = text.replace("feature = avg", "feature = precomputed")
-        cfg_path.write_text(text.replace("classifier = svm", "classifier = rlsc"))
+        cfg_path.write_text(text.replace("classifier = svm", f"classifier = {classifier}"))
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure:") and "Traceback" not in err
+        assert "RuntimeWarning" not in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_dmd_feature_names_its_tweet(self, tmp_path, mini_dir, capsys):
+        # one word-vector value of 1e200 is finite, but the DMD features of
+        # tweets with that word are not
+        lines = (mini_dir / "toy.vec").read_text(encoding="utf-8").splitlines()
+        word, first, *rest = lines[1].split()
+        table = tmp_path / "toy.vec"
+        table.write_text("\n".join([lines[0], " ".join([word, "1e200", *rest]), *lines[2:]]) + "\n")
+        cfg_path = write_config(tmp_path / "huge.cfg", mini_dir)
+        text = cfg_path.read_text().replace(f"{mini_dir}/toy.vec", str(table))
+        cfg_path.write_text(text.replace("feature = avg", "feature = dmd"))
+        cfg = parse_config(cfg_path)
+        train, _ = load_corpora(cfg)
+        pipeline = build_pipeline(cfg, [train])
+        first_with_word = next(
+            rec.id for rec, toks in zip(train.records, pipeline._tokens(train)) if word in toks
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"data error: tweet {first_with_word!r}: feature is not finite (word vectors too large)\n"
+        )
         assert not out.exists()
 
     def test_numeric_error_in_a_featurize_worker_exits_3(self, tmp_path, mini_dir, capsys, monkeypatch):
@@ -644,14 +747,26 @@ class TestCli:
         assert manifest["seeds"]["train"] == 77
 
 
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_mini_experiments.py"
+
+
 class TestMiniScript:
-    def test_c_sweep_matches_the_cli(self, tmp_path, mini_dir):
-        script = Path(__file__).resolve().parent.parent / "scripts" / "run_mini_experiments.py"
-        proc = subprocess.run(
-            [sys.executable, str(script), "--out", str(tmp_path / "script")],
-            capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
+    def test_c_sweep_matches_the_cli(self, tmp_path, mini_dir, monkeypatch, capsys):
+        # in-process, counting the work: one _prepare per feature setting
+        # (avg, precomputed, dmd, hodmd-d2, hodmd-d3) plus the C sweep's own
+        import runpy
+
+        from offdetect import experiment
+
+        prepared = counting(monkeypatch, experiment, "_prepare")
+        featurized = counting(monkeypatch, experiment.FeaturePipeline, "featurize")
+        trained = counting(monkeypatch, experiment, "_train")
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--out", str(tmp_path / "script")])
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+        monkeypatch.undo()
+        assert (len(prepared), len(featurized), len(trained)) == (6, 12, 24)
+        assert capsys.readouterr().out.startswith("== baseline classifiers ==\n")
         cfg_path = tmp_path / "dmd.cfg"
         cfg_path.write_text(
             f"train_tsv = {mini_dir}/train.tsv\ntest_tsv = {mini_dir}/test.tsv\n"
@@ -663,6 +778,41 @@ class TestMiniScript:
         assert main(argv + ["--out", str(tmp_path / "cli")]) == 0
         written = (tmp_path / "script" / "dmd-c-sweep" / "sweep_C.csv").read_bytes()
         assert written == (tmp_path / "cli" / "sweep_C.csv").read_bytes()
+
+
+class TestWarningsAsErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                pytest.param(["-m", "offdetect", "run", "--config", str(cfg)], id=f"run-{cfg.stem}")
+                for cfg in sorted(CONFIGS.glob("*.cfg"))
+            ),
+            *(
+                pytest.param(
+                    ["-m", "offdetect", "sweep", "--config", str(CONFIGS / f"{cfg}.cfg"), option, values],
+                    id=f"sweep{option[7:]}-{cfg}",
+                )
+                for cfg, option, values in [
+                    ("avg_svm", "--sweep-C", "0.1,1,100,500,1000"),
+                    ("dmd_svm", "--sweep-C", "0.1,1,100,500,1000"),
+                    ("hodmd2_rks_rlsc", "--sweep-dim", "16,32,64,200"),
+                    ("precomputed_rks_rlsc", "--sweep-dim", "16,32,64,200"),
+                ]
+            ),
+            pytest.param([str(SCRIPT)], id=SCRIPT.stem),
+        ],
+    )
+    def test_shipped_path_runs_clean(self, tmp_path, argv):
+        # every shipped command under python's development mode with all
+        # warnings as errors: exit 0 and nothing at all on stderr
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", *argv, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestModuleEntryPoint:
