@@ -663,10 +663,11 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o6")]) == 3
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("classifier", ["rlsc", "logreg", "gnb"])
+    @pytest.mark.parametrize("classifier", ["rlsc", "logreg", "gnb", "svm"])
     def test_overflowing_ridge_solve_exits_3(self, tmp_path, mini_dir, capsys, classifier):
         # one precomputed value of 1e200 is finite, but its square is not:
-        # the Gram matrix, logreg's step bound and gnb's variances overflow
+        # the Gram matrix, logreg's step bound, gnb's variances and the
+        # svm's margins overflow
         lines = (mini_dir / "precomputed.txt").read_text(encoding="utf-8").splitlines()
         tweet_id, first, *rest = lines[0].split()
         table = tmp_path / "precomputed.txt"
@@ -827,7 +828,8 @@ class TestModuleEntryPoint:
         assert (tmp_path / "pm_out" / "report.tsv").is_file()
 
     def test_cli_import_leaves_out_scipy_spatial_and_sparse(self):
-        # scipy.spatial is for median_heuristic_sigma alone; nothing uses scipy.sparse
+        # the median-heuristic lift computes distances with numpy alone, and
+        # nothing uses scipy.sparse
         code = (
             "import sys, offdetect.cli; "
             "print(sorted(m for m in ('scipy.spatial', 'scipy.sparse') if m in sys.modules))"
@@ -838,43 +840,36 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_only_ridge_runs_import_scipy(self, tmp_path):
-        # one process runs the commands in order and lists the scipy modules
-        # loaded after each; the rlsc run comes last, so the cases before it
-        # cannot see a module it loaded
+    def test_no_command_imports_scipy(self, tmp_path):
+        # one process runs every command, the ridge solves and both lift
+        # modes included, and then lists the scipy modules it has loaded
         configs = Path(__file__).resolve().parent.parent / "configs"
         out = tmp_path / "out"
 
-        def command(name, cfg, sub):
-            return [name, "--config", str(configs / cfg), "--out", str(out / sub)]
+        def command(name, cfg, sub, *extra):
+            return [name, "--config", str(configs / cfg), "--out", str(out / sub), *extra]
 
-        commands = {
-            "import": None,
-            "run avg/svm": command("run", "avg_svm.cfg", "avg"),
-            "run dmd/svm": command("run", "dmd_svm.cfg", "dmd"),
-            "export-features": command("export-features", "avg_svm.cfg", "export"),
-            "inspect-model": ["inspect-model", str(out / "avg" / "model.offd")],
-            "run hodmd/rlsc": command("run", "hodmd2_rks_rlsc.cfg", "rlsc"),
-        }
+        commands = [
+            command("run", "hodmd2_rks_rlsc.cfg", "hodmd"),
+            command("run", "precomputed_rks_rlsc.cfg", "precomputed"),
+            command("run", "dmd_svm.cfg", "dmd"),
+            command("sweep", "precomputed_rks_rlsc.cfg", "sweep-dim", "--sweep-dim", "16,32"),
+            command("sweep", "avg_svm.cfg", "sweep-C", "--sweep-C", "1,10"),
+            command("export-features", "hodmd2_rks_rlsc.cfg", "export"),
+            ["inspect-model", str(out / "hodmd" / "model.offd")],
+        ]
         code = (
             "import json, sys\n"
             "from offdetect.cli import main\n"
-            "loaded = {}\n"
-            f"for case, argv in json.loads({json.dumps(json.dumps(commands))}).items():\n"
-            "    assert argv is None or main(argv) == 0, case\n"
-            "    loaded[case] = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "sys.stderr.write(json.dumps(loaded))\n"
+            f"for argv in json.loads({json.dumps(json.dumps(commands))}):\n"
+            "    assert main(argv) == 0, argv\n"
+            "sys.stderr.write(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        loaded = json.loads(proc.stderr)
-        for case in list(commands)[:-1]:
-            assert loaded[case] == [], case
-        assert "scipy.linalg" in loaded["run hodmd/rlsc"]
-        # its median-heuristic lift computes distances with numpy alone
-        assert not any(m.startswith("scipy.spatial") for m in loaded["run hodmd/rlsc"])
+        assert json.loads(proc.stderr) == []
 
     @pytest.mark.parametrize(
         "command", [["run"], ["sweep", "--sweep-dim", "16,32"]], ids=["run", "sweep-dim"]

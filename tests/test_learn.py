@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from offdetect.errors import DataError, NumericError
 from offdetect.learn import (
+    _CHOLESKY_BLOCK,
+    _cholesky_in_place,
+    _cholesky_solve,
     logreg_loss_grad,
     predict,
     svm_objective,
@@ -131,12 +134,20 @@ class TestRlsc:
     @pytest.mark.parametrize("fit_intercept", [True, False])
     def test_bit_identical_to_explicit_system(self, layout, fit_intercept):
         # the smaller Gram matrix is built in place, shifted and factored in
-        # place; the weights are those of factoring the explicitly formed
-        # system: X^T X + lam I (60 rows, no more unknowns than rows) or
-        # X X^T + lam I (12 rows), and with an intercept the bordered
-        # [[X^T X, X^T 1], [1^T X, n]] + lam I with right-hand side
-        # [X^T y, sum y], or X X^T + 1 1^T + lam I with w = [X^T a, sum a]
+        # place; the weights are those of the module's own factor and solve
+        # applied to the explicitly formed system: X^T X + lam I (60 rows,
+        # no more unknowns than rows) or X X^T + lam I (12 rows), and with
+        # an intercept the bordered [[X^T X, X^T 1], [1^T X, n]] + lam I
+        # with right-hand side [X^T y, sum y], or X X^T + 1 1^T + lam I with
+        # w = [X^T a, sum a].  scipy's LAPACK solve of the same system is
+        # the independent oracle, to rounding
         import scipy.linalg
+
+        def explicit_solve(gram, rhs):
+            return _cholesky_solve(_cholesky_in_place(gram.copy()), rhs)
+
+        def scipy_solve(gram, rhs):
+            return scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs)
 
         rng = np.random.default_rng(4)
         lam = 0.05
@@ -145,6 +156,7 @@ class TestRlsc:
             X = {"C": X, "F": np.asfortranarray(X), "strided": X[:, ::2]}[layout]
             y = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
             model = train_rlsc(X, y, lam=lam, fit_intercept=fit_intercept)
+            got = np.append(model.w, model.bias) if fit_intercept else model.w
             if rows == 60:
                 gram, rhs = X.T @ X, X.T @ y
                 if fit_intercept:
@@ -152,14 +164,66 @@ class TestRlsc:
                     gram = np.block([[gram, col_sums], [col_sums.T, np.full((1, 1), rows)]])
                     rhs = np.append(rhs, y.sum())
                 gram = gram + lam * np.eye(len(gram))
-                expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs)
+                expected, oracle = explicit_solve(gram, rhs), scipy_solve(gram, rhs)
             else:
                 gram = X @ X.T + 1.0 if fit_intercept else X @ X.T
                 gram = gram + lam * np.eye(rows)
-                a = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), y)
+                a, a_oracle = explicit_solve(gram, y), scipy_solve(gram, y)
                 expected = np.append(X.T @ a, a.sum()) if fit_intercept else X.T @ a
-            got = np.append(model.w, model.bias) if fit_intercept else model.w
+                oracle = X.T @ a_oracle
+                oracle = np.append(oracle, a_oracle.sum()) if fit_intercept else oracle
             assert np.array_equal(got, expected)
+            assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    @pytest.mark.parametrize("system", ["primal", "dual"])
+    @pytest.mark.parametrize(
+        "size",
+        [1, _CHOLESKY_BLOCK - 1, _CHOLESKY_BLOCK, _CHOLESKY_BLOCK + 1, 2 * _CHOLESKY_BLOCK + 3],
+    )
+    def test_blocked_solve_matches_lapack(self, size, system, fit_intercept):
+        # k unknowns (primal) or n rows (dual) at and around the block
+        # boundaries of the factorization: one block, a full one, one
+        # column past it, and two full blocks plus a partial one
+        import scipy.linalg
+
+        rng = np.random.default_rng(size)
+        lam = 0.1
+        if system == "primal":
+            dim = size - 1 if fit_intercept else size
+            rows = 2 * size + 5
+        else:
+            rows, dim = size, size + 7
+        X = rng.normal(size=(rows, dim))
+        y = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
+        model = train_rlsc(X, y, lam=lam, fit_intercept=fit_intercept)
+        Xa = np.hstack([X, np.ones((rows, 1))]) if fit_intercept else X
+        if system == "primal":
+            gram = Xa.T @ Xa + lam * np.eye(Xa.shape[1])
+            expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), Xa.T @ y)
+        else:
+            gram = Xa @ Xa.T + lam * np.eye(rows)
+            expected = Xa.T @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), y)
+        got = np.append(model.w, model.bias) if fit_intercept else model.w
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("bad", [0, _CHOLESKY_BLOCK + 1, 2 * _CHOLESKY_BLOCK + 2])
+    def test_indefinite_matrix_raises(self, bad):
+        # a negative pivot in the first, second or last block of columns
+        rng = np.random.default_rng(bad)
+        M = rng.normal(size=(2 * _CHOLESKY_BLOCK + 3, 300))
+        a = M @ M.T
+        a[bad, bad] = -1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky_in_place(a)
+
+    def test_indefinite_gram_is_numeric_error(self):
+        # two equal columns and a ridge too small to register: the Gram
+        # matrix [[4, 4], [4, 4]] has an exactly zero second pivot
+        X = np.ones((4, 2))
+        y = np.array([1.0, -1.0, 1.0, -1.0])
+        with pytest.raises(NumericError, match="solve failed"):
+            train_rlsc(X, y, lam=1e-300, fit_intercept=False)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -188,13 +252,13 @@ class TestRlsc:
     @pytest.mark.parametrize("rows, cols", [(300, 1200), (1200, 300)])
     def test_peak_memory_holds_no_widened_copy(self, rows, cols):
         # the dual (300 rows) and the primal (1200 rows) solve hold X, one
-        # Gram matrix, which LAPACK factors in place, and transients such as
-        # the (rows, cols) finiteness mask; an (n, dim + 1) copy of X held
-        # next to its Gram matrix exceeds the bound
+        # Gram matrix, which is factored in place, and transients such as
+        # the (rows, cols) finiteness mask and one panel of the blocked
+        # factorization; an (n, dim + 1) copy of X held next to its Gram
+        # matrix exceeds the bound
         rng = np.random.default_rng(5)
         X = rng.normal(size=(rows, cols))
         y = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
-        train_rlsc(X[:4, :2], y[:4])  # the first call imports scipy.linalg
         gram_bytes = min(rows, cols + 1) ** 2 * X.itemsize
         tracemalloc.start()
         try:
