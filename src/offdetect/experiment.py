@@ -423,7 +423,13 @@ def sweep_reports(
     carries the map.  A median-heuristic bandwidth is fitted once per lift
     seed, so each config gets the bandwidth it gets alone.  Every map is
     checked against the entry cap before the first config is trained, and a
-    recipe ``sample_map`` refuses is a DataError."""
+    recipe ``sample_map`` refuses is a DataError.
+
+    The configs are fitted widest training matrix first (the lift dimension,
+    else the feature dimension; ties in input order), so the largest
+    allocation comes before any smaller fit leaves freed memory behind.
+    Results stay in input order; when several configs fail, the widest
+    one's error is raised."""
     train_y = labels_to_signs(train_corpus)
     for run_cfg in run_cfgs:
         if run_cfg.rks is not None:
@@ -431,9 +437,11 @@ def sweep_reports(
                 check_map_size(train_F.shape[1], run_cfg.rks.dim)
             except ValueError as exc:
                 raise DataError(f"random-feature map: {exc}") from None
+    widths = [train_F.shape[1] if c.rks is None else c.rks.dim for c in run_cfgs]
     sigmas: dict[tuple, float] = {}  # (rks_sigma, rks_seed) -> bandwidth
-    results = []
-    for run_cfg in run_cfgs:
+    results: list = [None] * len(run_cfgs)
+    for i in sorted(range(len(run_cfgs)), key=lambda i: -widths[i]):
+        run_cfg = run_cfgs[i]
         rks = run_cfg.rks
         if rks is None:
             model = _train(run_cfg, train_F, train_y)
@@ -446,7 +454,7 @@ def sweep_reports(
                 raise DataError(f"random-feature map: {exc}") from None
             model = _train(run_cfg, transform(rks_map, train_F), train_y)
             model.rks = rks_map
-        results.append((model, evaluate(model, test_corpus, test_F)))
+        results[i] = (model, evaluate(model, test_corpus, test_F))
     return results
 
 

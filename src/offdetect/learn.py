@@ -64,10 +64,13 @@ class GnbModel:
 
 
 def _as_matrix(F) -> np.ndarray:
+    """``F`` as a 2-d float64 array, without a copy when it is one already;
+    a non-finite entry is a DataError.  The check holds no mask: a nan
+    makes the minimum and the maximum nan, and an infinity is one of them."""
     values = np.asarray(F, dtype=np.float64)
     if values.ndim != 2:
         raise DataError(f"feature matrix must be 2-d, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
+    if values.size and not (math.isfinite(values.min()) and math.isfinite(values.max())):
         raise DataError("feature matrix contains non-finite entries")
     return values
 
@@ -440,7 +443,8 @@ def predict(model, F) -> list[tuple[str, float]]:
     """Per-row (label, raw score); score >= 0 reads as OFF.
 
     A LinearModel with an embedded random-feature map expects raw inputs of
-    the map's input dimension and lifts them before scoring.
+    the map's input dimension and lifts them before scoring; inputs that
+    the lift overflows are a DataError, as non-finite inputs are.
     """
     X = _as_matrix(F)
     if isinstance(model, LinearModel):
@@ -449,7 +453,7 @@ def predict(model, F) -> list[tuple[str, float]]:
                 raise DataError(
                     f"feature dim {X.shape[1]} does not match map input {model.rks.d_in}"
                 )
-            X = transform(model.rks, X)
+            X = _as_matrix(transform(model.rks, X))
         if X.shape[1] != model.w.shape[0]:
             raise DataError(f"feature dim {X.shape[1]} does not match model dim {model.w.shape[0]}")
         scores = X @ model.w + model.bias

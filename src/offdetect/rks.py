@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
+
 __all__ = [
     "PRNG_ID",
     "MAX_MAP_ENTRIES",
@@ -92,16 +94,24 @@ def transform(rks: RksMap, x: np.ndarray) -> np.ndarray:
     """Map one vector (d_in,) or a batch (n, d_in) into Z-space (.., 2k).
 
     Layout is the cos block followed by the sin block; every output row has
-    unit Euclidean norm by the Pythagorean identity.
+    unit Euclidean norm by the Pythagorean identity.  The projection is
+    written into the sin block, cos is taken from it into the cos block,
+    then sin in place, so the output is the only array allocated.  A
+    projection past the float range gives non-finite entries without a
+    numpy warning; the trainers' and ``predict``'s finiteness check reports
+    them.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != rks.d_in:
         raise ValueError(f"expected input dim {rks.d_in}, got {x.shape[-1]}")
-    proj = x @ rks.omega
-    z = np.empty(proj.shape[:-1] + (rks.dim_out,))
-    np.cos(proj, out=z[..., : rks.k])
-    np.sin(proj, out=z[..., rks.k :])
-    z *= np.sqrt(1.0 / rks.k)
+    k = rks.k
+    z = np.empty(x.shape[:-1] + (rks.dim_out,))
+    proj = z[..., k:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(x, rks.omega, out=proj)
+        np.cos(proj, out=z[..., :k])
+        np.sin(proj, out=proj)
+    z *= np.sqrt(1.0 / k)
     return z
 
 
@@ -119,7 +129,8 @@ def median_heuristic_sigma(sample: np.ndarray, seed: int = 0) -> float:
     unless most distances are many orders of magnitude shorter than the
     rows' spread about their mean.  Identical rows give identical Gram
     entries, so their distance is exactly 0.  Falls back to 1.0 when the median
-    distance is zero (e.g. all points identical).
+    distance is zero (e.g. all points identical).  Rows so large that the
+    Gram matrix or the median overflows raise NumericError.
     """
     sample = np.asarray(sample, dtype=np.float64)
     if sample.ndim != 2 or sample.shape[0] < 2:
@@ -128,10 +139,17 @@ def median_heuristic_sigma(sample: np.ndarray, seed: int = 0) -> float:
         rng = np.random.default_rng(seed)
         idx = rng.choice(sample.shape[0], size=MEDIAN_MAX_POINTS, replace=False)
         sample = sample[np.sort(idx)]
-    centered = sample - sample.mean(axis=0)
-    gram = centered @ centered.T
-    sq_norms = gram.diagonal()
-    i, j = np.triu_indices(len(gram), k=1)
-    sq_dist = sq_norms[i] + sq_norms[j] - 2.0 * gram[i, j]
-    median = float(np.median(np.sqrt(np.maximum(sq_dist, 0.0, out=sq_dist))))
+    # an overflow is reported by the NumericError below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = sample - sample.mean(axis=0)
+        gram = centered @ centered.T
+        sq_norms = gram.diagonal()
+        i, j = np.triu_indices(len(gram), k=1)
+        sq_dist = sq_norms[i] + sq_norms[j] - 2.0 * gram[i, j]
+        median = float(np.median(np.sqrt(np.maximum(sq_dist, 0.0, out=sq_dist))))
+        # overflowing rows can leave the median finite (rounded to 0, say),
+        # but not the Gram sum
+        finite = math.isfinite(gram.sum()) and math.isfinite(median)
+    if not finite:
+        raise NumericError("median-heuristic bandwidth overflows: features too large")
     return median if median > 0.0 else 1.0

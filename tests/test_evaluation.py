@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -339,17 +341,13 @@ class TestSweep:
         for lo, hi in zip(accs, accs[1:]):
             assert hi >= lo - 2.0
 
-    def test_each_lift_gets_the_bandwidth_it_gets_alone(self, mini_dir, monkeypatch):
-        # fewer median-heuristic rows than the 140 training rows, so the
-        # lift seed picks the subsample and seeds 0 and 7 give different bandwidths
-        from dataclasses import replace
+    @staticmethod
+    def mini_precomputed_config(mini_dir):
         from pathlib import Path
 
-        from offdetect import rks
-        from offdetect.experiment import ExperimentConfig, RksSpec, _prepare, sweep_reports
+        from offdetect.experiment import ExperimentConfig
 
-        monkeypatch.setattr(rks, "MEDIAN_MAX_POINTS", 50)
-        cfg = ExperimentConfig(
+        return ExperimentConfig(
             name="mixed",
             train_tsv=mini_dir / "train.tsv",
             test_tsv=mini_dir / "test.tsv",
@@ -358,7 +356,20 @@ class TestSweep:
             feature="precomputed",
             classifier="rlsc",
             out_dir=Path("unused"),
+            svm_epochs=60,
+            logreg_epochs=50,
         )
+
+    def test_each_lift_gets_the_bandwidth_it_gets_alone(self, mini_dir, monkeypatch):
+        # fewer median-heuristic rows than the 140 training rows, so the
+        # lift seed picks the subsample and seeds 0 and 7 give different bandwidths
+        from dataclasses import replace
+
+        from offdetect import rks
+        from offdetect.experiment import RksSpec, _prepare, sweep_reports
+
+        monkeypatch.setattr(rks, "MEDIAN_MAX_POINTS", 50)
+        cfg = self.mini_precomputed_config(mini_dir)
         data = _prepare(cfg)
         specs = [RksSpec(dim=16, sigma=2.0), RksSpec(dim=16, seed=0), RksSpec(dim=16, seed=7)]
         cfgs = [replace(cfg, rks=spec) for spec in specs]
@@ -368,6 +379,60 @@ class TestSweep:
         assert sigmas[0] == 2.0 and len(set(sigmas)) == 3
         assert [model.rks.sigma for model, _ in together] == sigmas
         assert [r.as_tuple() for _, r in together] == [r.as_tuple() for _, r in alone]
+
+    def test_widest_config_fitted_first_results_in_input_order(self, mini_dir, monkeypatch):
+        # lift dims 16, 200 and 64 and an unlifted config of the 16-dim mini
+        # vectors, which ties with the first and follows it
+        from dataclasses import replace
+
+        from offdetect import experiment
+        from offdetect.experiment import RksSpec, _prepare, run_experiment, sweep_reports
+        from offdetect.model_io import save_model
+
+        cfg = self.mini_precomputed_config(mini_dir)
+        cells = [
+            ("lift16-rlsc", dict(rks=RksSpec(dim=16))),
+            ("lift200-svm", dict(classifier="svm", rks=RksSpec(dim=200, seed=3))),
+            ("raw-gnb", dict(classifier="gnb")),
+            ("lift64-logreg", dict(classifier="logreg", rks=RksSpec(dim=64, sigma=2.0))),
+        ]
+        cfgs = [replace(cfg, name=name, **kw) for name, kw in cells]
+        data = _prepare(cfg)
+        fitted = []
+        train = experiment._train
+
+        def recording_train(run_cfg, F, y):
+            fitted.append((run_cfg.name, F.shape[1]))
+            return train(run_cfg, F, y)
+
+        monkeypatch.setattr(experiment, "_train", recording_train)
+        results = sweep_reports(*data, cfgs)
+        monkeypatch.undo()
+        assert fitted == [("lift200-svm", 200), ("lift64-logreg", 64), ("lift16-rlsc", 16), ("raw-gnb", 16)]
+
+        def as_bytes(model, report):
+            model_file = io.BytesIO()
+            save_model(model, model_file)
+            return report.as_tuple(), model_file.getvalue()
+
+        alone = [run_experiment(run_cfg, write_files=False) for run_cfg in cfgs]
+        assert [as_bytes(*r) for r in results] == [as_bytes(r.model, r.report) for r in alone]
+
+    def test_widest_failing_config_reports_its_error(self, mini_dir, monkeypatch):
+        from dataclasses import replace
+
+        from offdetect import experiment
+        from offdetect.errors import NumericError
+        from offdetect.experiment import RksSpec, _prepare, sweep_reports
+
+        def failing(run_cfg, F, y):
+            raise NumericError(f"width {F.shape[1]}")
+
+        cfg = self.mini_precomputed_config(mini_dir)
+        cfgs = [replace(cfg, rks=RksSpec(dim=d)) for d in (16, 64, 32)]
+        monkeypatch.setattr(experiment, "_train", failing)
+        with pytest.raises(NumericError, match="^width 64$"):
+            sweep_reports(*_prepare(cfg), cfgs)
 
     def test_csv_lines_format(self):
         lines = sweep_csv_lines([(0.1, 83.333333), (1000.0, 91.0)])

@@ -662,25 +662,62 @@ class TestCli:
         cfg_path.write_text(text)
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o6")]) == 3
 
+    @staticmethod
+    def huge_value_config(tmp_path, mini_dir, value, classifier, extra, line=0):
+        """A precomputed-feature config whose table has ``value`` as the
+        first entry of its ``line``-th vector."""
+        lines = (mini_dir / "precomputed.txt").read_text(encoding="utf-8").splitlines()
+        tweet_id, first, *rest = lines[line].split()
+        lines[line] = " ".join([tweet_id, value, *rest])
+        table = tmp_path / "precomputed.txt"
+        table.write_text("\n".join(lines) + "\n")
+        cfg_path = write_config(tmp_path / "huge.cfg", mini_dir, extra=extra)
+        text = cfg_path.read_text().replace(f"{mini_dir}/precomputed.txt", str(table))
+        text = text.replace("feature = avg", "feature = precomputed")
+        cfg_path.write_text(text.replace("classifier = svm", f"classifier = {classifier}"))
+        return cfg_path
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("classifier", ["rlsc", "logreg", "gnb", "svm"])
     def test_overflowing_ridge_solve_exits_3(self, tmp_path, mini_dir, capsys, classifier):
         # one precomputed value of 1e200 is finite, but its square is not:
         # the Gram matrix, logreg's step bound, gnb's variances and the
         # svm's margins overflow
-        lines = (mini_dir / "precomputed.txt").read_text(encoding="utf-8").splitlines()
-        tweet_id, first, *rest = lines[0].split()
-        table = tmp_path / "precomputed.txt"
-        table.write_text("\n".join([" ".join([tweet_id, "1e200", *rest]), *lines[1:]]) + "\n")
-        cfg_path = write_config(tmp_path / "huge.cfg", mini_dir)
-        text = cfg_path.read_text().replace(f"{mini_dir}/precomputed.txt", str(table))
-        text = text.replace("feature = avg", "feature = precomputed")
-        cfg_path.write_text(text.replace("classifier = svm", f"classifier = {classifier}"))
+        cfg_path = self.huge_value_config(tmp_path, mini_dir, "1e200", classifier, extra="")
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure:") and "Traceback" not in err
         assert "RuntimeWarning" not in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("classifier", ["rlsc", "svm", "logreg"])
+    @pytest.mark.parametrize("value", ["1e155", "1e200", "1e300"])
+    def test_overflowing_median_bandwidth_exits_3(self, tmp_path, mini_dir, capsys, value, classifier):
+        # the median heuristic's Gram matrix overflows; the bandwidth is not
+        # silently replaced by the all-identical fallback of 1.0
+        extra = "rks_dim = 20\nrks_sigma = median\n"
+        cfg_path = self.huge_value_config(tmp_path, mini_dir, value, classifier, extra)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric failure: median-heuristic bandwidth overflows: features too large\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("classifier", ["rlsc", "svm", "logreg"])
+    @pytest.mark.parametrize("line", [0, -1], ids=["train-row", "test-row"])
+    def test_overflowing_lift_exits_2(self, tmp_path, mini_dir, capsys, classifier, line):
+        # 1e307 at bandwidth 0.01 projects past the float range: the lifted
+        # training matrix, or the lifted test features that predict scores,
+        # are not finite, and that one error line is all stderr shows
+        extra = "rks_dim = 20\nrks_sigma = 0.01\n"
+        cfg_path = self.huge_value_config(tmp_path, mini_dir, "1e307", classifier, extra, line)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "data error: feature matrix contains non-finite entries\n"
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -253,9 +253,8 @@ class TestRlsc:
     def test_peak_memory_holds_no_widened_copy(self, rows, cols):
         # the dual (300 rows) and the primal (1200 rows) solve hold X, one
         # Gram matrix, which is factored in place, and transients such as
-        # the (rows, cols) finiteness mask and one panel of the blocked
-        # factorization; an (n, dim + 1) copy of X held next to its Gram
-        # matrix exceeds the bound
+        # one panel of the blocked factorization; an (n, dim + 1) copy of X
+        # held next to its Gram matrix exceeds the bound
         rng = np.random.default_rng(5)
         X = rng.normal(size=(rows, cols))
         y = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
@@ -288,6 +287,23 @@ class TestRlsc:
         y = np.where(np.arange(rows) % 2 == 0, 1.0, -1.0)
         with pytest.raises(NumericError, match="overflows"):
             train_rlsc(X, y)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@pytest.mark.parametrize("call", ["train_rlsc", "train_linear_svm", "predict"])
+def test_nonfinite_entry_is_data_error(value, position, call):
+    from offdetect.learn import LinearModel
+
+    X, y = blobs_fixture()
+    X.flat[{"first": 0, "middle": X.size // 2, "last": -1}[position]] = value
+    calls = {
+        "train_rlsc": lambda: train_rlsc(X, y),
+        "train_linear_svm": lambda: train_linear_svm(X, y, epochs=1),
+        "predict": lambda: predict(LinearModel(kind="rlsc", w=np.ones(3), bias=0.0, hyper={}), X),
+    }
+    with pytest.raises(DataError, match="^feature matrix contains non-finite entries$"):
+        calls[call]()
 
 
 class TestLinearSvm:

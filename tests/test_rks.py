@@ -1,5 +1,6 @@
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from offdetect.errors import NumericError
 from offdetect.rks import (
     MAX_MAP_ENTRIES,
     MEDIAN_MAX_POINTS,
@@ -105,6 +107,33 @@ class TestTransform:
             proj = x @ rks.omega
             expected = np.concatenate([np.cos(proj), np.sin(proj)], axis=-1) * np.sqrt(1.0 / rks.k)
             assert np.array_equal(transform(rks, x), expected)
+
+    @pytest.mark.parametrize(
+        "shape, dim_out, buffers",
+        [((4,), 40_000, 0), ((300, 4), 2_000, 2)],
+        ids=["vector", "batch"],
+    )
+    def test_peak_memory_is_the_output(self, shape, dim_out, buffers):
+        # the projection is written into the output's sin block, so the
+        # output is the only array allocated; a separate projection would
+        # add half the output.  On a batch, cos and sin also take numpy's
+        # iteration buffers of 8192 doubles for their two strided operands
+        rks = sample_map(4, dim_out, sigma=1.0, seed=0)
+        x = np.random.default_rng(1).normal(size=shape)
+        tracemalloc.start()
+        try:
+            z = transform(rks, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= z.nbytes + (1 + buffers) * 64 * 1024
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_projection_is_silent_and_not_finite(self):
+        rks = sample_map(3, 8, sigma=0.01, seed=0)
+        z = transform(rks, np.array([[1e307, 0.0, 0.0], [1.0, 2.0, 3.0]]))
+        assert not np.isfinite(z[0]).all()
+        assert np.isfinite(z[1]).all()
 
     def test_dimension_mismatch_rejected(self):
         rks = sample_map(5, 8, sigma=1.0, seed=0)
@@ -206,6 +235,17 @@ class TestMedianHeuristic:
         a = median_heuristic_sigma(sample, seed=1)
         b = median_heuristic_sigma(sample, seed=1)
         assert a == b
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [1e155, 1e200, 1e300, 1e308])
+    def test_overflow_is_numeric_error(self, value):
+        # one huge entry among 40 rows: at 1e155 its own Gram entries
+        # overflow and the other distances round to 0, so the median alone
+        # would read 0 and fall back to 1.0; from 1e200 the distances are nan
+        sample = np.random.default_rng(16).normal(size=(40, 3))
+        sample[5, 1] = value
+        with pytest.raises(NumericError, match="bandwidth overflows"):
+            median_heuristic_sigma(sample)
 
     def test_too_few_vectors_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
