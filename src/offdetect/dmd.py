@@ -1,18 +1,14 @@
 """Dynamic mode decomposition of word-vector signals, with delay embedding.
 
 A tweet's ordered word vectors x_1..x_L are treated as snapshots of a
-linear evolution x_{k+1} = A x_k.  The operator A is never formed: its
-action is carried by the triple (Phi, Lambda, b) obtained from the truncated
-SVD of the snapshot matrix, so that Phi Lambda^{k-1} b estimates snapshot k.
-
-Delay order d >= 2 stacks d consecutive snapshots into one column,
-y_k = [x_k; ...; x_{k+d-1}], before decomposing, which lets a linear model
-capture oscillations a first-order fit cannot (higher-order DMD).  d = 1 is
-plain DMD.
-
-The sentence feature is the real part of the first n rows of the fit's next
-stacked snapshot y_{L-d+2}: the one-step extrapolation x_{L+1} for d = 1,
-but the fit's value at the observed token x_{L-d+2} for d >= 2.
+linear evolution x_{k+1} = A x_k, fitted by the rank-r exact-DMD operator
+A_r = X' V_r S_r^-1 U_r^T (Tu et al. 2014) of the snapshot matrix X, its
+one-step shift X' and the truncated SVD X ~= U_r S_r V_r^T.  Delay order
+d >= 2 stacks d consecutive snapshots into one column,
+y_k = [x_k; ...; x_{k+d-1}], which lets a linear model capture oscillations
+a first-order fit cannot (higher-order DMD, Le Clainche & Vega 2017); d = 1
+is plain DMD.  The sentence feature is the last n rows of A_r applied to the
+last stacked snapshot: the one-step extrapolation x_{L+1}, for every d.
 """
 
 from __future__ import annotations
@@ -44,17 +40,17 @@ class HodmdConfig:
 
 
 def sentence_feature(seq: np.ndarray, cfg: HodmdConfig = HodmdConfig()) -> np.ndarray:
-    """Fixed-length feature: the fit's next stacked snapshot, first n rows.
+    """Fixed-length feature: x_{L+1}, one step of the rank-r DMD operator.
 
     ``seq`` is one signal, an (n, L) array, giving an (n,) feature, or a
     stack of G signals of the same length, a (G, n, L) array, giving a
-    (G, n) one.  Each signal is decomposed
-    (after delay embedding), Phi Lambda^{m_s} b is evaluated where
-    m_s = L-d+1 is the stacked-snapshot count, and the real part of its
-    first n components is kept, so the output length equals the channel
-    count n regardless of tweet length.  Those rows are the fit's value at
-    token L-d+2: the one-step extrapolation x_{L+1} for d = 1, but an
-    observed token for d >= 2 (the last n rows would hold x_{L+1}).
+    (G, n) one.  X = [y_1 .. y_{L-d}] and X' = [y_2 .. y_{L-d+1}] hold the
+    stacked snapshots, r = min(r_max, the count of X's singular values above
+    sv_rel_tol times the largest), and the feature is the last n rows of
+    A_r y_{L-d+1}, so its length is n whatever the tweet length.  It is
+    linear in the last snapshot and forms no eigenvalues or powers, so
+    rounding moves it little: an exact signed permutation of the channels
+    permutes it to about 1e-11 relative.
 
     Total on any input: an empty sequence (or an all-zero signal) maps to
     the zero vector, and a sequence shorter than d+1 columns is padded by
@@ -67,16 +63,15 @@ def sentence_feature(seq: np.ndarray, cfg: HodmdConfig = HodmdConfig()) -> np.nd
 
 
 def _stacked_feature(values: np.ndarray, cfg: HodmdConfig) -> np.ndarray:
-    """sentence_feature of a (G, n, L) stack, computed in a compressed basis.
+    """sentence_feature of a (G, n, L) stack, decomposed in a compressed basis.
 
-    Each signal is factored V = Q_s R_s (Q_s: n x k orthonormal, k =
-    min(n, L)).  Its delay-stacked snapshots are then blockdiag(Q_s, ...)
-    times the same stacking of R_s, and exact DMD is invariant under that
-    orthonormal change of basis: the singular values, rank, eigenvalues and
-    least-squares amplitudes are those of the stacked R_s, and the modes are
-    the stacked-R_s modes mapped through blockdiag(Q_s, ...).  So the
-    decomposition runs on k*d rows instead of n*d, and the feature is
-    Q_s Re(z[:k]) for the compressed extrapolation z.
+    Each signal factors as V = Q R (Q: n x k orthonormal, k = min(n, L)),
+    so its stacked snapshots are blockdiag(Q, ...) times the same stacking
+    of R.  That change of basis leaves the singular values, V_r and the
+    coefficients c = S_r^-1 U_r^T y_{L-d+1} unchanged, so the SVD runs on
+    k*d rows instead of n*d and Q is never formed.  With w = V_r c,
+    A_r y_{L-d+1} = X' w, and the last n rows of X' are the observed tokens
+    x_{d+1..L}, so the feature is V[:, d:] w.
     """
     G, n, L = values.shape
     out = np.zeros((G, n), dtype=np.float64)
@@ -90,24 +85,17 @@ def _stacked_feature(values: np.ndarray, cfg: HodmdConfig) -> np.ndarray:
     live = np.any(values[:, :, :-1], axis=(1, 2))  # all-zero X: the zero vector
     if not np.any(live):
         return out
+    values = values[live]
     try:
-        Q, R = np.linalg.qr(values[live])
-        k = R.shape[1]
+        R = np.linalg.qr(values, mode="r")
         stacked = np.concatenate([R[:, :, i : L - d + 1 + i] for i in range(d)], axis=1)
-        X, Xp = stacked[:, :, :-1], stacked[:, :, 1:]
-        U, s, Vh = np.linalg.svd(X, full_matrices=False)
-        ranks = np.minimum(cfg.r_max, np.count_nonzero(s > cfg.sv_rel_tol * s[:, :1], axis=1))
-        z = np.empty((X.shape[0], k), dtype=np.complex128)
-        for r in np.unique(ranks):
-            group = np.flatnonzero(ranks == r)
-            lifted = (Xp[group] @ Vh[group, :r].transpose(0, 2, 1)) / s[group, None, :r]
-            atilde = U[group, :, :r].transpose(0, 2, 1) @ lifted
-            eigenvalues, W = np.linalg.eig(atilde)
-            Phi = lifted @ W
-            amplitudes = (np.linalg.pinv(Phi, rcond=cfg.sv_rel_tol) @ X[group, :, :1])[:, :, 0]
-            step = (eigenvalues ** (L - d + 1) * amplitudes)[:, :, None]
-            z[group] = (Phi[:, :k] @ step)[:, :, 0]
+        U, s, Vh = np.linalg.svd(stacked[:, :, :-1], full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"decomposition failed: {exc}") from exc
-    out[live] = (Q @ z.real[:, :, None])[:, :, 0]
+    ranks = np.minimum(cfg.r_max, np.count_nonzero(s > cfg.sv_rel_tol * s[:, :1], axis=1))
+    kept = np.arange(s.shape[1]) < ranks[:, None]
+    coeffs = (U.transpose(0, 2, 1) @ stacked[:, :, -1:])[:, :, 0]
+    c = np.divide(coeffs, s, out=np.zeros_like(s), where=kept)
+    w = Vh.transpose(0, 2, 1) @ c[:, :, None]
+    out[live] = (values[:, :, d:] @ w)[:, :, 0]
     return out

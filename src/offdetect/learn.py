@@ -444,7 +444,8 @@ def predict(model, F) -> list[tuple[str, float]]:
 
     A LinearModel with an embedded random-feature map expects raw inputs of
     the map's input dimension and lifts them before scoring; inputs that
-    the lift overflows are a DataError, as non-finite inputs are.
+    the lift overflows are a DataError, as non-finite inputs are.  An
+    overflowing score keeps its sign; one left with none is a NumericError.
     """
     X = _as_matrix(F)
     if isinstance(model, LinearModel):
@@ -456,13 +457,17 @@ def predict(model, F) -> list[tuple[str, float]]:
             X = _as_matrix(transform(model.rks, X))
         if X.shape[1] != model.w.shape[0]:
             raise DataError(f"feature dim {X.shape[1]} does not match model dim {model.w.shape[0]}")
-        scores = X @ model.w + model.bias
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            scores = X @ model.w + model.bias
     elif isinstance(model, GnbModel):
         if X.shape[1] != model.means.shape[1]:
             raise DataError(
                 f"feature dim {X.shape[1]} does not match model dim {model.means.shape[1]}"
             )
-        scores = _gnb_scores(model, X)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            scores = _gnb_scores(model, X)
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
+    if np.isnan(scores).any():
+        raise NumericError("prediction scores overflow: features too large")
     return [(SIGN_TO_LABEL[+1] if s >= 0 else SIGN_TO_LABEL[-1], float(s)) for s in scores]

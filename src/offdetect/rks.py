@@ -121,14 +121,15 @@ def median_heuristic_sigma(sample: np.ndarray, seed: int = 0) -> float:
 
     At most ``MEDIAN_MAX_POINTS`` rows enter the O(n^2) distance computation,
     chosen by a seeded draw so the result is reproducible.  The rows are
-    centered on their column mean, which leaves every distance unchanged,
-    and the squared distances are read from one Gram matrix G of the
-    centered rows as G_ii + G_jj - 2 G_ij, clipped at 0.  Each carries a
+    centered on their coordinate-wise median, which leaves every distance
+    unchanged, and the squared distances are read from one Gram matrix G of
+    the centered rows as G_ii + G_jj - 2 G_ij, clipped at 0.  Each carries a
     rounding error of about 1e-16 times its two rows' squared norms, so the
     median matches an exact distance computation to about 1e-16 relative
     unless most distances are many orders of magnitude shorter than the
-    rows' spread about their mean.  Identical rows give identical Gram
-    entries, so their distance is exactly 0.  Falls back to 1.0 when the median
+    rows' spread about their median (which, unlike the mean, one outlying
+    value cannot move).  Identical rows give identical Gram entries, so
+    their distance is exactly 0.  Falls back to 1.0 when the median
     distance is zero (e.g. all points identical).  Rows so large that the
     Gram matrix or the median overflows raise NumericError.
     """
@@ -141,7 +142,7 @@ def median_heuristic_sigma(sample: np.ndarray, seed: int = 0) -> float:
         sample = sample[np.sort(idx)]
     # an overflow is reported by the NumericError below, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        centered = sample - sample.mean(axis=0)
+        centered = sample - np.median(sample, axis=0)
         gram = centered @ centered.T
         sq_norms = gram.diagonal()
         i, j = np.triu_indices(len(gram), k=1)

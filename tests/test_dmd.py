@@ -23,9 +23,11 @@ def linear_trajectory(A, x1, n_steps):
 
 
 def _reference_sentence_feature(seq, cfg=HodmdConfig()):
-    """The per-tweet algorithm sentence_feature must reproduce: pad a short
-    sequence, delay-embed it, run exact DMD on all n*d rows and keep the
-    real part of the first n components of the one-step extrapolation."""
+    """The per-tweet definition sentence_feature must reproduce: pad a short
+    sequence, delay-embed it, take the SVD of X in the full n*d-row space,
+    keep the rank the singular-value rule allows, apply the operator
+    A_r = X' V_r S_r^-1 U_r^T to the last stacked snapshot and keep the last
+    n rows, the estimate of x_{L+1}."""
     values = seq
     n, L = values.shape
     if L == 0:
@@ -35,8 +37,10 @@ def _reference_sentence_feature(seq, cfg=HodmdConfig()):
     snap = build_snapshots(values, cfg.d)
     if not np.any(snap.X):
         return np.zeros(n)
-    dec = compute_dmd(snap, cfg)
-    return np.real(predict_state(dec, snap.n_snapshots)[:n])
+    U, s, Vh = np.linalg.svd(snap.X, full_matrices=False)
+    r = min(cfg.r_max, int(np.sum(s > cfg.sv_rel_tol * s[0])))
+    A_r = snap.Xp @ Vh[:r].T @ np.diag(1.0 / s[:r]) @ U[:, :r].T
+    return (A_r @ snap.Xp[:, -1])[-n:]
 
 
 class TestBuildSnapshots:
@@ -170,6 +174,17 @@ class TestSentenceFeature:
         got = sentence_feature(seq, HodmdConfig(d=1))
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rotated_decaying_system_gives_next_state_for_every_order(self, d):
+        # c04's system again: every delay order extrapolates to x_{L+1}
+        rng = np.random.default_rng(4)
+        Q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+        A = Q @ np.diag([0.9, 0.7, 0.5, 0.3, 0.1]) @ Q.T
+        seq = linear_trajectory(A, rng.normal(size=5) + 2.0, 12)
+        want = A @ seq[:, -1]
+        got = sentence_feature(seq, HodmdConfig(d=d))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_empty_sequence_gives_zero_vector(self):
         seq = np.zeros((7, 0))
         np.testing.assert_array_equal(sentence_feature(seq), np.zeros(7))
@@ -224,13 +239,13 @@ class TestStackedSentenceFeature:
         data_seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_per_tweet_reference(self, d, length, extra_channels, r_max, kinds, data_seed):
-        # At least as many channels as tokens, as for word vectors and tweets:
-        # with fewer, the snapshot matrix can be square and the extrapolation
-        # so ill-conditioned that an exact rotation of the input moves the
-        # per-tweet result by 3e-3.  A repeated word inside an otherwise
-        # varied signal can make the reduced operator nearly defective, with
-        # the same effect, so repeated-word rows repeat one word throughout.
-        # Lengths up to d are padded.
+        # At least as many channels as tokens, as for word vectors and
+        # tweets; repeated-word rows repeat one word throughout (a rank-one
+        # signal), and lengths up to d are padded.  The step is linear in
+        # the last snapshot and divides only by singular values the rank
+        # rule keeps, so the compressed and the full-space SVD give the same
+        # feature up to rounding; repeated words inside a varied signal are
+        # covered by the signed-permutation test below.
         rng = np.random.default_rng(data_seed)
         n = max(length, 1) + extra_channels
         stack = rng.normal(size=(len(kinds), n, length))
@@ -245,6 +260,31 @@ class TestStackedSentenceFeature:
         for g in range(len(kinds)):
             ref = _reference_sentence_feature(stack[g], cfg)
             assert np.linalg.norm(got[g] - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        length=st.integers(1, 14),
+        extra_channels=st.integers(0, 24),
+        vocabulary=st.integers(1, 6),
+        tweets=st.integers(1, 4),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_signed_channel_permutation_commutes(self, d, length, extra_channels, vocabulary, tweets, data_seed):
+        # tweets drawn from a few words, so most repeat some: a signed
+        # permutation P of the word-vector coordinates is exact, so the
+        # feature must follow it, f(P V) = P f(V), up to rounding
+        rng = np.random.default_rng(data_seed)
+        n = length + extra_channels
+        words = rng.normal(size=(n, vocabulary))
+        stack = words[:, rng.integers(0, vocabulary, size=(tweets, length))].transpose(1, 0, 2)
+        perm = rng.permutation(n)
+        signs = rng.choice([-1.0, 1.0], size=n)
+        cfg = HodmdConfig(d=d)
+        want = signs * sentence_feature(stack, cfg)[:, perm]
+        got = sentence_feature(signs[:, None] * stack[:, perm], cfg)
+        for g in range(tweets):
+            assert np.linalg.norm(got[g] - want[g]) <= 1e-9 * np.linalg.norm(want[g])
 
     def test_single_sequence_equals_its_row_of_a_stack(self):
         rng = np.random.default_rng(21)
@@ -269,3 +309,9 @@ class TestDelayEmbeddingNecessity:
         err2 = reconstruction_error(compute_dmd(snap2, HodmdConfig(d=2)), snap2)
         assert err1 >= 0.1
         assert err2 <= 1e-6
+
+    def test_period_two_oscillation_continues_under_order_two(self):
+        # after ..., 1, 2 the next value is 1
+        signal = np.array([[1.0, 2.0] * 6])
+        got = sentence_feature(signal, HodmdConfig(d=2))
+        np.testing.assert_allclose(got, [1.0], rtol=1e-12)

@@ -1,14 +1,18 @@
+import contextlib
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offdetect.cli import main
 from offdetect.corpus import load_olid_tsv
@@ -723,7 +727,9 @@ class TestCli:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_dmd_feature_names_its_tweet(self, tmp_path, mini_dir, capsys):
         # one word-vector value of 1e200 is finite, but the DMD features of
-        # tweets with that word are not
+        # some tweets with that word are not; the first in file order is named
+        from offdetect.dmd import sentence_feature
+
         lines = (mini_dir / "toy.vec").read_text(encoding="utf-8").splitlines()
         word, first, *rest = lines[1].split()
         table = tmp_path / "toy.vec"
@@ -734,14 +740,18 @@ class TestCli:
         cfg = parse_config(cfg_path)
         train, _ = load_corpora(cfg)
         pipeline = build_pipeline(cfg, [train])
-        first_with_word = next(
-            rec.id for rec, toks in zip(train.records, pipeline._tokens(train)) if word in toks
-        )
+        not_finite = []
+        for rec, toks in zip(train.records, pipeline._tokens(train)):
+            seq = pipeline.table.matrix[pipeline.table.rows(toks)].T
+            with np.errstate(all="ignore"):
+                if not np.isfinite(sentence_feature(seq, pipeline.hodmd)).all():
+                    not_finite.append(rec.id)
+        assert not_finite
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == (
-            f"data error: tweet {first_with_word!r}: feature is not finite (word vectors too large)\n"
+            f"data error: tweet {not_finite[0]!r}: feature is not finite (word vectors too large)\n"
         )
         assert not out.exists()
 
@@ -783,6 +793,54 @@ class TestCli:
         main(["run", "--config", str(cfg_path), "--seed", "77", "--out", str(tmp_path / "o7")])
         manifest = json.loads((tmp_path / "o7" / "manifest.json").read_text())
         assert manifest["seeds"]["train"] == 77
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=30, deadline=None)
+    @given(
+        feature=st.sampled_from(["avg", "dmd", "hodmd(2)", "precomputed"]),
+        classifier=st.sampled_from(["svm", "logreg", "rlsc", "gnb"]),
+        lift=st.booleans(),
+        value=st.sampled_from(["1e155", "1e200", "1e300", "5e-324"]),
+        line=st.integers(0, 10**6),
+        column=st.integers(0, 10**6),
+    )
+    def test_run_on_one_extreme_table_value(self, mini_dir, feature, classifier, lift, value, line, column):
+        # any feature, classifier and lift, with one vector-table entry at the
+        # edge of the float range: a clean exit, and a written model that
+        # reproduces the written report
+        source = mini_dir / ("precomputed.txt" if feature == "precomputed" else "toy.vec")
+        lines = source.read_text(encoding="utf-8").splitlines()
+        first = 0 if feature == "precomputed" else 1  # toy.vec opens with a header line
+        line = first + line % (len(lines) - first)
+        parts = lines[line].split()
+        parts[1 + column % (len(parts) - 1)] = value
+        lines[line] = " ".join(parts)
+        extra = "rks_dim = 32\nrks_sigma = median\n" if lift and classifier != "gnb" else ""
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            table = tmp / source.name
+            table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            cfg_path = write_config(tmp / "edge.cfg", mini_dir, extra=extra)
+            text = cfg_path.read_text().replace(f"{mini_dir}/{source.name}", str(table))
+            text = text.replace("feature = avg", f"feature = {feature}")
+            cfg_path.write_text(text.replace("classifier = svm", f"classifier = {classifier}"))
+            out = tmp / "o"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            if code != 0:
+                return
+            with open(out / "model.offd", "rb") as fh:
+                model = load_model(fh)
+            cfg = parse_config(cfg_path)
+            _, test = load_corpora(cfg)
+            features = build_pipeline(cfg, [test]).featurize(test)
+            predicted = [label for label, _ in predict(model, features)]
+            gold = [rec.label for rec in test.records]
+            tsv, _ = render_report([(cfg.name, macro_metrics(ConfusionMatrix.from_pairs(gold, predicted)))])
+            assert tsv == (out / "report.tsv").read_text(encoding="utf-8")
 
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_mini_experiments.py"

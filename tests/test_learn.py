@@ -454,6 +454,15 @@ class TestGnb:
         with pytest.raises(NumericError, match="degenerate"):
             train_gnb(np.ones((3, 2)), np.ones(3))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_query_overflowing_both_classes_is_numeric_error(self):
+        # a finite query whose squared distance to both class means is
+        # infinite has no score sign: -inf - -inf
+        X = np.array([[0.0], [0.1], [5.0], [5.1]])
+        model = train_gnb(X, np.array([-1.0, -1.0, 1.0, 1.0]))
+        with pytest.raises(NumericError, match="scores overflow"):
+            predict(model, np.array([[1e155]]))
+
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize(

@@ -247,6 +247,18 @@ class TestMedianHeuristic:
         with pytest.raises(NumericError, match="bandwidth overflows"):
             median_heuristic_sigma(sample)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [1e10, 1e12, 1e14, 1e100])
+    def test_one_outlier_keeps_the_exact_median(self, value):
+        # a centre pulled toward the outlier would leave every other row far
+        # from it, and their short distances would be lost to rounding
+        from scipy.spatial.distance import pdist
+
+        sample = np.random.default_rng(0).standard_normal((140, 16))
+        sample[0, 0] = value
+        expected = float(np.median(pdist(sample)))
+        assert abs(median_heuristic_sigma(sample) - expected) <= 1e-12 * expected
+
     def test_too_few_vectors_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             median_heuristic_sigma(np.ones((1, 3)))
