@@ -9,22 +9,24 @@ The grid's cells, mirroring how the pipeline is meant to be exercised:
 3. the random-feature lift at increasing output dimensions under ridge
    classification, for both embedding families.
 
-The cells run in one ``run_experiments`` call, which featurizes once per
-feature setting.  Writes reports and sweep CSVs under --out (default
-runs/mini) and prints the aligned tables.
+The cells and the sweep's points (configs with no output directory) run in
+one ``run_experiments`` call, which featurizes once per feature setting, so
+the sweep shares the ``dmd`` cell's features.  Writes reports and the sweep
+CSV under --out (default runs/mini) and prints the aligned tables.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from offdetect.evaluation import render_report  # noqa: E402
-from offdetect.experiment import ExperimentConfig, RksSpec, run_experiments, run_sweep  # noqa: E402
+from offdetect.evaluation import render_report, sweep_csv_lines  # noqa: E402
+from offdetect.experiment import ExperimentConfig, RksSpec, run_experiments, write_artifacts  # noqa: E402
 
 MINI = REPO / "data" / "mini"
 
@@ -67,7 +69,13 @@ def main() -> None:
         for feature in ("avg", "precomputed")
     }
     cells = baselines + decomposition + [cfg for cfgs in lifts.values() for cfg in cfgs]
-    reports = {cfg.name: result.report for cfg, result in zip(cells, run_experiments(cells))}
+    sweep = base_config("dmd-c-sweep", args.out, feature="dmd", classifier="svm")
+    c_values = [0.1, 1.0, 100.0, 500.0, 1000.0]
+    results = run_experiments(cells + [replace(sweep, C=c, out_dir=None) for c in c_values])
+    reports = {cfg.name: result.report for cfg, result in zip(cells, results)}
+    sweep_rows = [(c, result.report.accuracy) for c, result in zip(c_values, results[len(cells):])]
+    lines = sweep_csv_lines(sweep_rows, value_name="C")
+    write_artifacts(sweep.out_dir, {"sweep_C.csv": "".join(line + "\n" for line in lines)})
 
     def print_table(title: str, cfgs: list[ExperimentConfig]) -> None:
         _, text = render_report([(cfg.name, reports[cfg.name]) for cfg in cfgs])
@@ -76,8 +84,6 @@ def main() -> None:
 
     print_table("baseline classifiers", baselines)
     print_table("decomposition features, linear SVM (C=1000)", decomposition)
-    cfg = base_config("dmd-c-sweep", args.out, feature="dmd", classifier="svm")
-    lines, _ = run_sweep(cfg, "C", [0.1, 1.0, 100.0, 500.0, 1000.0])
     print("== control-parameter sweep (DMD features) ==")
     for line in lines:
         print(line.replace(",", "\t"))

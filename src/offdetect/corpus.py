@@ -65,7 +65,7 @@ def _check_label(value: str, where: str) -> str:
 def load_label_csv(source) -> dict[str, str]:
     """Parse an ``id,label`` CSV (no header) into an id -> label map."""
     labels: dict[str, str] = {}
-    with _text_lines(source) as lines:
+    with _text_lines(source, "label csv") as lines:
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line:
@@ -83,20 +83,21 @@ def load_label_csv(source) -> dict[str, str]:
 
 
 @contextmanager
-def _text_lines(source):
-    """Text stream over a str, bytes, or a text or byte stream.  A byte
-    stream's UTF-8 wrapper is detached on exit, leaving the stream open."""
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
+def _text_lines(source, what: str):
+    """Text stream over a str, bytes (read as a byte stream), or a text or
+    byte stream.  A byte stream's UTF-8 wrapper is detached on exit, leaving
+    the stream open; text that is not UTF-8 is a DataError naming ``what``."""
     if isinstance(source, str):
-        yield io.StringIO(source)
-    elif isinstance(source, io.TextIOBase):
-        yield source
-    else:
-        wrapper = io.TextIOWrapper(source, encoding="utf-8")
-        try:
-            yield wrapper
-        finally:
+        source = io.StringIO(source)
+    elif isinstance(source, bytes):
+        source = io.BytesIO(source)
+    wrapper = source if isinstance(source, io.TextIOBase) else io.TextIOWrapper(source, encoding="utf-8")
+    try:
+        yield wrapper
+    except UnicodeDecodeError:
+        raise DataError(f"{what}: not UTF-8 text") from None
+    finally:
+        if wrapper is not source:
             wrapper.detach()
 
 
@@ -108,7 +109,7 @@ def load_olid_tsv(tweet_source, label_source=None, split: str = "train") -> Labe
     file order.  Rows with the wrong column count, unknown labels, or
     duplicate ids raise DataError naming the offending line.
     """
-    with _text_lines(tweet_source) as lines:
+    with _text_lines(tweet_source, "tweet tsv") as lines:
         reader = csv.reader(lines, delimiter="\t", quoting=csv.QUOTE_NONE)
         try:
             header = next(reader)
@@ -217,7 +218,7 @@ def tokenize_clean(text: str, stopwords: frozenset[str] | set[str]) -> list[str]
 
 def load_stopwords(source) -> frozenset[str]:
     """Read a one-token-per-line stopword file."""
-    with _text_lines(source) as lines:
+    with _text_lines(source, "stopwords file") as lines:
         words = [line.strip() for line in lines]
     return frozenset(word for word in words if word)
 

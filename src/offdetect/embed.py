@@ -51,12 +51,17 @@ class VectorTable:
         return len(self.index)
 
 
-def _lines(source):
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    if isinstance(source, str):
-        return source.splitlines()
-    return (raw.decode("utf-8") if isinstance(raw, bytes) else raw for raw in source)
+def _lines(source, what: str):
+    """(line number, text) of each line; one that is not UTF-8 is a DataError."""
+    if isinstance(source, (str, bytes)):
+        source = source.splitlines()
+    for lineno, raw in enumerate(source, start=1):
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{what} line {lineno}: not UTF-8 text") from None
+        yield lineno, raw
 
 
 def load_vec_table(source, vocab_filter: set[str] | None = None) -> VectorTable:
@@ -68,9 +73,9 @@ def load_vec_table(source, vocab_filter: set[str] | None = None) -> VectorTable:
     (nan, inf) value, raise DataError naming the line.  Kept rows are parsed
     in blocks (see ``_parsed_rows``).
     """
-    lines = iter(_lines(source))
+    lines = _lines(source, "vec file")
     try:
-        header = next(lines)
+        _, header = next(lines)
     except StopIteration:
         raise DataError("vec file: empty (missing header)") from None
     parts = header.split()
@@ -86,7 +91,7 @@ def load_vec_table(source, vocab_filter: set[str] | None = None) -> VectorTable:
     tokens: list[str] = []
 
     def kept_rows():
-        for lineno, line in enumerate(lines, start=2):
+        for lineno, line in lines:
             if not line.strip():
                 continue
             body = line.rstrip("\n")
@@ -217,7 +222,7 @@ def load_precomputed(source) -> VectorTable:
     index: dict[str, int] = {}  # id -> row, in file order
 
     def checked_rows():
-        for lineno, line in enumerate(_lines(source), start=1):
+        for lineno, line in _lines(source, "precomputed file"):
             parts = line.split(None, 1)
             if not parts:
                 continue

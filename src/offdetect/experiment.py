@@ -14,6 +14,7 @@ median-heuristic bandwidth is fitted on training features alone.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -73,7 +74,7 @@ class ExperimentConfig:
     test_tsv: Path
     feature: str
     classifier: str
-    out_dir: Path
+    out_dir: Path | None  # None: fitted and evaluated, nothing written
     test_labels: Path | None = None
     vec_file: Path | None = None
     precomputed_file: Path | None = None
@@ -188,9 +189,13 @@ def parse_config(path) -> ExperimentConfig:
     fields: dict = {}
     rks_fields: dict = {}
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
+        text = raw.decode("utf-8")
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{lineno}: not UTF-8 text") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -238,13 +243,9 @@ def load_corpora(cfg: ExperimentConfig) -> tuple[LabeledCorpus, LabeledCorpus]:
     """The (train, test) corpora named by the config."""
     with open(cfg.train_tsv, "rb") as fh:
         train_corpus = load_olid_tsv(fh, split="train")
-    label_fh = open(cfg.test_labels, "rb") if cfg.test_labels is not None else None
-    try:
-        with open(cfg.test_tsv, "rb") as fh:
-            test_corpus = load_olid_tsv(fh, label_fh, split="test")
-    finally:
-        if label_fh is not None:
-            label_fh.close()
+    labels = open(cfg.test_labels, "rb") if cfg.test_labels is not None else contextlib.nullcontext()
+    with labels as label_fh, open(cfg.test_tsv, "rb") as fh:
+        test_corpus = load_olid_tsv(fh, label_fh, split="test")
     return train_corpus, test_corpus
 
 
@@ -340,7 +341,7 @@ def build_pipeline(cfg: ExperimentConfig, corpora: list[LabeledCorpus]) -> Featu
     tokenize them again.
     """
     stopwords = (
-        load_stopwords(cfg.stopwords_file.read_text(encoding="utf-8"))
+        load_stopwords(cfg.stopwords_file.read_bytes())
         if cfg.stopwords_file is not None
         else default_stopwords()
     )
@@ -460,18 +461,16 @@ def sweep_reports(
 
 def run_sweep(cfg: ExperimentConfig, value_name: str, values: list) -> tuple[list[str], Path]:
     """Sweep the SVM's C (``value_name`` "C") or the map dimension ("D")
-    over ``values``; writes the ``value,accuracy`` table into the output
-    directory and returns its lines and its path."""
+    over ``values`` (``run_experiments`` of one unwritten config per value);
+    writes only the ``value,accuracy`` table, and returns its lines and path."""
     if value_name == "C":
         run_cfgs = [replace(cfg, C=c) for c in values]
         table = "sweep_C.csv"
     else:
         run_cfgs = [replace(cfg, rks=replace(cfg.rks or RksSpec(dim=d), dim=d)) for d in values]
         table = "sweep_dim.csv"
-    for run_cfg in run_cfgs:
-        run_cfg.validate()
-    results = sweep_reports(*_prepare(cfg), run_cfgs)
-    rows = [(float(value), report.accuracy) for value, (_, report) in zip(values, results)]
+    results = run_experiments([replace(run_cfg, out_dir=None) for run_cfg in run_cfgs])
+    rows = [(float(value), result.report.accuracy) for value, result in zip(values, results)]
     lines = sweep_csv_lines(rows, value_name=value_name)
     write_artifacts(cfg.out_dir, {table: "".join(line + "\n" for line in lines)})
     return lines, Path(cfg.out_dir) / table
@@ -490,7 +489,7 @@ def _classifier_hyper(cfg: ExperimentConfig) -> dict:
 @dataclass
 class ExperimentResult:
     report: MetricsReport
-    manifest: dict
+    manifest: dict | None  # None when the config's out_dir is None
     model: object
 
 
@@ -502,13 +501,15 @@ def _feature_settings(cfg: ExperimentConfig) -> ExperimentConfig:
     return replace(cfg, **dict.fromkeys(training))
 
 
-def run_experiments(cfgs: list[ExperimentConfig], write_files: bool = True) -> list[ExperimentResult]:
+def run_experiments(cfgs: list[ExperimentConfig]) -> list[ExperimentResult]:
     """Train and evaluate each config, then write its artifacts (via
-    rename); one result per config, in input order.  All configs are
-    validated before any data loads.  Configs with equal feature settings
-    share one ``_prepare``, input checksum pass and ``sweep_reports`` call,
-    group by group in first-seen order, and a group's files are written only
-    once all of it is fitted: a failure stops the call there."""
+    rename); one result per config, in input order.  A config whose
+    ``out_dir`` is None writes nothing and gets ``manifest`` None.  All
+    configs are validated before any data loads.  Configs with equal feature
+    settings share one ``_prepare`` and ``sweep_reports`` call, and one input
+    checksum pass if any of them is written, group by group in first-seen
+    order; a group's files are written only once all of it is fitted: a
+    failure stops the call there."""
     for cfg in cfgs:
         cfg.validate()
     groups: dict[ExperimentConfig, list[int]] = {}
@@ -521,41 +522,42 @@ def run_experiments(cfgs: list[ExperimentConfig], write_files: bool = True) -> l
         dim = train_F.shape[1]
         counts = {"train_records": len(train_corpus), "test_records": len(test_corpus)}
         del train_corpus, test_corpus, train_F, test_F
-        inputs = {
-            key: {"path": str(path), "sha256": _sha256(path)}
-            for key, path in sorted(settings.input_paths().items())
-        }
+        inputs = None
         for i, (model, report) in zip(members, fitted):
             cfg = cfgs[i]
-            manifest = {
-                "name": cfg.name,
-                "package": {"name": "offdetect", "version": __version__},
-                "feature": {
-                    "kind": cfg.feature,
-                    "d": cfg.hodmd_d if cfg.feature in ("dmd", "hodmd") else None,
-                    "r_max": cfg.r_max if cfg.feature in ("dmd", "hodmd") else None,
-                    "sv_rel_tol": cfg.sv_rel_tol if cfg.feature in ("dmd", "hodmd") else None,
-                    "dim": dim,
-                },
-                "rks": None
-                if cfg.rks is None
-                else {
-                    "dim": cfg.rks.dim,
-                    "sigma": model.rks.sigma,
-                    "sigma_spec": "median" if cfg.rks.sigma is None else "fixed",
-                    "seed": cfg.rks.seed,
-                    "prng": PRNG_ID,
-                },
-                "classifier": {"kind": cfg.classifier, **_classifier_hyper(cfg)},
-                "seeds": {
-                    "train": cfg.seed,
-                    "rks": None if cfg.rks is None else cfg.rks.seed,
-                },
-                "inputs": inputs,
-                "corpus": counts,
-            }
-            results[i] = ExperimentResult(report=report, manifest=manifest, model=model)
-            if write_files:
+            manifest = None
+            if cfg.out_dir is not None:
+                inputs = inputs or {
+                    key: {"path": str(path), "sha256": _sha256(path)}
+                    for key, path in sorted(settings.input_paths().items())
+                }
+                manifest = {
+                    "name": cfg.name,
+                    "package": {"name": "offdetect", "version": __version__},
+                    "feature": {
+                        "kind": cfg.feature,
+                        "d": cfg.hodmd_d if cfg.feature in ("dmd", "hodmd") else None,
+                        "r_max": cfg.r_max if cfg.feature in ("dmd", "hodmd") else None,
+                        "sv_rel_tol": cfg.sv_rel_tol if cfg.feature in ("dmd", "hodmd") else None,
+                        "dim": dim,
+                    },
+                    "rks": None
+                    if cfg.rks is None
+                    else {
+                        "dim": cfg.rks.dim,
+                        "sigma": model.rks.sigma,
+                        "sigma_spec": "median" if cfg.rks.sigma is None else "fixed",
+                        "seed": cfg.rks.seed,
+                        "prng": PRNG_ID,
+                    },
+                    "classifier": {"kind": cfg.classifier, **_classifier_hyper(cfg)},
+                    "seeds": {
+                        "train": cfg.seed,
+                        "rks": None if cfg.rks is None else cfg.rks.seed,
+                    },
+                    "inputs": inputs,
+                    "corpus": counts,
+                }
                 tsv, text = render_report([(cfg.name, report)])
                 model_file = io.BytesIO()
                 save_model(model, model_file)
@@ -565,25 +567,29 @@ def run_experiments(cfgs: list[ExperimentConfig], write_files: bool = True) -> l
                     "manifest.json": json.dumps(manifest, sort_keys=True, indent=2) + "\n",
                     "model.offd": model_file.getvalue(),
                 })
+            results[i] = ExperimentResult(report=report, manifest=manifest, model=model)
     return results
 
 
 def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> ExperimentResult:
-    """``run_experiments`` of the one config ``cfg``."""
-    return run_experiments([cfg], write_files)[0]
+    """``run_experiments`` of the one config ``cfg``, unwritten unless ``write_files``."""
+    return run_experiments([cfg if write_files else replace(cfg, out_dir=None)])[0]
 
 
 def write_artifacts(out_dir, files: dict[str, str | bytes]) -> None:
     """Create ``out_dir`` and write each named file whole (text as UTF-8):
     to a temporary file first, then renamed into place, so no reader sees a
-    partial one."""
+    partial one.  A path that cannot be written is a DataError naming it."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for filename, payload in files.items():
-        tmp = out_dir / (filename + ".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(payload.encode("utf-8") if isinstance(payload, str) else payload)
-        os.replace(tmp, out_dir / filename)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for filename, payload in files.items():
+            tmp = out_dir / (filename + ".tmp")
+            with open(tmp, "wb") as fh:
+                fh.write(payload.encode("utf-8") if isinstance(payload, str) else payload)
+            os.replace(tmp, out_dir / filename)
+    except OSError as exc:
+        raise DataError(f"cannot write {exc.filename2 or exc.filename or out_dir}: {exc.strerror}") from None
 
 
 def export_feature_lines(cfg: ExperimentConfig) -> list[str]:

@@ -57,6 +57,13 @@ class TestLoadOlidTsv:
         corpus = load_olid_tsv(io.BytesIO(THREE_ROW_TSV.encode("utf-8")))
         assert len(corpus) == 3
 
+    def test_bytes_read_as_their_byte_stream(self):
+        # CRLF and a lone CR end lines as they do in a file the CLI opens
+        data = "id\ttweet\tsubtask_a\r\nt1\ta\tNOT\rt2\tb\tOFF\n".encode("utf-8")
+        for source in (data, io.BytesIO(data)):
+            corpus = load_olid_tsv(source, b"t2,NOT\r\n")
+            assert [(rec.id, rec.label) for rec in corpus.records] == [("t1", "NOT"), ("t2", "NOT")]
+
     def test_byte_streams_stay_open_and_leave_no_wrapper(self, mini_dir):
         # the text wrapper over a byte stream is detached, so it neither
         # closes the caller's file nor lingers unclosed for the collector

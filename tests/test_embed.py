@@ -365,8 +365,13 @@ def _random_table(data, kind):
     return "".join(header + lines), ids
 
 
-# the text itself (split by str.splitlines) and a byte stream (lines keep "\r")
-_SOURCES = [lambda text: text, lambda text: io.BytesIO(text.encode("utf-8"))]
+# the text itself and its bytes (split by splitlines) and a byte stream
+# (lines keep "\r")
+_SOURCES = [
+    lambda text: text,
+    lambda text: text.encode("utf-8"),
+    lambda text: io.BytesIO(text.encode("utf-8")),
+]
 
 
 class TestBlockParsing:

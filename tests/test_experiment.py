@@ -246,7 +246,7 @@ class TestRunExperiment:
         pipeline = build_pipeline(cfg, [train_corpus])
         train_only = pipeline.featurize(train_corpus)
         expected = median_heuristic_sigma(train_only, seed=4)
-        assert result.manifest["rks"]["sigma"] == expected
+        assert result.model.rks.sigma == expected
 
     def test_missing_input_file_raises_data_error(self, tmp_path, mini_dir):
         cfg_path = write_config(tmp_path / "x.cfg", mini_dir)
@@ -334,6 +334,25 @@ class TestRunExperiments:
             for name in ("report.tsv", "report.txt", "manifest.json", "model.offd"):
                 grouped_file = tmp_path / "grouped" / cfg.name / name
                 assert grouped_file.read_bytes() == (tmp_path / "single" / cfg.name / name).read_bytes()
+
+    def test_unwritten_twin_matches_the_written_config(self, tmp_path, mini_dir, monkeypatch):
+        # a config with no out_dir is fitted in the same groups as its written
+        # twin: same report and model bytes, no manifest, and no file anywhere
+        from offdetect.model_io import save_model
+
+        monkeypatch.chdir(tmp_path)
+        written = self.mixed_configs(mini_dir, tmp_path / "w")
+        results = run_experiments(written + [replace(cfg, out_dir=None) for cfg in written])
+        files = {"report.tsv", "report.txt", "manifest.json", "model.offd"}
+        assert {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()} == {
+            f"w/{cfg.name}/{name}" for cfg in written for name in files
+        }
+        for cfg, kept, twin in zip(written, results, results[len(written):]):
+            assert kept.manifest is not None and twin.manifest is None
+            assert twin.report.as_tuple() == kept.report.as_tuple()
+            model_file = io.BytesIO()
+            save_model(twin.model, model_file)
+            assert model_file.getvalue() == (cfg.out_dir / "model.offd").read_bytes()
 
     def test_invalid_config_fails_before_any_data_loads(self, tmp_path, mini_dir, monkeypatch):
         from offdetect import experiment
@@ -638,6 +657,72 @@ class TestCli:
         assert trained == []
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "option, table", [("--sweep-C", "sweep_C.csv"), ("--sweep-dim", "sweep_dim.csv")]
+    )
+    def test_sweep_checksums_nothing_and_writes_only_its_table(
+        self, tmp_path, mini_dir, monkeypatch, capsys, option, table
+    ):
+        from offdetect import experiment
+
+        hashed = counting(monkeypatch, experiment, "_sha256")
+        cfg_path = write_config(tmp_path / "s.cfg", mini_dir)
+        argv = ["sweep", "--config", str(cfg_path), option, "16,32", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert hashed == []
+        assert [path.name for path in (tmp_path / "o").iterdir()] == [table]
+
+    @pytest.mark.parametrize(
+        "command, out",
+        [(["run"], "F"), (["sweep", "--sweep-dim", "16"], "F"), (["export-features"], "F/x")],
+        ids=["run", "sweep", "export"],
+    )
+    def test_unwritable_output_path_is_data_error(self, tmp_path, mini_dir, capsys, command, out):
+        # the output path runs through an existing file: the work is done,
+        # then the write fails with one error line naming the path
+        (tmp_path / "F").write_text("a file\n", encoding="utf-8")
+        cfg_path = write_config(tmp_path / "w.cfg", mini_dir)
+        argv = [command[0], "--config", str(cfg_path), "--out", str(tmp_path / out), *command[1:]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"data error: cannot write {tmp_path / out}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "key, source, expected",
+        [
+            ("config", None, "{config}:3: not UTF-8 text"),
+            ("train_tsv", "train.tsv", "tweet tsv: not UTF-8 text"),
+            ("test_labels", "test_labels.csv", "label csv: not UTF-8 text"),
+            ("vec_file", "toy.vec", "vec file line 3: not UTF-8 text"),
+            ("precomputed_file", "precomputed.txt", "precomputed file line 3: not UTF-8 text"),
+            ("stopwords", None, "stopwords file: not UTF-8 text"),
+        ],
+        ids=["config", "train_tsv", "test_labels", "vec_file", "precomputed_file", "stopwords"],
+    )
+    def test_non_utf8_input_is_data_error(self, tmp_path, mini_dir, capsys, key, source, expected):
+        # one 0xff byte at the start of the input's third line
+        def spoiled(data: bytes) -> bytes:
+            lines = data.splitlines(keepends=True)
+            lines[2] = b"\xff" + lines[2]
+            return b"".join(lines)
+
+        stopwords = Path(__file__).resolve().parent.parent / "src" / "offdetect" / "assets" / "stopwords.txt"
+        cfg_path = write_config(tmp_path / "u.cfg", mini_dir, extra=f"stopwords = {stopwords}\n")
+        if key == "precomputed_file":
+            cfg_path.write_text(cfg_path.read_text().replace("feature = avg", "feature = precomputed"))
+        original = {"config": cfg_path, "stopwords": stopwords}.get(key) or mini_dir / source
+        bad = tmp_path / f"bad-{original.name}"
+        bad.write_bytes(spoiled(original.read_bytes()))
+        if key != "config":
+            cfg_path.write_text(cfg_path.read_text().replace(f"= {original}\n", f"= {bad}\n"))
+        argv = ["run", "--config", str(bad if key == "config" else cfg_path), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"data error: {expected.format(config=bad)}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_inspect_model(self, tmp_path, mini_dir, capsys):
         cfg_path = write_config(tmp_path / "cli5.cfg", mini_dir)
         main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o5")])
@@ -849,7 +934,8 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_mini_experime
 class TestMiniScript:
     def test_c_sweep_matches_the_cli(self, tmp_path, mini_dir, monkeypatch, capsys):
         # in-process, counting the work: one _prepare per feature setting
-        # (avg, precomputed, dmd, hodmd-d2, hodmd-d3) plus the C sweep's own
+        # (avg, precomputed, dmd, hodmd-d2, hodmd-d3); the C sweep's points
+        # share the dmd cell's
         import runpy
 
         from offdetect import experiment
@@ -861,7 +947,7 @@ class TestMiniScript:
         monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--out", str(tmp_path / "script")])
         runpy.run_path(str(SCRIPT), run_name="__main__")
         monkeypatch.undo()
-        assert (len(prepared), len(featurized), len(trained)) == (6, 12, 24)
+        assert (len(prepared), len(featurized), len(trained)) == (5, 10, 24)
         assert capsys.readouterr().out.startswith("== baseline classifiers ==\n")
         cfg_path = tmp_path / "dmd.cfg"
         cfg_path.write_text(
