@@ -6,10 +6,8 @@ lowercases, and drops stopwords; its tokens feed the word-vector features.
 
 from __future__ import annotations
 
-import csv
 import io
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 
@@ -26,6 +24,7 @@ __all__ = [
     "tokenize_clean",
     "load_stopwords",
     "default_stopwords",
+    "text_lines",
 ]
 
 LABELS = ("OFF", "NOT")
@@ -65,40 +64,50 @@ def _check_label(value: str, where: str) -> str:
 def load_label_csv(source) -> dict[str, str]:
     """Parse an ``id,label`` CSV (no header) into an id -> label map."""
     labels: dict[str, str] = {}
-    with _text_lines(source, "label csv") as lines:
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataError(f"label csv line {lineno}: expected 'id,label', got {raw!r}")
-            tweet_id, label = parts[0].strip(), parts[1].strip()
-            if not tweet_id:
-                raise DataError(f"label csv line {lineno}: empty id")
-            if tweet_id in labels:
-                raise DataError(f"label csv line {lineno}: duplicate id {tweet_id!r}")
-            labels[tweet_id] = _check_label(label, f"label csv line {lineno}")
+    for lineno, raw in text_lines(source, "label csv"):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise DataError(f"label csv line {lineno}: expected 'id,label', got {raw!r}")
+        tweet_id, label = parts[0].strip(), parts[1].strip()
+        if not tweet_id:
+            raise DataError(f"label csv line {lineno}: empty id")
+        if tweet_id in labels:
+            raise DataError(f"label csv line {lineno}: duplicate id {tweet_id!r}")
+        labels[tweet_id] = _check_label(label, f"label csv line {lineno}")
     return labels
 
 
-@contextmanager
-def _text_lines(source, what: str):
-    """Text stream over a str, bytes (read as a byte stream), or a text or
-    byte stream.  A byte stream's UTF-8 wrapper is detached on exit, leaving
-    the stream open; text that is not UTF-8 is a DataError naming ``what``."""
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    elif isinstance(source, bytes):
-        source = io.BytesIO(source)
-    wrapper = source if isinstance(source, io.TextIOBase) else io.TextIOWrapper(source, encoding="utf-8")
+def text_lines(source, what: str):
+    """(line number, text) of each line of a str, bytes, or a text or byte
+    stream.  For every kind a line ends at ``\\n``, ``\\r\\n`` or a lone
+    ``\\r``, the line breaks of ``bytes.splitlines``, and the ending is not
+    kept.  A line that is not UTF-8 is a DataError naming ``what`` and the
+    line; a text stream decodes a block at a time, and a str is encoded
+    whole, so their errors name ``what`` only."""
     try:
-        yield wrapper
-    except UnicodeDecodeError:
+        if isinstance(source, io.TextIOBase):
+            source = source.read()
+        if isinstance(source, str):
+            source = source.encode("utf-8")
+    except UnicodeError:
         raise DataError(f"{what}: not UTF-8 text") from None
-    finally:
-        if wrapper is not source:
-            wrapper.detach()
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    lineno = 0
+    for chunk in source:
+        chunk = chunk.removesuffix(b"\n")
+        # a stream splits at LF only; most lines hold no CR, and the search for one
+        # is faster than splitlines' scan
+        for raw in chunk.splitlines() if b"\r" in chunk else (chunk,):
+            lineno += 1
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{what} line {lineno}: not UTF-8 text") from None
+            yield lineno, line
 
 
 def load_olid_tsv(tweet_source, label_source=None, split: str = "train") -> LabeledCorpus:
@@ -107,47 +116,47 @@ def load_olid_tsv(tweet_source, label_source=None, split: str = "train") -> Labe
     Labels come from the ``subtask_a`` column when present; a separate
     ``id,label`` CSV (the test-set convention) overrides them.  Records keep
     file order.  Rows with the wrong column count, unknown labels, or
-    duplicate ids raise DataError naming the offending line.
+    duplicate ids raise DataError naming ``split`` and the offending line.
     """
-    with _text_lines(tweet_source, "tweet tsv") as lines:
-        reader = csv.reader(lines, delimiter="\t", quoting=csv.QUOTE_NONE)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("tweet tsv: missing header row") from None
-        columns = {name.strip(): idx for idx, name in enumerate(header)}
-        for required in ("id", "tweet"):
-            if required not in columns:
-                raise DataError(f"tweet tsv header: missing column {required!r}")
-        id_col = columns["id"]
-        text_col = columns["tweet"]
-        label_col = columns.get("subtask_a")
+    what = f"{split} tweet tsv"
+    lines = text_lines(tweet_source, what)
+    _, first = next(lines, (None, None))
+    if first is None:
+        raise DataError(f"{what}: missing header row")
+    header = first.split("\t")
+    columns = {name.strip(): idx for idx, name in enumerate(header)}
+    for required in ("id", "tweet"):
+        if required not in columns:
+            raise DataError(f"{what} header: missing column {required!r}")
+    id_col = columns["id"]
+    text_col = columns["tweet"]
+    label_col = columns.get("subtask_a")
 
-        overrides = load_label_csv(label_source) if label_source is not None else None
+    overrides = load_label_csv(label_source) if label_source is not None else None
 
-        records: list[TweetRecord] = []
-        seen: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(
-                    f"tweet tsv line {lineno}: expected {len(header)} columns, got {len(row)}"
-                )
-            tweet_id = row[id_col].strip()
-            if not tweet_id:
-                raise DataError(f"tweet tsv line {lineno}: empty id")
-            if tweet_id in seen:
-                raise DataError(f"tweet tsv line {lineno}: duplicate id {tweet_id!r}")
-            seen.add(tweet_id)
-            label: str | None = None
-            if label_col is not None and row[label_col].strip():
-                label = _check_label(row[label_col].strip(), f"tweet tsv line {lineno}")
-            records.append(TweetRecord(id=tweet_id, text=row[text_col], label=label))
+    records: list[TweetRecord] = []
+    seen: set[str] = set()
+    for lineno, text in lines:
+        # tab-separated fields, no quoting; a blank line has none
+        row = text.split("\t") if text else []
+        if len(row) != len(header):
+            raise DataError(f"{what} line {lineno}: expected {len(header)} columns, got {len(row)}")
+        tweet_id = row[id_col].strip()
+        if not tweet_id:
+            raise DataError(f"{what} line {lineno}: empty id")
+        if tweet_id in seen:
+            raise DataError(f"{what} line {lineno}: duplicate id {tweet_id!r}")
+        seen.add(tweet_id)
+        label: str | None = None
+        if label_col is not None and row[label_col].strip():
+            label = _check_label(row[label_col].strip(), f"{what} line {lineno}")
+        records.append(TweetRecord(id=tweet_id, text=row[text_col], label=label))
 
     if overrides is not None:
         unknown = set(overrides) - seen
         if unknown:
             raise DataError(
-                f"label csv: {len(unknown)} id(s) not present in tweet tsv, "
+                f"label csv: {len(unknown)} id(s) not present in {what}, "
                 f"e.g. {sorted(unknown)[0]!r}"
             )
         records = [
@@ -218,12 +227,9 @@ def tokenize_clean(text: str, stopwords: frozenset[str] | set[str]) -> list[str]
 
 def load_stopwords(source) -> frozenset[str]:
     """Read a one-token-per-line stopword file."""
-    with _text_lines(source, "stopwords file") as lines:
-        words = [line.strip() for line in lines]
-    return frozenset(word for word in words if word)
+    return frozenset(line.strip() for _, line in text_lines(source, "stopwords file")) - {""}
 
 
 def default_stopwords() -> frozenset[str]:
     """The English stopword list shipped with the package (179 entries)."""
-    text = resources.files("offdetect.assets").joinpath("stopwords.txt").read_text("utf-8")
-    return load_stopwords(text)
+    return load_stopwords(resources.files("offdetect.assets").joinpath("stopwords.txt").read_bytes())

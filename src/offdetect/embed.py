@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import text_lines
 from .errors import DataError
 
 __all__ = [
@@ -51,19 +52,6 @@ class VectorTable:
         return len(self.index)
 
 
-def _lines(source, what: str):
-    """(line number, text) of each line; one that is not UTF-8 is a DataError."""
-    if isinstance(source, (str, bytes)):
-        source = source.splitlines()
-    for lineno, raw in enumerate(source, start=1):
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise DataError(f"{what} line {lineno}: not UTF-8 text") from None
-        yield lineno, raw
-
-
 def load_vec_table(source, vocab_filter: set[str] | None = None) -> VectorTable:
     """Parse a ``.vec`` text table: header ``count dim``, then
     ``token v1 ... v_dim`` per line, space-separated.
@@ -73,7 +61,7 @@ def load_vec_table(source, vocab_filter: set[str] | None = None) -> VectorTable:
     (nan, inf) value, raise DataError naming the line.  Kept rows are parsed
     in blocks (see ``_parsed_rows``).
     """
-    lines = _lines(source, "vec file")
+    lines = text_lines(source, "vec file")
     try:
         _, header = next(lines)
     except StopIteration:
@@ -94,10 +82,8 @@ def load_vec_table(source, vocab_filter: set[str] | None = None) -> VectorTable:
         for lineno, line in lines:
             if not line.strip():
                 continue
-            body = line.rstrip("\n")
             # trailing-space tolerance seen in common .vec exports
-            if body.endswith(" "):
-                body = body[:-1]
+            body = line[:-1] if line.endswith(" ") else line
             width = body.count(" ")
             if width != dim:
                 raise DataError(f"vec file line {lineno}: expected {dim} values, got {width}")
@@ -222,7 +208,7 @@ def load_precomputed(source) -> VectorTable:
     index: dict[str, int] = {}  # id -> row, in file order
 
     def checked_rows():
-        for lineno, line in _lines(source, "precomputed file"):
+        for lineno, line in text_lines(source, "precomputed file"):
             parts = line.split(None, 1)
             if not parts:
                 continue

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corpus import LabeledCorpus, default_stopwords, load_olid_tsv, load_stopwords, tokenize_clean
+from .corpus import LabeledCorpus, default_stopwords, load_olid_tsv, load_stopwords, text_lines, tokenize_clean
 from .dmd import HodmdConfig, sentence_feature
 from .embed import VectorTable, average_embedding, load_precomputed, load_vec_table, token_matrix
 from .errors import DataError
@@ -194,9 +194,10 @@ def parse_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
+        # the bad byte's line: the last line of the text up to it, the byte read as "?"
+        lineno = sum(1 for _ in text_lines(raw[: exc.start] + b"?", str(path)))
         raise DataError(f"{path}:{lineno}: not UTF-8 text") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in text_lines(text, str(path)):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -340,11 +341,11 @@ def build_pipeline(cfg: ExperimentConfig, corpora: list[LabeledCorpus]) -> Featu
     the filter stay in the pipeline, so featurizing these corpora does not
     tokenize them again.
     """
-    stopwords = (
-        load_stopwords(cfg.stopwords_file.read_bytes())
-        if cfg.stopwords_file is not None
-        else default_stopwords()
-    )
+    if cfg.stopwords_file is None:
+        stopwords = default_stopwords()
+    else:
+        with open(cfg.stopwords_file, "rb") as fh:
+            stopwords = load_stopwords(fh)
     hodmd = None
     tokens: dict[str, list[str]] = {}
     if cfg.feature in ("avg", "dmd", "hodmd"):
@@ -585,9 +586,13 @@ def write_artifacts(out_dir, files: dict[str, str | bytes]) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
         for filename, payload in files.items():
             tmp = out_dir / (filename + ".tmp")
-            with open(tmp, "wb") as fh:
-                fh.write(payload.encode("utf-8") if isinstance(payload, str) else payload)
-            os.replace(tmp, out_dir / filename)
+            try:
+                with open(tmp, "wb") as fh:
+                    fh.write(payload.encode("utf-8") if isinstance(payload, str) else payload)
+                os.replace(tmp, out_dir / filename)
+            except OSError:
+                tmp.unlink(missing_ok=True)  # a failed write leaves no temporary file
+                raise
     except OSError as exc:
         raise DataError(f"cannot write {exc.filename2 or exc.filename or out_dir}: {exc.strerror}") from None
 

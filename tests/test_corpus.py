@@ -11,11 +11,15 @@ from hypothesis import strategies as st
 from offdetect import corpus
 from offdetect.corpus import (
     LABELS,
+    LabeledCorpus,
     default_stopwords,
     load_label_csv,
     load_olid_tsv,
+    load_stopwords,
+    text_lines,
     tokenize_clean,
 )
+from offdetect.embed import VectorTable, load_precomputed, load_vec_table
 from offdetect.errors import DataError
 
 THREE_ROW_TSV = (
@@ -58,15 +62,30 @@ class TestLoadOlidTsv:
         assert len(corpus) == 3
 
     def test_bytes_read_as_their_byte_stream(self):
-        # CRLF and a lone CR end lines as they do in a file the CLI opens
-        data = "id\ttweet\tsubtask_a\r\nt1\ta\tNOT\rt2\tb\tOFF\n".encode("utf-8")
-        for source in (data, io.BytesIO(data)):
+        # CRLF and a lone CR end lines as they do in a file the CLI opens,
+        # in a str too
+        text = "id\ttweet\tsubtask_a\r\nt1\ta\tNOT\rt2\tb\tOFF\n"
+        data = text.encode("utf-8")
+        for source in (text, data, io.BytesIO(data)):
             corpus = load_olid_tsv(source, b"t2,NOT\r\n")
             assert [(rec.id, rec.label) for rec in corpus.records] == [("t1", "NOT"), ("t2", "NOT")]
 
+    def test_errors_name_the_split(self):
+        dup = "id\ttweet\nt1\ta\nt1\tb\n"
+        with pytest.raises(DataError, match="^test tweet tsv line 3: duplicate id 't1'$"):
+            load_olid_tsv(dup, split="test")
+        with pytest.raises(DataError, match="^train tweet tsv header: missing column 'tweet'$"):
+            load_olid_tsv("id\ttext\n")
+        with pytest.raises(DataError, match="^train tweet tsv line 2: not UTF-8 text$"):
+            load_olid_tsv(b"id\ttweet\n\xff\ta\n")
+
+    def test_tweet_longer_than_the_csv_field_limit_loads(self):
+        text = "a" * 200_000
+        assert load_olid_tsv(f"id\ttweet\nt1\t{text}\n").records[0].text == text
+
     def test_byte_streams_stay_open_and_leave_no_wrapper(self, mini_dir):
-        # the text wrapper over a byte stream is detached, so it neither
-        # closes the caller's file nor lingers unclosed for the collector
+        # reading neither closes the caller's files nor leaves a wrapper
+        # over them unclosed for the collector
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with open(mini_dir / "test.tsv", "rb") as fh, open(
@@ -136,6 +155,90 @@ class TestLoadOlidTsv:
         corpus = load_olid_tsv(make_tsv(rows))
         assert len(corpus) == len(rows)
         assert [rec.label for rec in corpus.records] == [label for _, label in rows]
+
+
+# Lines for the reader's property test: rows of every input format, blank
+# ones, and characters that str.splitlines (but not the one rule) breaks at.
+_LINES = [
+    "id\ttweet\tsubtask_a",
+    "t1\tyou are\vthe worst\tOFF",
+    "t2\tlovely\x85day\tNOT",
+    "t3\tget\u2028lost\tOFF",
+    "t1,OFF",
+    "t3,NOT",
+    "2 2",
+    "you 0.5 -1",
+    "the\x1cend 1e3 2",
+    "t1 0.25 4",
+    "t2\f 1 2",
+    "",
+    " \f ",
+    "lovely",
+]
+
+# the same text as a str, bytes, text streams and a byte stream
+_KINDS = {
+    "str": lambda text: text,
+    "bytes": lambda text: text.encode("utf-8"),
+    "text stream": io.StringIO,
+    "decoding text stream": lambda text: io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8"),
+    "byte stream": lambda text: io.BytesIO(text.encode("utf-8")),
+}
+
+
+def _outcome(load, source):
+    try:
+        result = load(source)
+    except DataError as exc:
+        return str(exc)
+    if isinstance(result, VectorTable):
+        return result.index, result.matrix.shape, result.matrix.tobytes()
+    if isinstance(result, LabeledCorpus):
+        return result.records
+    return result
+
+
+class TestTextLines:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(_LINES), st.sampled_from(["\n", "\r\n", "\r"])), max_size=8),
+        st.booleans(),
+    )
+    def test_every_kind_reads_alike(self, lines, last_break):
+        text = "".join(line + end for line, end in lines)
+        if lines and not last_break:
+            text = text[: -len(lines[-1][1])]
+        # the one rule is the one bytes.splitlines keeps
+        expected = [(i, raw.decode("utf-8")) for i, raw in enumerate(text.encode("utf-8").splitlines(), 1)]
+        loaders = [
+            lambda source: list(text_lines(source, "text")),
+            load_vec_table,
+            load_precomputed,
+            load_olid_tsv,
+            load_label_csv,
+            load_stopwords,
+        ]
+        for load in loaders:
+            outcomes = {kind: _outcome(load, make(text)) for kind, make in _KINDS.items()}
+            assert list(outcomes.values()) == [outcomes["bytes"]] * len(_KINDS), outcomes
+        assert _outcome(loaders[0], text) == expected
+
+    @pytest.mark.parametrize(
+        "load, data, what",
+        [
+            (load_vec_table, b"1 1\nw 0.5\n\xff 1\n", "vec file"),
+            (load_olid_tsv, b"id\ttweet\nt1\ta\n\xff\tb\n", "train tweet tsv"),
+        ],
+    )
+    def test_bad_byte_in_a_text_stream_or_str_names_the_input(self, load, data, what):
+        # a text stream decodes a block at a time, and a str (here holding the
+        # byte as a lone surrogate) is encoded whole: the error names no line
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        for source in (stream, data.decode("utf-8", "surrogateescape")):
+            with pytest.raises(DataError, match=f"^{what}: not UTF-8 text$"):
+                load(source)
+        with pytest.raises(DataError, match=f"^{what} line 3: not UTF-8 text$"):
+            load(io.BytesIO(data))
 
 
 class TestTokenizeClean:

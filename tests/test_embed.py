@@ -228,11 +228,13 @@ class TestLoadPrecomputed:
 
 
 def _reference_lines(source):
+    # every kind by one rule: a line ends at "\n", "\r\n" or a lone "\r"
+    if not isinstance(source, (str, bytes)):
+        source = source.read()
     if isinstance(source, bytes):
         source = source.decode("utf-8")
-    if isinstance(source, str):
-        return source.splitlines()
-    return (raw.decode("utf-8") if isinstance(raw, bytes) else raw for raw in source)
+    lines = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 def _reference_row(fields, where):
@@ -321,7 +323,7 @@ _VALUE_EDITS = [
     "+.5",
     "2\t",
     "1\t2",  # one field to str.split(" "), two to a whitespace split
-    "\r",  # a line break inside a byte-stream line
+    "\r",  # a lone CR: a line break in every kind of source
 ]
 _ROW_EDITS = ["short", "long", "dup", "blank", "crlf", "trailing space", "tab", "double space"]
 
@@ -365,11 +367,11 @@ def _random_table(data, kind):
     return "".join(header + lines), ids
 
 
-# the text itself and its bytes (split by splitlines) and a byte stream
-# (lines keep "\r")
+# the text itself, its bytes, a text stream and a byte stream
 _SOURCES = [
     lambda text: text,
     lambda text: text.encode("utf-8"),
+    io.StringIO,
     lambda text: io.BytesIO(text.encode("utf-8")),
 ]
 

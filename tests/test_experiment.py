@@ -110,6 +110,15 @@ class TestParseConfig:
         cfg = parse_config(cfg_path)
         assert cfg.feature == "hodmd" and cfg.hodmd_d == 3
 
+    def test_line_breaks_follow_the_one_rule(self, tmp_path, mini_dir):
+        # a form feed in a comment starts no new key; a lone CR ends a line,
+        # also when a non-UTF-8 byte's line is counted
+        cfg_path = write_config(tmp_path / "f.cfg", mini_dir, extra="# note\fclassifier = rlsc\n")
+        assert parse_config(cfg_path).classifier == "svm"
+        cfg_path.write_bytes(b"# one\r# two\r\nC = \xff\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(cfg_path))}:3: not UTF-8 text$"):
+            parse_config(cfg_path)
+
     def test_rks_block(self, tmp_path, mini_dir):
         cfg_path = write_config(
             tmp_path / "r.cfg", mini_dir, extra="rks_dim = 64\nrks_seed = 9\n"
@@ -688,17 +697,28 @@ class TestCli:
         assert "Traceback" not in err
         assert err.startswith(f"data error: cannot write {tmp_path / out}: ") and err.count("\n") == 1
 
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, mini_dir, capsys):
+        # report.tsv is a directory: its temporary file is written, the rename
+        # fails, and the temporary file goes
+        out = tmp_path / "o"
+        (out / "report.tsv").mkdir(parents=True)
+        cfg_path = write_config(tmp_path / "t.cfg", mini_dir)
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: cannot write {out / 'report.tsv'}: Is a directory\n"
+        assert [path.name for path in out.iterdir()] == ["report.tsv"]
+
     @pytest.mark.parametrize(
         "key, source, expected",
         [
             ("config", None, "{config}:3: not UTF-8 text"),
-            ("train_tsv", "train.tsv", "tweet tsv: not UTF-8 text"),
-            ("test_labels", "test_labels.csv", "label csv: not UTF-8 text"),
+            ("train_tsv", "train.tsv", "train tweet tsv line 3: not UTF-8 text"),
+            ("test_tsv", "test.tsv", "test tweet tsv line 3: not UTF-8 text"),
+            ("test_labels", "test_labels.csv", "label csv line 3: not UTF-8 text"),
             ("vec_file", "toy.vec", "vec file line 3: not UTF-8 text"),
             ("precomputed_file", "precomputed.txt", "precomputed file line 3: not UTF-8 text"),
-            ("stopwords", None, "stopwords file: not UTF-8 text"),
+            ("stopwords", None, "stopwords file line 3: not UTF-8 text"),
         ],
-        ids=["config", "train_tsv", "test_labels", "vec_file", "precomputed_file", "stopwords"],
+        ids=["config", "train_tsv", "test_tsv", "test_labels", "vec_file", "precomputed_file", "stopwords"],
     )
     def test_non_utf8_input_is_data_error(self, tmp_path, mini_dir, capsys, key, source, expected):
         # one 0xff byte at the start of the input's third line
