@@ -216,7 +216,7 @@ def parse_config(path) -> ExperimentConfig:
         try:
             target[name] = convert(value)
         except ValueError:
-            raise DataError(f"{path}: key {key!r}: invalid value {value!r}") from None
+            raise DataError(f"{path}:{lineno}: key {key!r}: invalid value {value!r}") from None
         if convert is Path and not target[name].is_absolute():
             target[name] = (path.parent / target[name]).resolve()
 

@@ -37,9 +37,13 @@ __all__ = [
 _SVM_CHUNK = 4096
 _SVM_WINDOW = 32
 # Columns per block of the ridge solve's Cholesky factorization: besides the
-# Gram matrix it factors in place, a step holds one (rows x block) panel.
-# Of 96 to 512, 128 to 192 were fastest at 1,001 to 3,310 unknowns (2 vCPUs).
+# Gram matrix it factors in place, a step holds one (panel rows x block)
+# product.  Of 96 to 512, 128 to 192 were fastest at 1,001 to 3,310 unknowns
+# (2 vCPUs).
 _CHOLESKY_BLOCK = 128
+# Rows per panel of the Gram matrix's stored lower triangle: a whole number
+# of blocks, so that no block of the factorization straddles two panels.
+_PANEL_ROWS = 3 * _CHOLESKY_BLOCK
 
 
 @dataclass
@@ -96,15 +100,50 @@ def _augment(X: np.ndarray) -> np.ndarray:
     return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
-def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
-    """Overwrite the lower triangle of the symmetric positive definite `a`
-    with its Cholesky factor L, a = L L^T, and return `a`.
+def _lower_panels(k: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A buffer for the lower triangle of a symmetric k x k matrix, and the
+    row panels cut from it: each covers rows [i0, i1), at most _PANEL_ROWS
+    of them, and columns [0, i1), as one C-contiguous view.  A panel's
+    diagonal square is stored whole, so the buffer holds about half of the
+    k^2 entries plus k * _PANEL_ROWS / 2."""
+    bounds = [(i0, min(i0 + _PANEL_ROWS, k)) for i0 in range(0, k, _PANEL_ROWS)]
+    buffer = np.empty(sum((i1 - i0) * i1 for i0, i1 in bounds))
+    panels, start = [], 0
+    for i0, i1 in bounds:
+        stop = start + (i1 - i0) * i1
+        panels.append(buffer[start:stop].reshape(i1 - i0, i1))
+        start = stop
+    return buffer, panels
+
+
+def _panel_rows(panel: np.ndarray) -> tuple[int, int]:
+    """The rows [i0, i1) of the whole matrix that `panel` holds."""
+    return panel.shape[1] - len(panel), panel.shape[1]
+
+
+def _column_blocks(panels: list[np.ndarray]):
+    """(q, i0, j0, j1) for each block of at most _CHOLESKY_BLOCK columns
+    [j0, j1), in order: its diagonal block lies in panel q, whose rows
+    start at i0."""
+    for q, panel in enumerate(panels):
+        i0, i1 = _panel_rows(panel)
+        for j0 in range(i0, i1, _CHOLESKY_BLOCK):
+            yield q, i0, j0, min(j0 + _CHOLESKY_BLOCK, i1)
+
+
+def _cholesky_in_place(panels: list[np.ndarray]) -> list[np.ndarray]:
+    """Overwrite the lower triangle of the symmetric positive definite
+    matrix held in the row panels of _lower_panels with its Cholesky factor
+    L, a = L L^T, and return the panels.
 
     Left-looking and blocked (Golub & Van Loan, Matrix Computations, 4.2):
-    each block of columns takes one product against the columns already
-    factored, LAPACK factors its diagonal block L11, and the panel below
-    is multiplied by inv(L11^T).  Only the lower triangle is read, and no
-    copy larger than one panel is made.  Raises LinAlgError when `a` is not
+    each block of columns takes one product per panel it spans against the
+    columns already factored, LAPACK factors its diagonal block L11, and
+    the rows below are multiplied by inv(L11^T), again one product per
+    panel.  Only the lower triangle is read, and no copy larger than one
+    panel's block of columns is made.  The strict upper triangle of
+    inv(L11^T), which _cholesky_solve reuses, is kept above L11, where
+    nothing else is read.  Raises LinAlgError when the matrix is not
     positive definite.
 
     LAPACK's LU inverts the upper triangular L11^T without exchanging a
@@ -113,28 +152,40 @@ def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
     error was then 4.3 times that of LAPACK's own Cholesky solve, against
     0.6 times this way.
     """
-    k = len(a)
-    for j0 in range(0, k, _CHOLESKY_BLOCK):
-        j1 = min(j0 + _CHOLESKY_BLOCK, k)
+    for q, i0, j0, j1 in _column_blocks(panels):
+        panel = panels[q]
+        rows = panel[j0 - i0 : j1 - i0]
         if j0:
-            a[j0:, j0:j1] -= a[j0:, :j0] @ a[j0:j1, :j0].T
-        a[j0:j1, j0:j1] = np.linalg.cholesky(a[j0:j1, j0:j1])
-        if j1 < k:
-            a[j1:, j0:j1] = a[j1:, j0:j1] @ np.linalg.inv(a[j0:j1, j0:j1].T)
-    return a
+            for part in [panel[j0 - i0 :]] + panels[q + 1 :]:
+                part[:, j0:j1] -= part[:, :j0] @ rows[:, :j0].T
+        factor = np.linalg.cholesky(rows[:, j0:j1])
+        inverse = np.linalg.inv(factor.T)
+        rows[:, j0:j1] = factor + np.triu(inverse, 1)
+        for part in [panel[j1 - i0 :]] + panels[q + 1 :]:
+            part[:, j0:j1] = part[:, j0:j1] @ inverse
+    return panels
 
 
-def _cholesky_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _diagonal_inverse(block: np.ndarray) -> np.ndarray:
+    """inv(L11^T) for a diagonal block that _cholesky_in_place leaves: its
+    strict upper triangle as stored above L11, its diagonal 1 / diag(L11)."""
+    inverse = np.triu(block, 1)
+    np.fill_diagonal(inverse, 1.0 / block.diagonal())
+    return inverse
+
+
+def _cholesky_solve(panels: list[np.ndarray], b: np.ndarray) -> np.ndarray:
     """Solve L L^T x = b for the factor L that _cholesky_in_place leaves in
-    `factor`: forward, then back substitution over the same blocks, with a
-    small triangular solve on each diagonal block."""
-    k = len(factor)
-    blocks = [(j0, min(j0 + _CHOLESKY_BLOCK, k)) for j0 in range(0, k, _CHOLESKY_BLOCK)]
+    `panels`: forward, then back substitution over the same blocks of rows.
+    Each diagonal block is inverted by the inverse that the factorization
+    kept above it, and each step reads only its own rows of L."""
+    blocks = [(panels[q][j0 - i0 : j1 - i0], j0, j1) for q, i0, j0, j1 in _column_blocks(panels)]
     x = np.array(b, dtype=np.float64)
-    for j0, j1 in blocks:
-        x[j0:j1] = np.linalg.solve(factor[j0:j1, j0:j1], x[j0:j1] - factor[j0:j1, :j0] @ x[:j0])
-    for j0, j1 in reversed(blocks):
-        x[j0:j1] = np.linalg.solve(factor[j0:j1, j0:j1].T, x[j0:j1] - factor[j1:, j0:j1].T @ x[j1:])
+    for rows, j0, j1 in blocks:
+        x[j0:j1] = _diagonal_inverse(rows[:, j0:j1]).T @ (x[j0:j1] - rows[:, :j0] @ x[:j0])
+    for rows, j0, j1 in reversed(blocks):
+        x[j0:j1] = _diagonal_inverse(rows[:, j0:j1]) @ x[j0:j1]
+        x[:j0] -= rows[:, :j0].T @ x[j0:j1]
     return x
 
 
@@ -148,12 +199,14 @@ def train_rlsc(F, y, lam: float = 1e-3, fit_intercept: bool = True) -> LinearMod
     intercept), the primal, taken when k <= n, is the bordered system
     [[X^T X, X^T 1], [1^T X, n]] + lam I with right-hand side [X^T y, sum y].
     Otherwise the dual (X X^T + 1 1^T + lam I) a = y gives w = X^T a and
-    bias = sum a.  Either way the solve holds X and one Gram matrix, with
-    no widened copy of X: a blocked Cholesky in numpy alone factors the
-    Gram matrix in place, holding at most one panel of _CHOLESKY_BLOCK
-    columns besides it.  Features so large that the Gram matrix or the
-    weights overflow raise NumericError, and so does a Gram matrix that
-    rounding leaves not positive definite.
+    bias = sum a.  Either way the solve holds X and the lower triangle of
+    one Gram matrix, with no widened copy of X.  That triangle is kept in
+    row panels of _PANEL_ROWS rows cut from one buffer, about half of the
+    min(dim + 1, n)^2 entries; each panel is one matrix product.  A blocked
+    Cholesky in numpy alone factors it in place, holding at most one
+    (panel rows x _CHOLESKY_BLOCK) product besides it.  Features so large
+    that the Gram matrix or the weights overflow raise NumericError, and
+    so does a Gram matrix that rounding leaves not positive definite.
     """
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"ridge strength lam must be positive, got {lam}")
@@ -161,27 +214,33 @@ def train_rlsc(F, y, lam: float = 1e-3, fit_intercept: bool = True) -> LinearMod
     n, dim = X.shape
     k = dim + 1 if fit_intercept else dim
     primal = k <= n
+    buffer, panels = _lower_panels(k if primal else n)
     # an overflow is reported by the NumericError below, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        for panel in panels:
+            i0, i1 = _panel_rows(panel)
+            if not primal:
+                np.matmul(X[i0:i1], X[:i1].T, out=panel)
+                if fit_intercept:
+                    panel += 1.0
+            elif i1 <= dim:
+                np.matmul(X[:, i0:i1].T, X[:, :i1], out=panel)
+            else:  # the last panel, whose last row and column are the intercept's
+                np.matmul(X[:, i0:dim].T, X[:, :dim], out=panel[:-1, :dim])
+                sums = X.sum(axis=0)
+                panel[:-1, dim] = sums[i0:]
+                panel[-1, :dim] = sums
+                panel[-1, dim] = n
+            panel.flat[i0 :: i1 + 1] += lam
         if primal:
-            gram = np.empty((k, k))
-            np.matmul(X.T, X, out=gram[:dim, :dim])
-            rhs = X.T @ y
-            if fit_intercept:
-                gram[dim, :dim] = gram[:dim, dim] = X.sum(axis=0)
-                gram[dim, dim] = n
-                rhs = np.append(rhs, y.sum())
-        else:
-            gram = X @ X.T
-            if fit_intercept:
-                gram += 1.0
-        gram.flat[:: len(gram) + 1] += lam
-        # one sum in place of a Gram-sized finiteness mask: any inf or nan
-        # entry makes it non-finite, and so does a sum past the float range
-        if not math.isfinite(gram.sum()):
+            rhs = np.append(X.T @ y, y.sum()) if fit_intercept else X.T @ y
+        # one sum in place of a Gram-sized finiteness mask: every stored
+        # entry is written by now, and any inf or nan among them makes it
+        # non-finite, as does a sum past the float range
+        if not math.isfinite(buffer.sum()):
             raise NumericError("normal-equation matrix overflows: features too large")
         try:
-            solution = _cholesky_solve(_cholesky_in_place(gram), rhs if primal else y)
+            solution = _cholesky_solve(_cholesky_in_place(panels), rhs if primal else y)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"normal-equation solve failed: {exc}") from exc
     if not primal:

@@ -137,6 +137,16 @@ class TestParseConfig:
         with pytest.raises(DataError, match="unknown key"):
             parse_config(cfg_path)
 
+    @pytest.mark.parametrize("key, value", [("C", "abc"), ("svm_epochs", "1.5"), ("rks_sigma", "wide")])
+    def test_unconvertible_value_names_its_line(self, tmp_path, key, value):
+        cfg_path = tmp_path / "v.cfg"
+        cfg_path.write_text(
+            f"# header\ntrain_tsv = a.tsv\n\n{key} = {value}\nfeature = avg\n", encoding="utf-8"
+        )
+        expected = f"{cfg_path}:4: key {key!r}: invalid value {value!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
+            parse_config(cfg_path)
+
     def test_missing_required_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "m.cfg"
         cfg_path.write_text("train_tsv = x\n", encoding="utf-8")

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from offdetect.errors import DataError, NumericError
 from offdetect.learn import (
     _CHOLESKY_BLOCK,
+    _PANEL_ROWS,
     _cholesky_in_place,
     _cholesky_solve,
+    _lower_panels,
     logreg_loss_grad,
     predict,
     svm_objective,
@@ -32,6 +34,16 @@ def blobs_fixture(n=50, dim=3, seed=42):
     )
     y = np.array([1.0] * half + [-1.0] * (n - half))
     return X, y
+
+
+def packed(a):
+    """The row panels of the lower triangle that train_rlsc builds, cut
+    from the full symmetric matrix `a`."""
+    _, panels = _lower_panels(len(a))
+    for panel in panels:
+        i1 = panel.shape[1]
+        panel[...] = a[i1 - len(panel) : i1, :i1]
+    return panels
 
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -139,12 +151,13 @@ class TestRlsc:
         # no more unknowns than rows) or X X^T + lam I (12 rows), and with
         # an intercept the bordered [[X^T X, X^T 1], [1^T X, n]] + lam I
         # with right-hand side [X^T y, sum y], or X X^T + 1 1^T + lam I with
-        # w = [X^T a, sum a].  scipy's LAPACK solve of the same system is
-        # the independent oracle, to rounding
+        # w = [X^T a, sum a], each passed as the panels of its lower
+        # triangle.  scipy's LAPACK solve of the same system is the
+        # independent oracle, to rounding
         import scipy.linalg
 
         def explicit_solve(gram, rhs):
-            return _cholesky_solve(_cholesky_in_place(gram.copy()), rhs)
+            return _cholesky_solve(_cholesky_in_place(packed(gram)), rhs)
 
         def scipy_solve(gram, rhs):
             return scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs)
@@ -179,12 +192,14 @@ class TestRlsc:
     @pytest.mark.parametrize("system", ["primal", "dual"])
     @pytest.mark.parametrize(
         "size",
-        [1, _CHOLESKY_BLOCK - 1, _CHOLESKY_BLOCK, _CHOLESKY_BLOCK + 1, 2 * _CHOLESKY_BLOCK + 3],
+        [1, _CHOLESKY_BLOCK - 1, _CHOLESKY_BLOCK, _CHOLESKY_BLOCK + 1, 2 * _CHOLESKY_BLOCK + 3]
+        + [_PANEL_ROWS - 1, _PANEL_ROWS, _PANEL_ROWS + 1, 2 * _PANEL_ROWS + 3],
     )
     def test_blocked_solve_matches_lapack(self, size, system, fit_intercept):
         # k unknowns (primal) or n rows (dual) at and around the block
         # boundaries of the factorization: one block, a full one, one
-        # column past it, and two full blocks plus a partial one
+        # column past it, and two full blocks plus a partial one; then the
+        # same around the boundaries of the stored row panels
         import scipy.linalg
 
         rng = np.random.default_rng(size)
@@ -207,15 +222,20 @@ class TestRlsc:
         got = np.append(model.w, model.bias) if fit_intercept else model.w
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("bad", [0, _CHOLESKY_BLOCK + 1, 2 * _CHOLESKY_BLOCK + 2])
+    @pytest.mark.parametrize(
+        "bad",
+        [0, _CHOLESKY_BLOCK + 1, 2 * _CHOLESKY_BLOCK + 2, _PANEL_ROWS + _CHOLESKY_BLOCK + 1],
+    )
     def test_indefinite_matrix_raises(self, bad):
-        # a negative pivot in the first, second or last block of columns
+        # a negative pivot in the first, second or last block of columns of
+        # a one-panel matrix, and in the second block of the second panel
+        size = 2 * _CHOLESKY_BLOCK + 3 if bad < _PANEL_ROWS else 2 * _PANEL_ROWS + 3
         rng = np.random.default_rng(bad)
-        M = rng.normal(size=(2 * _CHOLESKY_BLOCK + 3, 300))
+        M = rng.normal(size=(size, size + 41))
         a = M @ M.T
         a[bad, bad] = -1.0
         with pytest.raises(np.linalg.LinAlgError):
-            _cholesky_in_place(a)
+            _cholesky_in_place(packed(a))
 
     def test_indefinite_gram_is_numeric_error(self):
         # two equal columns and a ridge too small to register: the Gram
@@ -266,6 +286,22 @@ class TestRlsc:
         finally:
             tracemalloc.stop()
         assert peak < X.nbytes / 2 + 2 * gram_bytes
+
+    def test_dual_holds_half_the_gram_matrix(self):
+        # the dual n x n system keeps only its lower triangle, in row
+        # panels whose diagonal squares are stored whole: 0.59 n^2 entries
+        # at n = 2,000, plus one block of columns per panel in transients
+        rng = np.random.default_rng(8)
+        n = 2000
+        X = rng.normal(size=(n, n))
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        tracemalloc.start()
+        try:
+            train_rlsc(X, y, lam=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.65 * n * n * X.itemsize
 
     def test_zero_rows_rejected(self):
         with pytest.raises(DataError, match="zero rows"):
