@@ -34,7 +34,7 @@ from .errors import DataError
 from .evaluation import MetricsReport, evaluate, labels_to_signs, render_report, sweep_csv_lines
 from .learn import train_gnb, train_linear_svm, train_logreg, train_rlsc
 from .model_io import save_model
-from .rks import PRNG_ID, check_map_size, median_heuristic_sigma, sample_map, transform
+from .rks import PRNG_ID, _usable_cpus, check_map_size, median_heuristic_sigma, sample_map, transform
 
 __all__ = [
     "RksSpec",
@@ -56,6 +56,10 @@ FEATURE_KINDS = ("avg", "dmd", "hodmd", "precomputed")
 CLASSIFIER_KINDS = ("rlsc", "svm", "logreg", "gnb")
 
 _HODMD_RE = re.compile(r"^hodmd\((\d+)\)$")
+# Most tweets featurized as one work unit: a length group is cut into chunks
+# of this many, so a worker holds at most this many tweets' vectors and
+# decompositions (the largest group of an OLID-size corpus has 750 tweets).
+_FEATURIZE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -250,14 +254,6 @@ def load_corpora(cfg: ExperimentConfig) -> tuple[LabeledCorpus, LabeledCorpus]:
     return train_corpus, test_corpus
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 @dataclass
 class FeaturePipeline:
     """Resolved feature extractor: corpus -> (n, dim) float64 array, one row
@@ -275,15 +271,17 @@ class FeaturePipeline:
     def featurize(self, corpus: LabeledCorpus) -> np.ndarray:
         """The (n, dim) feature array of ``corpus``, one row per tweet.
 
-        The word-vector modes group tweets by in-vocabulary length and
-        featurize each group whole, as one (G, L) block of table rows.  The
-        groups run on a thread pool with one worker per CPU this process may
-        use (numpy's batched LAPACK calls release the interpreter lock), so
-        at most one group's vectors per worker are held at a time.  Each
-        group gets the same block as in a serial loop over the groups, so
-        the output does not depend on the worker count, and an error is the
-        one that loop would raise first.  A non-finite feature row (word
-        vectors so large that it overflows) is a DataError naming its tweet.
+        The word-vector modes group tweets by in-vocabulary length and cut
+        each group into chunks of at most _FEATURIZE_CHUNK tweets, each
+        featurized as one (G, L) block of table rows.  The chunks run on a
+        thread pool with one worker per CPU this process may use (numpy's
+        batched LAPACK calls release the interpreter lock), so at most one
+        chunk's vectors per worker are held at a time.  Every tweet's
+        feature is computed on its own within a block, so the output equals
+        a serial loop over whole groups and does not depend on the worker
+        count, and an error is the one that loop would raise first.  A
+        non-finite feature row (word vectors so large that it overflows) is
+        a DataError naming its tweet.
         """
         if self.kind == "precomputed":
             try:
@@ -312,10 +310,16 @@ class FeaturePipeline:
                 else:
                     values[members] = sentence_feature(token_matrix(block, self.table), self.hodmd)
 
-        # results are read in submission order; the first error read cancels
-        # the groups not yet started
+        # each group cut into chunks, in order: results are read in
+        # submission order, and the first error read cancels the chunks not
+        # yet started
+        chunks = [
+            members[start : start + _FEATURIZE_CHUNK]
+            for members in by_length.values()
+            for start in range(0, len(members), _FEATURIZE_CHUNK)
+        ]
         with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
-            for _ in pool.map(featurize_group, by_length.values()):
+            for _ in pool.map(featurize_group, chunks):
                 pass
         finite = np.isfinite(values).all(axis=1)
         if not finite.all():
@@ -391,14 +395,22 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _train(cfg: ExperimentConfig, F, y):
+def _train(cfg: ExperimentConfig, F, y, rks=None):
+    """The configured classifier fitted on F, or with a map ``rks`` on F
+    lifted through it; the model then carries the map.  The ridge solve
+    lifts F itself, in blocks; svm and logreg train on the whole lifted
+    matrix (gnb takes no map: ``validate`` refuses the pair)."""
     if cfg.classifier == "rlsc":
-        return train_rlsc(F, y, lam=cfg.lam)
+        return train_rlsc(F, y, lam=cfg.lam, rks=rks)
+    if cfg.classifier == "gnb":
+        return train_gnb(F, y, var_floor=cfg.var_floor)
+    lifted = F if rks is None else transform(rks, F)
     if cfg.classifier == "svm":
-        return train_linear_svm(F, y, C=cfg.C, epochs=cfg.svm_epochs, seed=cfg.seed)
-    if cfg.classifier == "logreg":
-        return train_logreg(F, y, lr=cfg.lr, epochs=cfg.logreg_epochs, l2=cfg.l2, seed=cfg.seed)
-    return train_gnb(F, y, var_floor=cfg.var_floor)
+        model = train_linear_svm(lifted, y, C=cfg.C, epochs=cfg.svm_epochs, seed=cfg.seed)
+    else:
+        model = train_logreg(lifted, y, lr=cfg.lr, epochs=cfg.logreg_epochs, l2=cfg.l2, seed=cfg.seed)
+    model.rks = rks
+    return model
 
 
 def _lift_sigma(rks: RksSpec, train_F: np.ndarray) -> float:
@@ -420,12 +432,12 @@ def sweep_reports(
     run_cfgs: list[ExperimentConfig],
 ) -> list[tuple[object, MetricsReport]]:
     """(model, test metrics) of each config in ``run_cfgs``, fitted on the
-    given feature arrays.  A config with a lift trains on the lifted
-    features (bandwidth -> ``sample_map`` -> ``transform``), and its model
-    carries the map.  A median-heuristic bandwidth is fitted once per lift
-    seed, so each config gets the bandwidth it gets alone.  Every map is
-    checked against the entry cap before the first config is trained, and a
-    recipe ``sample_map`` refuses is a DataError.
+    given feature arrays.  A config with a lift passes the raw features and
+    its map (bandwidth -> ``sample_map``) to the trainer, which lifts them,
+    and its model carries the map.  A median-heuristic bandwidth is fitted
+    once per lift seed, so each config gets the bandwidth it gets alone.
+    Every map is checked against the entry cap before the first config is
+    trained, and a recipe ``sample_map`` refuses is a DataError.
 
     The configs are fitted widest training matrix first (the lift dimension,
     else the feature dimension; ties in input order), so the largest
@@ -444,18 +456,15 @@ def sweep_reports(
     results: list = [None] * len(run_cfgs)
     for i in sorted(range(len(run_cfgs)), key=lambda i: -widths[i]):
         run_cfg = run_cfgs[i]
-        rks = run_cfg.rks
-        if rks is None:
-            model = _train(run_cfg, train_F, train_y)
-        else:
+        rks, rks_map = run_cfg.rks, None
+        if rks is not None:
             if (rks.sigma, rks.seed) not in sigmas:
                 sigmas[rks.sigma, rks.seed] = _lift_sigma(rks, train_F)
             try:
                 rks_map = sample_map(train_F.shape[1], rks.dim, sigmas[rks.sigma, rks.seed], rks.seed)
             except ValueError as exc:
                 raise DataError(f"random-feature map: {exc}") from None
-            model = _train(run_cfg, transform(rks_map, train_F), train_y)
-            model.rks = rks_map
+        model = _train(run_cfg, train_F, train_y, rks_map)
         results[i] = (model, evaluate(model, test_corpus, test_F))
     return results
 

@@ -44,6 +44,10 @@ _CHOLESKY_BLOCK = 128
 # Rows per panel of the Gram matrix's stored lower triangle: a whole number
 # of blocks, so that no block of the factorization straddles two panels.
 _PANEL_ROWS = 3 * _CHOLESKY_BLOCK
+# Most entries of one block of the lift that train_rlsc makes (64 MiB of
+# float64): it lifts its input this many entries at a time, rows for the
+# primal system and frequencies for the dual, and holds no whole lift.
+_LIFT_BLOCK_ENTRIES = 1 << 23
 
 
 @dataclass
@@ -189,69 +193,175 @@ def _cholesky_solve(panels: list[np.ndarray], b: np.ndarray) -> np.ndarray:
     return x
 
 
-def train_rlsc(F, y, lam: float = 1e-3, fit_intercept: bool = True) -> LinearModel:
-    """Ridge regression on +-1 targets: w minimizing ||X w - y||^2 + lam ||w||^2.
+def _lift_bounds(count: int, width: int) -> list[tuple[int, int]]:
+    """[start, stop) bounds that cut ``count`` units (rows or frequencies)
+    of ``width`` entries each into the fewest near-equal blocks of at most
+    _LIFT_BLOCK_ENTRIES entries."""
+    parts = -(-count // max(1, _LIFT_BLOCK_ENTRIES // width))
+    return [(count * j // parts, count * (j + 1) // parts) for j in range(parts)]
+
+
+def _lifted_blocks(X: np.ndarray, rks: RksMap | None, bounds, by_rows: bool):
+    """Yield the lift of X through ``rks`` one block per [start, stop) of
+    ``bounds``: rows of the lifted matrix (``by_rows``), else frequencies,
+    a block then holding their cos and sin columns.  Every block is
+    written into one buffer, so a block is valid only until the next one
+    is made.  A non-finite block (a projection past the float range) is a
+    DataError.  Without a map, X is its own one block."""
+    if rks is None:
+        yield X
+        return
+    most = max(stop - start for start, stop in bounds)
+    buffer = np.empty(most * (rks.dim_out if by_rows else 2 * len(X)))
+    for start, stop in bounds:
+        if by_rows:
+            rows, freqs, shape = X[start:stop], slice(None), (stop - start, rks.dim_out)
+        else:
+            rows, freqs, shape = X, slice(start, stop), (len(X), 2 * (stop - start))
+        out = buffer[: shape[0] * shape[1]].reshape(shape)
+        yield _as_matrix(transform(rks, rows, freqs, out=out))
+
+
+def _add_product(out: np.ndarray, a: np.ndarray, b: np.ndarray, first: bool) -> None:
+    """out = a @ b for the first block of a sum, out += a @ b after it."""
+    if first:
+        np.matmul(a, b, out=out)
+    else:
+        out += a @ b
+
+
+def _primal_system(panels, X, y, rks, fit_intercept: bool) -> np.ndarray:
+    """Fill ``panels`` with the primal Gram matrix of the lifted X, bordered
+    by the intercept's row and column when there is one, one row block at a
+    time; return the right-hand side, [Z^T y, sum y] or Z^T y."""
+    n = len(X)
+    dim = X.shape[1] if rks is None else rks.dim_out
+    bounds = [(0, n)] if rks is None else _lift_bounds(n, dim)
+    for j, ((r0, r1), Z) in enumerate(zip(bounds, _lifted_blocks(X, rks, bounds, by_rows=True))):
+        first = j == 0
+        for panel in panels:
+            i0, i1 = _panel_rows(panel)
+            stop = min(i1, dim)  # the last panel's intercept row is filled below
+            _add_product(panel[: stop - i0, :stop], Z[:, i0:stop].T, Z[:, :stop], first)
+        rhs = Z.T @ y[r0:r1] if first else rhs + Z.T @ y[r0:r1]
+        if fit_intercept:
+            sums = Z.sum(axis=0) if first else sums + Z.sum(axis=0)
+    if not fit_intercept:
+        return rhs
+    panel = panels[-1]
+    i0, _ = _panel_rows(panel)
+    panel[:-1, dim] = sums[i0:]
+    panel[-1, :dim] = sums
+    panel[-1, dim] = n
+    return np.append(rhs, y.sum())
+
+
+def _dual_weights(panels, X, rks, fit_intercept: bool, solve) -> tuple[np.ndarray, np.ndarray]:
+    """Fill ``panels`` with the dual Gram matrix Z Z^T (+ 1 1^T with an
+    intercept) of the lifted X, one frequency block at a time; take the
+    dual solution a = solve() and return (w = Z^T a, a).  The last block's
+    part of w comes from the block still held, the others' from lifting
+    their blocks again.  The solve is called in here so that only this
+    function holds the last block, which it frees before that re-lift."""
+    bounds = [(0, X.shape[1])] if rks is None else _lift_bounds(rks.k, 2 * len(X))
+    for j, Z in enumerate(_lifted_blocks(X, rks, bounds, by_rows=False)):
+        for panel in panels:
+            i0, i1 = _panel_rows(panel)
+            _add_product(panel, Z[i0:i1], Z[:i1].T, first=j == 0)
+    if fit_intercept:
+        for panel in panels:
+            panel += 1.0
+    a = solve()
+    if rks is None:
+        return X.T @ a, a
+    w = np.empty(rks.dim_out)
+
+    def take(freq_bounds: tuple[int, int], Z: np.ndarray) -> None:
+        f0, f1 = freq_bounds
+        part = Z.T @ a
+        w[f0:f1], w[rks.k + f0 : rks.k + f1] = part[: f1 - f0], part[f1 - f0 :]
+
+    take(bounds[-1], Z)  # the last block, still held
+    del Z  # and freed before the others are lifted again
+    for block_bounds, Z in zip(bounds[:-1], _lifted_blocks(X, rks, bounds[:-1], by_rows=False)):
+        take(block_bounds, Z)
+    return w, a
+
+
+def train_rlsc(
+    F, y, lam: float = 1e-3, fit_intercept: bool = True, rks: RksMap | None = None
+) -> LinearModel:
+    """Ridge regression on +-1 targets: w minimizing ||Z w - y||^2 + lam ||w||^2,
+    where Z is F, or with a map ``rks`` F lifted through it (the model then
+    carries the map).
 
     The intercept is the weight of a constant-1 column regularized like
     every other weight, but that column is never formed: its products with
-    X are X's column sums and n.  One Cholesky solve of the smaller
+    Z are Z's column sums and n.  One Cholesky solve of the smaller
     normal-equation system.  With k = dim + 1 unknowns (dim without an
     intercept), the primal, taken when k <= n, is the bordered system
-    [[X^T X, X^T 1], [1^T X, n]] + lam I with right-hand side [X^T y, sum y].
-    Otherwise the dual (X X^T + 1 1^T + lam I) a = y gives w = X^T a and
-    bias = sum a.  Either way the solve holds X and the lower triangle of
-    one Gram matrix, with no widened copy of X.  That triangle is kept in
-    row panels of _PANEL_ROWS rows cut from one buffer, about half of the
-    min(dim + 1, n)^2 entries; each panel is one matrix product.  A blocked
-    Cholesky in numpy alone factors it in place, holding at most one
-    (panel rows x _CHOLESKY_BLOCK) product besides it.  Features so large
-    that the Gram matrix or the weights overflow raise NumericError, and
-    so does a Gram matrix that rounding leaves not positive definite.
+    [[Z^T Z, Z^T 1], [1^T Z, n]] + lam I with right-hand side [Z^T y, sum y].
+    Otherwise the dual (Z Z^T + 1 1^T + lam I) a = y gives w = Z^T a and
+    bias = sum a.  The Gram matrix's lower triangle is kept in row panels
+    of _PANEL_ROWS rows cut from one buffer, about half of the
+    min(dim + 1, n)^2 entries.  A blocked Cholesky in numpy alone factors
+    it in place, holding at most one (panel rows x _CHOLESKY_BLOCK)
+    product besides it.
+
+    With a map, no (n, dim) lifted matrix is held: the solve lifts F in
+    blocks of at most _LIFT_BLOCK_ENTRIES entries, written into one reused
+    buffer.  The primal lifts row blocks and adds each one's products, its
+    column sums and its part of Z^T y into the panels.  The dual lifts
+    frequency blocks, each holding its cos and sin columns, and adds each
+    Z_b Z_b^T; for w = Z^T a it keeps the last block and lifts the others
+    again.  With one block, which covers every lift of up to 2^23 entries,
+    this is the computation on the whole lifted matrix, bit for bit; more
+    blocks change only the order in which the Gram matrix and Z^T y are
+    summed.  A lifted block that is not finite is a DataError, as a
+    non-finite F is.  Features so large that the Gram matrix or the weights
+    overflow raise NumericError, and so does a Gram matrix that rounding
+    leaves not positive definite.
     """
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"ridge strength lam must be positive, got {lam}")
     X, y = _training_pair(F, y)
-    n, dim = X.shape
+    if rks is not None and X.shape[1] != rks.d_in:
+        raise DataError(f"feature dim {X.shape[1]} does not match map input {rks.d_in}")
+    n = len(X)
+    dim = X.shape[1] if rks is None else rks.dim_out
     k = dim + 1 if fit_intercept else dim
     primal = k <= n
     buffer, panels = _lower_panels(k if primal else n)
-    # an overflow is reported by the NumericError below, not by numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def solve(b: np.ndarray) -> np.ndarray:
         for panel in panels:
             i0, i1 = _panel_rows(panel)
-            if not primal:
-                np.matmul(X[i0:i1], X[:i1].T, out=panel)
-                if fit_intercept:
-                    panel += 1.0
-            elif i1 <= dim:
-                np.matmul(X[:, i0:i1].T, X[:, :i1], out=panel)
-            else:  # the last panel, whose last row and column are the intercept's
-                np.matmul(X[:, i0:dim].T, X[:, :dim], out=panel[:-1, :dim])
-                sums = X.sum(axis=0)
-                panel[:-1, dim] = sums[i0:]
-                panel[-1, :dim] = sums
-                panel[-1, dim] = n
             panel.flat[i0 :: i1 + 1] += lam
-        if primal:
-            rhs = np.append(X.T @ y, y.sum()) if fit_intercept else X.T @ y
         # one sum in place of a Gram-sized finiteness mask: every stored
         # entry is written by now, and any inf or nan among them makes it
         # non-finite, as does a sum past the float range
         if not math.isfinite(buffer.sum()):
             raise NumericError("normal-equation matrix overflows: features too large")
         try:
-            solution = _cholesky_solve(_cholesky_in_place(panels), rhs if primal else y)
+            return _cholesky_solve(_cholesky_in_place(panels), b)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"normal-equation solve failed: {exc}") from exc
+
+    # an overflow is reported by the NumericError below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if primal:
+            solution = solve(_primal_system(panels, X, y, rks, fit_intercept))
+        else:
+            w, solution = _dual_weights(panels, X, rks, fit_intercept, lambda: solve(y))
     if not primal:
-        w, bias = X.T @ solution, float(solution.sum()) if fit_intercept else 0.0
+        bias = float(solution.sum()) if fit_intercept else 0.0
     elif fit_intercept:
         w, bias = solution[:-1], float(solution[-1])
     else:
         w, bias = solution, 0.0
     if not (np.isfinite(w).all() and math.isfinite(bias)):
         raise NumericError("normal-equation solve gave non-finite weights")
-    return LinearModel(kind="rlsc", w=w, bias=bias, hyper={"lam": float(lam)})
+    return LinearModel(kind="rlsc", w=w, bias=bias, hyper={"lam": float(lam)}, rks=rks)
 
 
 def svm_objective(w: np.ndarray, bias: float, F, y, C: float) -> float:
@@ -320,7 +430,10 @@ def _svm_steps(
     n, dim = X.shape
     lam = 1.0 / (C * n)
     steps = epochs * n
-    order = np.random.default_rng(seed).integers(0, n, size=steps)
+    # the step order, drawn a step or a chunk at a time just before it runs:
+    # successive draws from one generator give the same rows as one draw of
+    # all steps, without holding the epochs x n array
+    rng = np.random.default_rng(seed)
     tail_start = steps // 2
 
     w = np.zeros(dim)
@@ -335,7 +448,7 @@ def _svm_steps(
         shrink = max(0.0, 1.0 - eta * lam)
         if shrink >= 0.5:
             break
-        i = order[t0]
+        i = int(rng.integers(0, n))
         active = y[i] * (X[i] @ w + bias) < 1.0
         w *= shrink
         if active:
@@ -359,7 +472,7 @@ def _svm_steps(
         eta = 1.0 / np.sqrt(t + 1.0)
         scale = np.cumprod(1.0 - eta * lam)
         L = int(np.count_nonzero(scale >= 0.5))
-        rows = order[t0 : t0 + L]
+        rows = rng.integers(0, n, size=L)
         y_rows = y[rows]
         before = np.concatenate(([1.0], scale[: L - 1]))
         tail_scale = np.where(t[:L] >= tail_start, scale[:L], 0.0)

@@ -17,6 +17,7 @@ makes persisted models portable.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,12 @@ PRNG_ID = "numpy-pcg64"
 # again; shipped sweeps draw at most 512 x 4000.
 MAX_MAP_ENTRIES = 1 << 24
 
+# Fewest entries per thread of transform's cos, sin and scaling.  On 2 vCPUs
+# two threads were slower than one below about 0.7 million entries (thread
+# start-up, and BLAS threads still spinning after the projection), level at
+# 3.3 million and 13% faster at 6.6 million.
+_LIFT_SLICE_ENTRIES = 1 << 20
+
 MEDIAN_MAX_POINTS = 1000  # most rows whose pairwise distances median_heuristic_sigma forms
 
 
@@ -62,6 +69,14 @@ class RksMap:
     @property
     def dim_out(self) -> int:
         return 2 * self.omega.shape[1]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def check_map_size(d_in: int, dim_out: int) -> None:
@@ -90,28 +105,62 @@ def sample_map(d_in: int, dim_out: int, sigma: float, seed: int) -> RksMap:
     return RksMap(omega=omega, sigma=float(sigma), seed=int(seed))
 
 
-def transform(rks: RksMap, x: np.ndarray) -> np.ndarray:
+def transform(
+    rks: RksMap,
+    x: np.ndarray,
+    freqs: slice = slice(None),
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Map one vector (d_in,) or a batch (n, d_in) into Z-space (.., 2k).
 
     Layout is the cos block followed by the sin block; every output row has
-    unit Euclidean norm by the Pythagorean identity.  The projection is
-    written into the sin block, cos is taken from it into the cos block,
-    then sin in place, so the output is the only array allocated.  A
-    projection past the float range gives non-finite entries without a
-    numpy warning; the trainers' and ``predict``'s finiteness check reports
-    them.
+    unit Euclidean norm by the Pythagorean identity.  ``freqs``, a slice of
+    the k frequencies, lifts through those alone: the output then holds
+    their cos columns, then their sin columns, each scaled by sqrt(1/k) as
+    in the whole map, so the frequency blocks of a map together hold the
+    columns of its whole lift (each block's projection is its own matrix
+    product, so it may round differently).  The projection is written into
+    the output's sin half, cos is taken from it into the cos half, then sin
+    in place, so the output (or ``out``, a C-contiguous array of the
+    output's shape) is the only array written.  Cos, sin and the scaling
+    run on row slices of at least _LIFT_SLICE_ENTRIES entries, one thread
+    per slice and at most one per CPU this process may use; each entry is
+    computed as in one thread, so the output does not depend on the
+    count.  A projection past the float range gives non-finite entries
+    without a numpy warning; the trainers' and ``predict``'s finiteness
+    check reports them.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != rks.d_in:
         raise ValueError(f"expected input dim {rks.d_in}, got {x.shape[-1]}")
-    k = rks.k
-    z = np.empty(x.shape[:-1] + (rks.dim_out,))
-    proj = z[..., k:]
+    omega = rks.omega[:, freqs]
+    k = omega.shape[1]
+    z = np.empty(x.shape[:-1] + (2 * k,)) if out is None else out
+    rows = z.reshape(-1, 2 * k)
+    scale = np.sqrt(1.0 / rks.k)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(x, rks.omega, out=proj)
-        np.cos(proj, out=z[..., :k])
-        np.sin(proj, out=proj)
-    z *= np.sqrt(1.0 / k)
+        np.matmul(x, omega, out=z[..., k:])
+
+    def lift(bounds: tuple[int, int]) -> None:
+        part = rows[bounds[0] : bounds[1]]
+        proj = part[:, k:]
+        # the error state is per thread, so it is set here
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.cos(proj, out=part[:, :k])
+            np.sin(proj, out=proj)
+            part *= scale
+
+    slices = min(_usable_cpus(), max(1, rows.size // _LIFT_SLICE_ENTRIES))
+    bounds = [(len(rows) * i // slices, len(rows) * (i + 1) // slices) for i in range(slices)]
+    if slices == 1:
+        lift(bounds[0])
+    else:
+        # imported here: concurrent.futures loads logging, and only this needs it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=slices) as pool:
+            for _ in pool.map(lift, bounds):
+                pass
     return z
 
 
@@ -128,10 +177,13 @@ def median_heuristic_sigma(sample: np.ndarray, seed: int = 0) -> float:
     median matches an exact distance computation to about 1e-16 relative
     unless most distances are many orders of magnitude shorter than the
     rows' spread about their median (which, unlike the mean, one outlying
-    value cannot move).  Identical rows give identical Gram entries, so
-    their distance is exactly 0.  Falls back to 1.0 when the median
-    distance is zero (e.g. all points identical).  Rows so large that the
-    Gram matrix or the median overflows raise NumericError.
+    value cannot move).  The Gram product need not give equal rows equal
+    entries (BLAS sums a diagonal entry and an off-diagonal one in
+    different orders), so the distance of each pair of bitwise-equal rows
+    is set to exactly 0; on rows that are all distinct nothing changes.  Falls
+    back to 1.0 when the median distance is zero (e.g. all points
+    identical, or most pairs equal).  Rows so large that the Gram matrix
+    or the median overflows raise NumericError.
     """
     sample = np.asarray(sample, dtype=np.float64)
     if sample.ndim != 2 or sample.shape[0] < 2:
@@ -147,6 +199,14 @@ def median_heuristic_sigma(sample: np.ndarray, seed: int = 0) -> float:
         sq_norms = gram.diagonal()
         i, j = np.triu_indices(len(gram), k=1)
         sq_dist = sq_norms[i] + sq_norms[j] - 2.0 * gram[i, j]
+        # bitwise-equal rows are 0 apart, which the Gram entries need not
+        # give: label the rows by their bytes, each read as one void scalar
+        # (an all-zero Gram matrix of 0-dim rows needs no labels)
+        if sample.shape[1]:
+            row_bytes = np.dtype((np.void, sample[0].nbytes))
+            distinct, label = np.unique(np.ascontiguousarray(sample).view(row_bytes)[:, 0], return_inverse=True)
+            if len(distinct) < len(sample):
+                sq_dist[label[i] == label[j]] = 0.0
         median = float(np.median(np.sqrt(np.maximum(sq_dist, 0.0, out=sq_dist))))
         # overflowing rows can leave the median finite (rounded to 0, say),
         # but not the Gram sum

@@ -401,9 +401,9 @@ class TestSweep:
         fitted = []
         train = experiment._train
 
-        def recording_train(run_cfg, F, y):
-            fitted.append((run_cfg.name, F.shape[1]))
-            return train(run_cfg, F, y)
+        def recording_train(run_cfg, F, y, rks=None):
+            fitted.append((run_cfg.name, F.shape[1] if rks is None else rks.dim_out))
+            return train(run_cfg, F, y, rks)
 
         monkeypatch.setattr(experiment, "_train", recording_train)
         results = sweep_reports(*data, cfgs)
@@ -425,8 +425,8 @@ class TestSweep:
         from offdetect.errors import NumericError
         from offdetect.experiment import RksSpec, _prepare, sweep_reports
 
-        def failing(run_cfg, F, y):
-            raise NumericError(f"width {F.shape[1]}")
+        def failing(run_cfg, F, y, rks=None):
+            raise NumericError(f"width {F.shape[1] if rks is None else rks.dim_out}")
 
         cfg = self.mini_precomputed_config(mini_dir)
         cfgs = [replace(cfg, rks=RksSpec(dim=d)) for d in (16, 64, 32)]

@@ -434,6 +434,40 @@ class TestFeaturize:
             assert np.array_equal(got, expected)
 
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_featurize_call_holds_a_chunk_per_worker(self, monkeypatch, d):
+        # 640 tweets of 30 in-vocabulary tokens form one length group, cut
+        # into chunks of 64: two workers hold at most two chunks' vectors and
+        # decompositions (13 MB measured, d = 2), where the whole group took
+        # 59 MB; the features equal those of the whole group
+        import tracemalloc
+
+        from offdetect import experiment
+        from offdetect.corpus import LabeledCorpus, TweetRecord
+        from offdetect.dmd import HodmdConfig, sentence_feature
+        from offdetect.embed import VectorTable, token_matrix
+
+        rng = np.random.default_rng(12)
+        words = [chr(97 + i // 26) + chr(97 + i % 26) for i in range(60)]
+        table = VectorTable(matrix=rng.normal(size=(60, 100)), index={w: i for i, w in enumerate(words)})
+        texts = [" ".join(words[j] for j in rng.integers(0, 60, 30)) for _ in range(640)]
+        corpus = LabeledCorpus([TweetRecord(id=str(i), text=text) for i, text in enumerate(texts)])
+        kind = "dmd" if d == 1 else "hodmd"
+        pipeline = experiment.FeaturePipeline(kind, frozenset(), table, HodmdConfig(d=d))
+        pipeline.tokens = {text: text.split() for text in texts}
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        tracemalloc.start()
+        try:
+            features = pipeline.featurize(corpus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = np.array([table.rows(text.split()) for text in texts], dtype=np.intp)
+        assert np.array_equal(features, sentence_feature(token_matrix(block, table), pipeline.hodmd))
+        chunk_bytes = experiment._FEATURIZE_CHUNK * 30 * 100 * 8
+        assert peak < features.nbytes + 2 * 8 * chunk_bytes
+
+
 class TestExportFeatures:
     def test_round_trip_through_precomputed_loader(self, tmp_path, mini_dir):
         cfg_path = write_config(tmp_path / "e.cfg", mini_dir)

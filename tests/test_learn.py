@@ -325,6 +325,83 @@ class TestRlsc:
             train_rlsc(X, y)
 
 
+def lift_fixture(n, d_in, dim_out, seed=3):
+    """Gaussian inputs, +-1 labels and a map of width dim_out for them."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d_in))
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    return X, y, sample_map(d_in, dim_out, sigma=float(np.sqrt(d_in)), seed=1)
+
+
+class TestRlscLift:
+    # (rows, input dim, map width): primal (width + 1 <= rows) and dual
+    SHAPES = [(300, 7, 200), (120, 5, 600), (97, 3, 1202)]
+
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    @pytest.mark.parametrize("n, d_in, dim_out", SHAPES)
+    def test_one_block_is_the_whole_lift_bit_for_bit(self, n, d_in, dim_out, fit_intercept):
+        X, y, rks = lift_fixture(n, d_in, dim_out)
+        expected = train_rlsc(transform(rks, X), y, fit_intercept=fit_intercept)
+        model = train_rlsc(X, y, fit_intercept=fit_intercept, rks=rks)
+        assert np.array_equal(model.w, expected.w) and model.bias == expected.bias
+        assert model.rks is rks
+
+    @pytest.mark.parametrize("entries", [4096, 5000, 1 << 14])
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    @pytest.mark.parametrize("n, d_in, dim_out", SHAPES + [(800, 9, 798)])
+    def test_blocks_agree_with_one_block(self, monkeypatch, n, d_in, dim_out, fit_intercept, entries):
+        # more blocks only reorder the Gram matrix's and Z^T y's sums: 4 to
+        # 46 blocks here, uneven ones among them, moved the weights by at
+        # most 3.9e-11 of the largest (no intercept, dual) and 1.7e-11 with one
+        from offdetect import learn
+
+        X, y, rks = lift_fixture(n, d_in, dim_out)
+        whole = train_rlsc(X, y, fit_intercept=fit_intercept, rks=rks)
+        monkeypatch.setattr(learn, "_LIFT_BLOCK_ENTRIES", entries)
+        primal = dim_out + fit_intercept <= n
+        bounds = learn._lift_bounds(n, dim_out) if primal else learn._lift_bounds(rks.k, 2 * n)
+        assert len(bounds) >= 4
+        model = train_rlsc(X, y, fit_intercept=fit_intercept, rks=rks)
+        expected = np.append(whole.w, whole.bias)
+        error = np.max(np.abs(np.append(model.w, model.bias) - expected))
+        assert error <= 1e-10 * np.max(np.abs(expected))
+
+    def test_blocked_dual_holds_no_lifted_matrix(self, monkeypatch):
+        # the dual lifts one block of frequencies at a time into one buffer
+        # and lifts all but the last again for w: besides the Gram matrix's
+        # lower triangle it holds that buffer and one panel's product, far
+        # less than the (n, dim_out) lift the whole-lift solve holds
+        from offdetect import learn
+
+        monkeypatch.setattr(learn, "_LIFT_BLOCK_ENTRIES", 1 << 18)
+        n, dim_out = 400, 8000
+        X, y, rks = lift_fixture(n, 4, dim_out)
+        assert len(learn._lift_bounds(rks.k, 2 * n)) == 13
+        gram_bytes = sum(panel.nbytes for panel in _lower_panels(n)[1])
+        tracemalloc.start()
+        try:
+            train_rlsc(X, y, rks=rks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block_bytes = (1 << 18) * X.itemsize
+        assert peak < gram_bytes + 2 * block_bytes
+        assert peak < n * dim_out * X.itemsize / 4
+
+    @pytest.mark.parametrize("n, dim_out", [(40, 8), (5, 8)], ids=["primal", "dual"])
+    def test_lift_past_the_float_range_is_data_error(self, n, dim_out):
+        X, y, _ = lift_fixture(n, 3, dim_out)
+        rks = sample_map(3, dim_out, sigma=0.01, seed=0)
+        X[1, 0] = 1e307
+        with pytest.raises(DataError, match="^feature matrix contains non-finite entries$"):
+            train_rlsc(X, y, rks=rks)
+
+    def test_map_input_mismatch_is_data_error(self):
+        X, y, rks = lift_fixture(20, 3, 8)
+        with pytest.raises(DataError, match="does not match map input"):
+            train_rlsc(X[:, :2], y, rks=rks)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
 @pytest.mark.parametrize("call", ["train_rlsc", "train_linear_svm", "predict"])
@@ -357,6 +434,50 @@ class TestLinearSvm:
         reference = batch_subgradient_svm_oracle(X, y, C, steps=50_000)
         assert ours <= 1.01 * reference
         assert ours >= 0.99 * reference  # both bound the same optimum
+
+    @pytest.mark.parametrize("n", [140, 3310, 13240])
+    def test_chunked_step_draws_equal_one_draw(self, n):
+        # the solver draws its step order a step (None) or a chunk at a time
+        # from one generator; the rows must be those of one draw of them all
+        sizes = [None, None, None, 4096, 4095, 1, 17, None, 4096, 333]
+        rng = np.random.default_rng(11)
+        parts = [np.atleast_1d(rng.integers(0, n, size=size)) for size in sizes]
+        whole = np.random.default_rng(11).integers(0, n, size=sum(size or 1 for size in sizes))
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("C, prefix", [(0.01, 44), (100.0, 0)])
+    def test_step_order_is_drawn_per_chunk(self, monkeypatch, C, prefix):
+        # at C n < 2 the run starts with steps drawn one at a time (a scalar
+        # draw each), then chunks of at most _SVM_CHUNK steps follow, drawn
+        # as they start; together they are one draw of the epochs x n steps,
+        # which the solver never holds
+        from offdetect import learn
+
+        X, y = blobs_fixture(n=30, seed=9)
+        expected = train_linear_svm(X, y, C=C, epochs=300, seed=4)
+        draws = []
+        default_rng = np.random.default_rng
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def integers(self, *args, **kwargs):
+                drawn = self.rng.integers(*args, **kwargs)
+                draws.append(drawn)
+                return drawn
+
+        monkeypatch.setattr(learn.np.random, "default_rng", Recording)
+        model = train_linear_svm(X, y, C=C, epochs=300, seed=4)
+        monkeypatch.undo()
+        assert np.array_equal(model.w, expected.w) and model.bias == expected.bias
+        scalars = [np.ndim(drawn) == 0 for drawn in draws]
+        assert scalars == [True] * prefix + [False] * (len(draws) - prefix)
+        assert max(np.size(drawn) for drawn in draws) <= learn._SVM_CHUNK
+        if prefix == 0:
+            assert [np.size(drawn) for drawn in draws] == [4096, 4096, 808]
+        whole = default_rng(4).integers(0, 30, size=300 * 30)
+        assert np.array_equal(np.concatenate([np.atleast_1d(drawn) for drawn in draws]), whole)
 
     def test_deterministic_bit_for_bit(self):
         X, y = blobs_fixture(seed=7)

@@ -1,10 +1,11 @@
 import math
 import statistics
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -127,6 +128,43 @@ class TestTransform:
         finally:
             tracemalloc.stop()
         assert peak <= z.nbytes + (1 + buffers) * 64 * 1024
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_threaded_lift_matches_one_thread(self, monkeypatch, workers):
+        # slices of 64 entries: 8 threads take 25 to 26 rows of a 203-row
+        # batch, and each entry must keep its one-thread bits
+        from offdetect import rks as rks_module
+
+        rks = sample_map(11, 128, sigma=3.0, seed=2)
+        x = np.random.default_rng(3).normal(size=(203, 11)) * 5.0
+        expected = transform(rks, x)
+        assert expected.size < rks_module._LIFT_SLICE_ENTRIES
+        monkeypatch.setattr(rks_module, "_LIFT_SLICE_ENTRIES", 64)
+        monkeypatch.setattr(rks_module, "_usable_cpus", lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = transform(rks, x)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, expected)
+
+    def test_frequency_blocks_hold_the_whole_lift(self):
+        # each block's cos and sin columns, written into a given buffer, are
+        # the whole lift's columns for those frequencies, scaled by the whole
+        # map's sqrt(1/k); a block's projection is its own matrix product
+        # (one frequency takes a matrix-vector kernel), so only its rounding
+        # may differ
+        rks = sample_map(6, 40, sigma=1.5, seed=4)
+        x = np.random.default_rng(5).normal(size=(9, 6))
+        whole = transform(rks, x)
+        assert np.array_equal(transform(rks, x, slice(None), out=np.empty_like(whole)), whole)
+        for f0, f1 in [(0, 7), (7, 8), (8, 20)]:
+            out = np.full((9, 2 * (f1 - f0)), np.nan)
+            block = transform(rks, x, slice(f0, f1), out=out)
+            assert block is out
+            expected = np.concatenate([whole[:, f0:f1], whole[:, rks.k + f0 : rks.k + f1]], axis=1)
+            np.testing.assert_allclose(block, expected, rtol=0, atol=1e-15)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_projection_is_silent_and_not_finite(self):
@@ -270,7 +308,19 @@ class TestMedianHeuristic:
         # equal the rows; every pairwise distance must still be exactly 0
         assert median_heuristic_sigma(np.full((rows, dim), 0.1 + 1e3)) == 1.0
 
+    def test_majority_of_equal_rows_falls_back_to_one(self):
+        # most pairs equal (119 of 231, test_matches_pdist_oracle's example
+        # below): the median distance is 0, though the Gram product alone
+        # leaves 1.08e-5
+        rows = np.random.default_rng(21).normal(size=(2, 10)) * 100.0
+        sample = rows[[1, 0, 0, 0, 1, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]]
+        assert median_heuristic_sigma(sample) == 1.0
+
     @settings(max_examples=40, deadline=None)
+    # two distinct rows among 22, most pairs equal: the Gram product leaves
+    # squared distances up to 1.2e-10 between equal rows, and a median of
+    # 1.08e-5 where pdist's is 0
+    @example(rows=22, dim=10, log_scale=2.0, offset=0.0, distinct=2, seed=21)
     @given(
         rows=st.integers(2, 1200),
         dim=st.integers(1, 512),
