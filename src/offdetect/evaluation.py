@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import LABEL_TO_SIGN, LabeledCorpus
+from .corpus import LABEL_TO_SIGN, LABELS, LabeledCorpus
 from .errors import DataError
 from .learn import predict
 
@@ -30,8 +30,6 @@ __all__ = [
     "render_report",
 ]
 
-_CLASS_ORDER = ("OFF", "NOT")
-
 
 @dataclass
 class ConfusionMatrix:
@@ -42,7 +40,7 @@ class ConfusionMatrix:
     @classmethod
     def from_pairs(cls, gold: Iterable[str], predicted: Iterable[str]) -> "ConfusionMatrix":
         counts = np.zeros((2, 2), dtype=np.int64)
-        index = {label: i for i, label in enumerate(_CLASS_ORDER)}
+        index = {label: i for i, label in enumerate(LABELS)}
         gold = list(gold)
         predicted = list(predicted)
         if len(gold) != len(predicted):

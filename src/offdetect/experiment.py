@@ -28,13 +28,13 @@ import numpy as np
 
 from . import __version__
 from .corpus import LabeledCorpus, default_stopwords, load_olid_tsv, load_stopwords, text_lines, tokenize_clean
-from .dmd import HodmdConfig, sentence_feature
+from .dmd import MAX_DELAY_ORDER, HodmdConfig, sentence_feature
 from .embed import VectorTable, average_embedding, load_precomputed, load_vec_table, token_matrix
 from .errors import DataError
 from .evaluation import MetricsReport, evaluate, labels_to_signs, render_report, sweep_csv_lines
 from .learn import train_gnb, train_linear_svm, train_logreg, train_rlsc
 from .model_io import save_model
-from .rks import PRNG_ID, _usable_cpus, check_map_size, median_heuristic_sigma, sample_map, transform
+from .rks import MAX_SEED, PRNG_ID, _usable_cpus, check_map_size, median_heuristic_sigma, sample_map, transform
 
 __all__ = [
     "RksSpec",
@@ -115,6 +115,8 @@ class ExperimentConfig:
                 raise DataError(f"rks_sigma must be positive, got {self.rks.sigma!r}")
             if self.rks.seed < 0:
                 raise DataError(f"rks_seed must be >= 0, got {self.rks.seed}")
+            if self.rks.seed > MAX_SEED:
+                raise DataError(f"rks_seed must be <= {MAX_SEED}, got {self.rks.seed}")
             if self.classifier == "gnb":
                 raise DataError("the random-feature lift requires a linear classifier")
         positive = {"lambda": self.lam, "C": self.C, "lr": self.lr, "var_floor": self.var_floor}
@@ -134,6 +136,8 @@ class ExperimentConfig:
         for key, value in counts.items():
             if value < 1:
                 raise DataError(f"{key} must be >= 1, got {value}")
+        if self.hodmd_d > MAX_DELAY_ORDER:
+            raise DataError(f"hodmd order must be <= {MAX_DELAY_ORDER}, got {self.hodmd_d}")
         if self.seed < 0:
             raise DataError(f"seed must be >= 0, got {self.seed}")
 
@@ -291,7 +295,8 @@ class FeaturePipeline:
             return self.table.matrix[rows]
         if self.kind not in ("avg", "dmd", "hodmd"):
             raise DataError(f"unknown feature kind {self.kind!r}")
-        # imported here: concurrent.futures loads logging, and only this needs it
+        # imported here, not with the module: concurrent.futures loads logging,
+        # which importing offdetect and the precomputed mode do not need
         from concurrent.futures import ThreadPoolExecutor
 
         rows = [self.table.rows(toks) for toks in self._tokens(corpus)]

@@ -26,6 +26,7 @@ from .errors import NumericError
 
 __all__ = [
     "PRNG_ID",
+    "MAX_SEED",
     "MAX_MAP_ENTRIES",
     "RksMap",
     "check_map_size",
@@ -35,6 +36,9 @@ __all__ = [
 ]
 
 PRNG_ID = "numpy-pcg64"
+
+# Largest seed sample_map takes: a model file stores the map's seed as an i64.
+MAX_SEED = (1 << 63) - 1
 
 # Largest d_in x dim_out map sample_map draws (a 64 MiB frequency matrix of
 # d_in x dim_out/2), so every map a run fits is one load_model will draw
@@ -88,8 +92,9 @@ def check_map_size(d_in: int, dim_out: int) -> None:
 def sample_map(d_in: int, dim_out: int, sigma: float, seed: int) -> RksMap:
     """Draw k = dim_out/2 Gaussian frequency columns with std 1/sigma.
 
-    The recipe is checked before anything is drawn, including that the map
-    has at most MAX_MAP_ENTRIES entries (d_in x dim_out).
+    The recipe is checked before anything is drawn, including that the seed
+    is at most MAX_SEED and that the map has at most MAX_MAP_ENTRIES entries
+    (d_in x dim_out).
     """
     if dim_out < 2 or dim_out % 2 != 0:
         raise ValueError(f"output dimension must be even (cos/sin pairs), got {dim_out}")
@@ -99,6 +104,8 @@ def sample_map(d_in: int, dim_out: int, sigma: float, seed: int) -> RksMap:
         raise ValueError(f"input dimension must be >= 1, got {d_in}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if seed > MAX_SEED:
+        raise ValueError(f"seed must be <= {MAX_SEED}, got {seed}")
     check_map_size(d_in, dim_out)
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((d_in, dim_out // 2)) / sigma
@@ -155,7 +162,8 @@ def transform(
     if slices == 1:
         lift(bounds[0])
     else:
-        # imported here: concurrent.futures loads logging, and only this needs it
+        # imported here, not with the module: concurrent.futures loads logging,
+        # which importing offdetect and a one-slice lift do not need
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=slices) as pool:

@@ -12,9 +12,8 @@ from contextlib import contextmanager
 import numpy as np
 import scipy.optimize
 
-from dmd_reference import build_snapshots, compute_dmd, reconstruction_error
 from offdetect.corpus import LabeledCorpus, TweetRecord
-from offdetect.dmd import HodmdConfig
+from offdetect.dmd import HodmdConfig, sentence_feature
 from offdetect.evaluation import evaluate
 from offdetect.experiment import parse_config, run_experiment
 from offdetect.learn import (
@@ -130,26 +129,35 @@ def test_c04_dmd_oracle():
         spectrum = np.array([0.9, 0.7, 0.5, 0.3, 0.1])
         Q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
         A = Q @ np.diag(spectrum) @ Q.T
-        cols = [rng.normal(size=5) + 2.0]
-        for _ in range(11):
-            cols.append(A @ cols[-1])
-        seq = np.column_stack(cols)  # 12 snapshots
-        snap = build_snapshots(seq, 1)
-        dec = compute_dmd(snap, HodmdConfig(d=1, r_max=10, sv_rel_tol=1e-10))
-        got = np.sort(np.real(dec.eigenvalues))
-        np.testing.assert_allclose(got, np.sort(spectrum), atol=1e-8)
-        assert np.max(np.abs(np.imag(dec.eigenvalues))) <= 1e-8
-        assert reconstruction_error(dec, snap) <= 1e-6
+        cfg = HodmdConfig(d=1, r_max=10, sv_rel_tol=1e-10)
+
+        def trajectory(x1, n_snapshots):
+            cols = [x1]
+            for _ in range(n_snapshots - 1):
+                cols.append(A @ cols[-1])
+            return np.column_stack(cols)
+
+        # spectrum: 6 snapshots ending at each eigenvector q_i (a column of
+        # Q, so they start at A^-5 q_i = q_i / lambda_i^5) give one-step
+        # features f_i = A q_i, so [f_1 .. f_5] Q^T is the operator the
+        # features carry
+        ends = np.stack([trajectory(Q[:, i] / spectrum[i] ** 5, 6) for i in range(5)])
+        recovered = np.linalg.eigvals(sentence_feature(ends, cfg).T @ Q.T)
+        np.testing.assert_allclose(np.sort(np.real(recovered)), np.sort(spectrum), atol=1e-8)
+        assert np.max(np.abs(np.imag(recovered))) <= 1e-8
+
+        # reconstruction: every prefix of 6 or more of 12 snapshots gives
+        # its next state
+        seq = trajectory(rng.normal(size=5) + 2.0, 12)
+        errors = [np.abs(sentence_feature(seq[:, :L], cfg) - seq[:, L]).max() for L in range(6, 12)]
+        assert max(errors) <= 1e-6 * np.abs(seq).max()
         assert time.perf_counter() - start < 1.0
 
 
 def test_c05_delay_embedding_necessity():
     with criterion(5, "period-2 scalar signal needs order 2: d=1 fails, d=2 exact"):
-        seq = np.array([[1.0, 2.0] * 6])
-        snap1 = build_snapshots(seq, 1)
-        err1 = reconstruction_error(compute_dmd(snap1, HodmdConfig(d=1)), snap1)
-        snap2 = build_snapshots(seq, 2)
-        err2 = reconstruction_error(compute_dmd(snap2, HodmdConfig(d=2)), snap2)
+        seq = np.array([[1.0, 2.0] * 6])  # the next value is 1
+        err1, err2 = (abs(sentence_feature(seq, HodmdConfig(d=d))[0] - 1.0) / seq.max() for d in (1, 2))
         assert err1 >= 0.1
         assert err2 <= 1e-6
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from offdetect.cli import main
 from offdetect.corpus import load_olid_tsv
+from offdetect.dmd import MAX_DELAY_ORDER
 from offdetect.embed import load_precomputed
 from offdetect.errors import DataError, NumericError
 from offdetect.evaluation import ConfusionMatrix, macro_metrics, render_report
@@ -31,7 +33,7 @@ from offdetect.experiment import (
 )
 from offdetect.learn import predict
 from offdetect.model_io import load_model
-from offdetect.rks import median_heuristic_sigma
+from offdetect.rks import MAX_SEED, median_heuristic_sigma
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -943,6 +945,41 @@ class TestCli:
         manifest = json.loads((tmp_path / "o7" / "manifest.json").read_text())
         assert manifest["seeds"]["train"] == 77
 
+    def shipped_config(self, tmp_path, mini_dir, old, new):
+        """configs/hodmd2_rks_rlsc.cfg in tmp_path, with ``old`` replaced by ``new``."""
+        text = (CONFIGS / "hodmd2_rks_rlsc.cfg").read_text(encoding="utf-8")
+        assert old in text
+        cfg_path = tmp_path / "bound.cfg"
+        cfg_path.write_text(text.replace("../data/mini", str(mini_dir)).replace(old, new), encoding="utf-8")
+        return cfg_path
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("rks_seed = 0", f"rks_seed = {MAX_SEED + 1}"), ("hodmd(2)", f"hodmd({MAX_DELAY_ORDER + 1})")],
+        ids=["rks_seed", "hodmd-order"],
+    )
+    def test_value_past_its_bound_exits_2_before_data_loads(
+        self, tmp_path, mini_dir, monkeypatch, capsys, old, new
+    ):
+        # a lift seed the model file cannot store as an i64, or a delay order
+        # past the cap: one error line, and no data loaded or written
+        from offdetect import experiment
+
+        loads = counting(monkeypatch, experiment, "load_corpora")
+        out = tmp_path / "o"
+        cfg_path = self.shipped_config(tmp_path, mini_dir, old, new)
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert loads == [] and not out.exists()
+
+    def test_values_at_their_bounds_run(self, tmp_path, mini_dir):
+        cfg_path = self.shipped_config(tmp_path, mini_dir, "rks_seed = 0", f"rks_seed = {MAX_SEED}")
+        cfg_path.write_text(cfg_path.read_text().replace("hodmd(2)", f"hodmd({MAX_DELAY_ORDER})"))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert (manifest["feature"]["d"], manifest["rks"]["seed"]) == (MAX_DELAY_ORDER, MAX_SEED)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=30, deadline=None)
     @given(
@@ -1024,6 +1061,30 @@ class TestMiniScript:
         assert main(argv + ["--out", str(tmp_path / "cli")]) == 0
         written = (tmp_path / "script" / "dmd-c-sweep" / "sweep_C.csv").read_bytes()
         assert written == (tmp_path / "cli" / "sweep_C.csv").read_bytes()
+
+
+DIGEST = SCRIPT.parent / "output_digest.py"
+
+
+class TestOutputDigest:
+    def test_lists_every_run_artifact(self, tmp_path):
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, str(DIGEST), str(out)], capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        listed = {}
+        for line in proc.stdout.splitlines():
+            sha, label = line.split("  ", 1)
+            assert re.fullmatch("[0-9a-f]{64}", sha) and label not in listed
+            listed[label] = sha
+        for cfg in sorted(CONFIGS.glob("*.cfg")):
+            for name in ("report.tsv", "report.txt", "manifest.json", "model.offd"):
+                assert f"run/{cfg.stem}/{name}" in listed
+            assert f"inspect-model/{cfg.stem} (stdout)" in listed
+        # a file that holds no path is digested as written
+        report = out / "run" / "avg_svm" / "report.tsv"
+        assert listed["run/avg_svm/report.tsv"] == hashlib.sha256(report.read_bytes()).hexdigest()
+        again = subprocess.run([sys.executable, str(DIGEST), str(out)], capture_output=True, text=True, timeout=60)
+        assert again.returncode == 1 and again.stderr.endswith("is not empty\n")
 
 
 class TestWarningsAsErrors:

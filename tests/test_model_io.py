@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from offdetect.errors import ModelFormatError
 from offdetect.learn import GnbModel, LinearModel, predict, train_gnb, train_rlsc
 from offdetect.model_io import MAGIC, load_model, save_model
-from offdetect.rks import MAX_MAP_ENTRIES, RksMap, sample_map
+from offdetect.rks import MAX_MAP_ENTRIES, MAX_SEED, RksMap, sample_map
 
 
 def roundtrip(model):
@@ -55,6 +55,13 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded.rks.omega, model.rks.omega)
         assert loaded.rks.sigma == model.rks.sigma
         assert loaded.rks.seed == model.rks.seed
+
+    def test_largest_seed_round_trips(self):
+        model = sample_linear(with_rks=True)
+        model.rks = sample_map(3, 10, sigma=1.7, seed=MAX_SEED)
+        _, loaded = roundtrip(model)
+        np.testing.assert_array_equal(loaded.rks.omega, model.rks.omega)
+        assert (loaded.rks.sigma, loaded.rks.seed) == (1.7, MAX_SEED)
 
     def test_gnb_round_trip(self):
         rng = np.random.default_rng(1)

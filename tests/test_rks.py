@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from offdetect.errors import NumericError
 from offdetect.rks import (
     MAX_MAP_ENTRIES,
+    MAX_SEED,
     MEDIAN_MAX_POINTS,
     median_heuristic_sigma,
     sample_map,
@@ -54,6 +55,12 @@ class TestSampleMap:
         assert 16 * 1_048_578 > MAX_MAP_ENTRIES == 1 << 24
         with pytest.raises(ValueError, match="16 x 1048578 exceeds the 16777216-entry limit"):
             sample_map(16, 1_048_578, sigma=1.0, seed=0)
+
+    def test_seed_past_i64_rejected(self):
+        # a model file stores the seed as an i64
+        assert sample_map(3, 10, sigma=1.0, seed=MAX_SEED).seed == 2**63 - 1
+        with pytest.raises(ValueError, match="seed must be <= 9223372036854775807"):
+            sample_map(3, 10, sigma=1.0, seed=MAX_SEED + 1)
 
     def test_entry_moments(self):
         d_in, k, sigma = 4, 10**5, 2.5
