@@ -24,11 +24,9 @@ __all__ = ["MAX_DELAY_ORDER", "HodmdConfig", "sentence_feature"]
 # Highest delay order d.  A 280-character tweet holds at most 140 tokens, so
 # a higher order only pads every tweet further.  A tweet of L tokens is padded
 # to L' = max(L, d + 1) columns; for n-dim word vectors its stacked snapshots
-# hold min(n, L') * d * (L' - d + 1) floats.  Worst case of one featurize
-# chunk (64 tweets of 300-dim vectors, each of at most 140 tokens), measured
-# as sentence_feature's traced peak: 84 MB at d = 140, where every tweet is
-# padded to 141 columns, and 742 MB at d = 70 on 140-token tweets, the most
-# for any order up to the cap.
+# hold min(n, L') * d * (L' - d + 1) floats, which featurize bounds per work
+# unit: 64 tweets of 140 tokens and 300-dim vectors at d = 70 trace 742 MB in
+# one sentence_feature call, and 25 MB in a two-worker featurize call.
 MAX_DELAY_ORDER = 140
 
 

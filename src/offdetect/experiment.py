@@ -34,7 +34,7 @@ from .errors import DataError
 from .evaluation import MetricsReport, evaluate, labels_to_signs, render_report, sweep_csv_lines
 from .learn import train_gnb, train_linear_svm, train_logreg, train_rlsc
 from .model_io import save_model
-from .rks import MAX_SEED, PRNG_ID, _usable_cpus, check_map_size, median_heuristic_sigma, sample_map, transform
+from .rks import MAX_MAP_ENTRIES, MAX_SEED, PRNG_ID, _usable_cpus, check_map_size, median_heuristic_sigma, sample_map, transform
 
 __all__ = [
     "RksSpec",
@@ -60,6 +60,12 @@ _HODMD_RE = re.compile(r"^hodmd\((\d+)\)$")
 # of this many, so a worker holds at most this many tweets' vectors and
 # decompositions (the largest group of an OLID-size corpus has 750 tweets).
 _FEATURIZE_CHUNK = 64
+# Most stacked-snapshot entries of one DMD work unit (8 MiB of float64).  A
+# tweet of L tokens, padded to L' = max(L, d + 1), stacks min(dim, L') * d *
+# (L' - d + 1) of them, so 64 tweets of 140 tokens at d = 70 (300-dim
+# vectors) would stack 44.5 million; this cuts them into chunks of one.
+# Tweets of up to 128 tokens at d = 1 keep chunks of 64.
+_FEATURIZE_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,9 @@ class ExperimentConfig:
         if self.rks is not None:
             if self.rks.dim < 2 or self.rks.dim % 2 != 0:
                 raise DataError(f"rks_dim must be even and >= 2, got {self.rks.dim}")
+            # a map has d_in x rks_dim entries, and every d_in is at least 1
+            if self.rks.dim > MAX_MAP_ENTRIES:
+                raise DataError(f"rks_dim must be <= {MAX_MAP_ENTRIES}, got {self.rks.dim}")
             if self.rks.sigma is not None and not (
                 math.isfinite(self.rks.sigma) and self.rks.sigma > 0
             ):
@@ -276,11 +285,12 @@ class FeaturePipeline:
         """The (n, dim) feature array of ``corpus``, one row per tweet.
 
         The word-vector modes group tweets by in-vocabulary length and cut
-        each group into chunks of at most _FEATURIZE_CHUNK tweets, each
-        featurized as one (G, L) block of table rows.  The chunks run on a
-        thread pool with one worker per CPU this process may use (numpy's
-        batched LAPACK calls release the interpreter lock), so at most one
-        chunk's vectors per worker are held at a time.  Every tweet's
+        each group into chunks of at most _FEATURIZE_CHUNK tweets, and for
+        DMD of at most _FEATURIZE_ENTRIES stacked-snapshot entries (but at
+        least one tweet), each featurized as one (G, L) block of table rows.
+        The chunks run on a thread pool with one worker per CPU this process
+        may use (numpy's batched LAPACK calls release the interpreter lock),
+        so at most one chunk's vectors per worker are held at a time.  Every tweet's
         feature is computed on its own within a block, so the output equals
         a serial loop over whole groups and does not depend on the worker
         count, and an error is the one that loop would raise first.  A
@@ -318,11 +328,15 @@ class FeaturePipeline:
         # each group cut into chunks, in order: results are read in
         # submission order, and the first error read cancels the chunks not
         # yet started
-        chunks = [
-            members[start : start + _FEATURIZE_CHUNK]
-            for members in by_length.values()
-            for start in range(0, len(members), _FEATURIZE_CHUNK)
-        ]
+        chunks = []
+        for length, members in by_length.items():
+            size = _FEATURIZE_CHUNK
+            if self.hodmd is not None:
+                d = self.hodmd.d
+                padded = max(length, d + 1)
+                entries = min(self.table.dim, padded) * d * (padded - d + 1)
+                size = max(1, min(size, _FEATURIZE_ENTRIES // entries))
+            chunks += [members[start : start + size] for start in range(0, len(members), size)]
         with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
             for _ in pool.map(featurize_group, chunks):
                 pass
@@ -413,7 +427,7 @@ def _train(cfg: ExperimentConfig, F, y, rks=None):
     if cfg.classifier == "svm":
         model = train_linear_svm(lifted, y, C=cfg.C, epochs=cfg.svm_epochs, seed=cfg.seed)
     else:
-        model = train_logreg(lifted, y, lr=cfg.lr, epochs=cfg.logreg_epochs, l2=cfg.l2, seed=cfg.seed)
+        model = train_logreg(lifted, y, lr=cfg.lr, epochs=cfg.logreg_epochs, l2=cfg.l2)
     model.rks = rks
     return model
 

@@ -73,14 +73,18 @@ class GnbModel:
 
 def _as_matrix(F) -> np.ndarray:
     """``F`` as a 2-d float64 array, without a copy when it is one already;
-    a non-finite entry is a DataError.  The check holds no mask: a nan
-    makes the minimum and the maximum nan, and an infinity is one of them."""
+    a non-finite entry is a DataError."""
     values = np.asarray(F, dtype=np.float64)
     if values.ndim != 2:
         raise DataError(f"feature matrix must be 2-d, got shape {values.shape}")
-    if values.size and not (math.isfinite(values.min()) and math.isfinite(values.max())):
+    if not _all_finite(values):
         raise DataError("feature matrix contains non-finite entries")
     return values
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """Every entry finite, read from the minimum and maximum: no mask is held."""
+    return not values.size or (math.isfinite(values.min()) and math.isfinite(values.max()))
 
 
 def _training_pair(F, y) -> tuple[np.ndarray, np.ndarray]:
@@ -98,10 +102,6 @@ def _training_pair(F, y) -> tuple[np.ndarray, np.ndarray]:
 def _require_two_classes(y: np.ndarray) -> None:
     if np.all(y == y[0]):
         raise NumericError("degenerate training set: only one class present")
-
-
-def _augment(X: np.ndarray) -> np.ndarray:
-    return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
 def _lower_panels(k: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -339,8 +339,9 @@ def train_rlsc(
             panel.flat[i0 :: i1 + 1] += lam
         # one sum in place of a Gram-sized finiteness mask: every stored
         # entry is written by now, and any inf or nan among them makes it
-        # non-finite, as does a sum past the float range
-        if not math.isfinite(buffer.sum()):
+        # non-finite; a sum of finite entries past the float range is read
+        # again, entry by entry
+        if not (math.isfinite(buffer.sum()) or _all_finite(buffer)):
             raise NumericError("normal-equation matrix overflows: features too large")
         try:
             return _cholesky_solve(_cholesky_in_place(panels), b)
@@ -519,28 +520,27 @@ def _svm_steps(
     return (w_sum + X.T @ coef) / tail, bias_sum / tail
 
 
-def logreg_loss_grad(w_full: np.ndarray, Xa: np.ndarray, y: np.ndarray, l2: float):
-    """Mean logistic loss with L2 penalty, and its analytic gradient."""
-    z = Xa @ w_full
-    margins = y * z
+def logreg_loss_grad(w_full: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float):
+    """Mean logistic loss with L2 penalty, and its analytic gradient, at
+    w_full = [w, bias]: the bias weighs a constant-1 column never formed."""
+    margins = y * (X @ w_full[:-1] + w_full[-1])
     loss = float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 * l2 * np.dot(w_full, w_full))
     # d/dz log(1 + e^{-yz}) = -y * sigmoid(-yz)
-    sig = 0.5 * (1.0 - np.tanh(0.5 * margins))
-    grad = Xa.T @ (-y * sig) / Xa.shape[0] + l2 * w_full
+    r = -y * (0.5 * (1.0 - np.tanh(0.5 * margins)))
+    grad = np.append(X.T @ r, r.sum()) / len(X) + l2 * w_full
     return loss, grad
 
 
-def train_logreg(
-    F, y, lr: float = 0.1, epochs: int = 500, l2: float = 1e-3, seed: int = 0
-) -> LinearModel:
+def train_logreg(F, y, lr: float = 0.1, epochs: int = 500, l2: float = 1e-3) -> LinearModel:
     """L2-regularized logistic regression by full-batch gradient descent.
 
-    The intercept is an appended constant-1 column regularized uniformly.
-    The step is the requested rate capped at the loss's curvature bound
-    1 / (sigma_max(X)^2 / 4n + l2), so a large regularizer cannot
-    destabilize the descent.  Optimization starts from zero weights; the
-    seed only tags the run.  Features so large that the step bound or the
-    weights overflow raise NumericError.
+    The intercept is the weight of a constant-1 column regularized like the
+    others and, as in train_rlsc, never formed.  The step is the requested
+    rate capped at 1 / (s / 4n + l2), s >= sigma_max([X 1])^2, so a large
+    regularizer cannot destabilize the descent: s is n plus the top
+    eigenvalue of the smaller of X^T X and X X^T if min(n, dim + 1) <= 2000,
+    else plus ||X||_F^2.  Optimization starts from zero weights.  Features
+    so large that the step bound or the weights overflow raise NumericError.
     """
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError(f"learning rate must be positive, got {lr}")
@@ -550,25 +550,26 @@ def train_logreg(
         raise ValueError(f"l2 strength must be >= 0, got {l2}")
     X, y = _training_pair(F, y)
     _require_two_classes(y)
-    Xa = _augment(X)
+    n, dim = X.shape
     # an overflow is reported by the NumericError below, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        if min(Xa.shape) <= 2000:
-            top_sv = np.linalg.svd(Xa, compute_uv=False)[0]
-            smoothness = top_sv**2 / (4.0 * Xa.shape[0]) + l2
+        if min(n, dim + 1) <= 2000:
+            gram = X.T @ X if dim <= n else X @ X.T
+            top = np.linalg.eigvalsh(gram)[-1] if _all_finite(gram) else math.inf
         else:
-            smoothness = np.sum(Xa * Xa) / (4.0 * Xa.shape[0]) + l2
+            top = np.einsum("ij,ij->", X, X)
+        smoothness = (top + n) / (4.0 * n) + l2
     if not math.isfinite(smoothness):
         raise NumericError("logistic step bound overflows: features too large")
     step = min(lr, 1.0 / smoothness)
-    w_full = np.zeros(Xa.shape[1])
+    w_full = np.zeros(dim + 1)
     for _ in range(epochs):
-        _, grad = logreg_loss_grad(w_full, Xa, y, l2)
+        _, grad = logreg_loss_grad(w_full, X, y, l2)
         w_full -= step * grad
     if not np.isfinite(w_full).all():
         raise NumericError("logistic regression gave non-finite weights")
     w, bias = w_full[:-1], float(w_full[-1])
-    hyper = {"lr": float(lr), "epochs": int(epochs), "l2": float(l2), "seed": int(seed)}
+    hyper = {"lr": float(lr), "epochs": int(epochs), "l2": float(l2)}
     return LinearModel(kind="logreg", w=w, bias=bias, hyper=hyper)
 
 
@@ -606,7 +607,7 @@ def _gnb_scores(model: GnbModel, X: np.ndarray) -> np.ndarray:
     for cls in range(2):
         mu = model.means[cls]
         var = model.variances[cls]
-        ll = -0.5 * np.sum(np.log(2.0 * np.pi * var) + (X - mu) ** 2 / var, axis=1)
+        ll = -0.5 * np.sum(np.log(2.0 * np.pi) + np.log(var) + (X - mu) ** 2 / var, axis=1)
         log_posts.append(np.log(model.priors[cls]) + ll)
     return log_posts[0] - log_posts[1]
 

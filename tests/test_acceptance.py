@@ -176,7 +176,7 @@ def test_c06_solver_oracles():
         np.testing.assert_allclose(np.append(model.w, model.bias), expected, atol=1e-8)
 
         # analytic logistic gradient against central finite differences
-        Xl = np.hstack([rng.normal(size=(15, 4)), np.ones((15, 1))])
+        Xl = rng.normal(size=(15, 4))
         yl = np.where(rng.random(15) < 0.5, 1.0, -1.0)
         h = 1e-5
         for _ in range(10):

@@ -33,7 +33,7 @@ from offdetect.experiment import (
 )
 from offdetect.learn import predict
 from offdetect.model_io import load_model
-from offdetect.rks import MAX_SEED, median_heuristic_sigma
+from offdetect.rks import MAX_MAP_ENTRIES, MAX_SEED, median_heuristic_sigma
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -183,6 +183,7 @@ class TestParseConfig:
             ("seed = -1", "seed"),
             ("rks_dim = 64\nrks_sigma = nan", "rks_sigma"),
             ("rks_dim = 64\nrks_seed = -2", "rks_seed"),
+            (f"rks_dim = {MAX_MAP_ENTRIES + 2}", "rks_dim"),
         ],
     )
     def test_out_of_range_value_rejected_before_data_loads(self, tmp_path, mini_dir, line, match):
@@ -197,6 +198,23 @@ class TestParseConfig:
         cfg_path.write_text(cfg_path.read_text().replace("feature = avg", "feature = hodmd"))
         with pytest.raises(DataError, match="delay order"):
             parse_config(cfg_path)
+
+    def test_sweep_dim_over_the_map_cap_rejected_before_data_loads(
+        self, tmp_path, mini_dir, capsys, monkeypatch
+    ):
+        # every input has at least one dimension, so a map wider than
+        # MAX_MAP_ENTRIES is over the cap whatever the features are
+        from offdetect import experiment
+
+        def no_loading(cfg):
+            raise AssertionError("corpora loaded")
+
+        monkeypatch.setattr(experiment, "load_corpora", no_loading)
+        cfg_path = write_config(tmp_path / "w.cfg", mini_dir)
+        argv = ["sweep", "--config", str(cfg_path), "--sweep-dim", "16,40000000"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert f"rks_dim must be <= {MAX_MAP_ENTRIES}, got 40000000" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_negative_seed_override_is_data_error(self, tmp_path, mini_dir, capsys):
         cfg_path = write_config(tmp_path / "s.cfg", mini_dir)
@@ -404,8 +422,6 @@ class TestFeaturize:
         # often as the interpreter allows: a lost or misplaced row write
         # would break the equality with one thread featurizing each group
         from offdetect import experiment
-        from offdetect.dmd import sentence_feature
-        from offdetect.embed import average_embedding, token_matrix
 
         cfg_path = write_config(tmp_path / "g.cfg", mini_dir)
         cfg_path.write_text(cfg_path.read_text().replace("feature = avg", f"feature = {feature}"))
@@ -420,20 +436,87 @@ class TestFeaturize:
         finally:
             sys.setswitchinterval(interval)
         for corpus, got in zip(corpora, features):
-            rows = [pipeline.table.rows(tokens) for tokens in pipeline._tokens(corpus)]
-            groups: dict[int, list[int]] = {}
-            for i, tweet_rows in enumerate(rows):
-                groups.setdefault(len(tweet_rows), []).append(i)
-            expected = np.zeros((len(rows), pipeline.table.dim))
-            for members in groups.values():
-                block = np.array([rows[i] for i in members], dtype=np.intp)
-                if feature == "avg":
-                    expected[members] = average_embedding(block, pipeline.table)
-                else:
-                    stack = token_matrix(block, pipeline.table)
-                    expected[members] = sentence_feature(stack, pipeline.hodmd)
-            assert len(groups) > 1
-            assert np.array_equal(got, expected)
+            assert np.array_equal(got, self.serial_features(pipeline, corpus))
+
+    @staticmethod
+    def serial_features(pipeline, corpus):
+        """The features of one thread featurizing each whole length group."""
+        from offdetect.dmd import sentence_feature
+        from offdetect.embed import average_embedding, token_matrix
+
+        rows = [pipeline.table.rows(tokens) for tokens in pipeline._tokens(corpus)]
+        groups: dict[int, list[int]] = {}
+        for i, tweet_rows in enumerate(rows):
+            groups.setdefault(len(tweet_rows), []).append(i)
+        assert len(groups) > 1
+        expected = np.zeros((len(rows), pipeline.table.dim))
+        for members in groups.values():
+            block = np.array([rows[i] for i in members], dtype=np.intp)
+            if pipeline.kind == "avg":
+                expected[members] = average_embedding(block, pipeline.table)
+            else:
+                stack = token_matrix(block, pipeline.table)
+                expected[members] = sentence_feature(stack, pipeline.hodmd)
+        return expected
+
+    @staticmethod
+    def long_tweet_pipeline(dim, lengths, d):
+        """A hodmd(d) pipeline on random word vectors of dim entries, and a corpus
+        with one tweet of each given token count."""
+        from offdetect import experiment
+        from offdetect.corpus import LabeledCorpus, TweetRecord
+        from offdetect.dmd import HodmdConfig
+        from offdetect.embed import VectorTable
+
+        rng = np.random.default_rng(13)
+        words = [chr(97 + i // 26) + chr(97 + i % 26) for i in range(200)]
+        table = VectorTable(matrix=rng.normal(size=(200, dim)), index={w: i for i, w in enumerate(words)})
+        texts = [" ".join(words[j] for j in rng.integers(0, 200, length)) for length in lengths]
+        corpus = LabeledCorpus([TweetRecord(id=str(i), text=text) for i, text in enumerate(texts)])
+        pipeline = experiment.FeaturePipeline("hodmd", frozenset(), table, HodmdConfig(d=d))
+        pipeline.tokens = {text: text.split() for text in texts}
+        return pipeline, corpus
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_long_tweets_match_a_serial_loop(self, monkeypatch, workers):
+        # at hodmd(70) a 140-token tweet of 4-dim vectors stacks 19,880
+        # snapshot entries, so its group of 80 is cut below 64 tweets a
+        # chunk; each chunk stays within the entry budget
+        from offdetect import experiment
+
+        pipeline, corpus = self.long_tweet_pipeline(4, [140] * 80 + [100] * 20 + [3] * 5, d=70)
+        sizes = []
+        sentence_feature = experiment.sentence_feature
+
+        def recording(stack, cfg):
+            sizes.append(stack.shape)
+            return sentence_feature(stack, cfg)
+
+        monkeypatch.setattr(experiment, "sentence_feature", recording)
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: workers)
+        got = pipeline.featurize(corpus)
+        assert np.array_equal(got, self.serial_features(pipeline, corpus))
+        assert sorted(g for g, _, length in sizes if length == 140) == [28, 52]
+        for g, dim, length in sizes:
+            padded = max(length, 71)
+            assert g == 1 or g * min(dim, padded) * 70 * (padded - 69) <= experiment._FEATURIZE_ENTRIES
+
+    def test_one_featurize_call_bounds_its_stacked_entries(self, monkeypatch):
+        # 64 tweets of 140 tokens at hodmd(70): one chunk of them traced
+        # 109 MB; cut by the entry budget, two workers hold 34 MB
+        import tracemalloc
+
+        from offdetect import experiment
+
+        pipeline, corpus = self.long_tweet_pipeline(20, [140] * 64, d=70)
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        tracemalloc.start()
+        try:
+            features = pipeline.featurize(corpus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < features.nbytes + 2 * 4 * 8 * experiment._FEATURIZE_ENTRIES
 
 
     @pytest.mark.parametrize("d", [1, 2])

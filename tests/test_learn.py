@@ -314,6 +314,19 @@ class TestRlsc:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("rows", [40, 3], ids=["primal", "dual"])
+    def test_strength_near_the_float_maximum_solves(self, rows):
+        # the diagonal's sum passes the float range, but every entry of the
+        # system is finite: w is about Z^T y / lam and the bias sum y / lam
+        rng = np.random.default_rng(6)
+        X = 100.0 * rng.normal(size=(rows, 4))
+        y = np.where(np.arange(rows) % 3 == 0, 1.0, -1.0)
+        lam = 1e308
+        model = train_rlsc(X, y, lam=lam)
+        np.testing.assert_allclose(model.w * lam, X.T @ y, rtol=1e-9)
+        np.testing.assert_allclose(model.bias * lam, y.sum(), rtol=1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rows", [40, 3], ids=["primal", "dual"])
     def test_overflowing_gram_is_numeric_error(self, rows):
         # finite features whose products pass the float range: the
         # NumericError reports the overflow, and no numpy warning does
@@ -546,7 +559,7 @@ class TestLogreg:
 
     def test_gradient_matches_central_finite_differences(self):
         rng = np.random.default_rng(4)
-        X = np.hstack([rng.normal(size=(12, 4)), np.ones((12, 1))])
+        X = rng.normal(size=(12, 4))
         y = np.where(rng.random(12) < 0.5, 1.0, -1.0)
         l2 = 0.05
         h = 1e-5
@@ -573,6 +586,78 @@ class TestLogreg:
     def test_single_class_rejected(self):
         with pytest.raises(NumericError, match="degenerate"):
             train_logreg(np.ones((3, 2)), np.ones(3))
+
+    @staticmethod
+    def widened_descent(X, y, lr, epochs, l2):
+        """Gradient descent on the explicitly widened [X, 1], its step capped
+        by sigma_max([X 1])^2 from an SVD: the weights [w, bias] and the step."""
+        n = len(X)
+        Xa = np.hstack([X, np.ones((n, 1))])
+        step = min(lr, 1.0 / (np.linalg.svd(Xa, compute_uv=False)[0] ** 2 / (4.0 * n) + l2))
+        w = np.zeros(Xa.shape[1])
+        for _ in range(epochs):
+            margins = y * (Xa @ w)
+            w -= step * (Xa.T @ (-y * 0.5 * (1.0 - np.tanh(0.5 * margins))) / n + l2 * w)
+        return w, step
+
+    @pytest.mark.parametrize("shape", [(60, 5), (20, 50)], ids=["tall", "wide"])
+    def test_matches_the_widened_descent(self, shape):
+        # the constant-1 column is never formed; where the step cap does not
+        # bind, the weights are those of the descent on [X, 1]
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=shape)
+        y = np.where(rng.random(shape[0]) < 0.5, 1.0, -1.0)
+        expected, step = self.widened_descent(X, y, lr=0.1, epochs=200, l2=1e-3)
+        assert step == 0.1
+        model = train_logreg(X, y, lr=0.1, epochs=200, l2=1e-3)
+        got = np.append(model.w, model.bias)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("shape", [(60, 5), (20, 50)], ids=["tall", "wide"])
+    def test_capped_step_is_at_most_the_widened_bound(self, shape):
+        # from zero weights one step moves them by -step * gradient, so the
+        # weights are the widened ones times the ratio of the capped steps;
+        # sigma_max(X)^2 + n is at most twice sigma_max([X 1])^2
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=shape)
+        y = np.where(rng.random(shape[0]) < 0.5, 1.0, -1.0)
+        expected, _ = self.widened_descent(X, y, lr=1e9, epochs=1, l2=1e-3)
+        model = train_logreg(X, y, lr=1e9, epochs=1, l2=1e-3)
+        got = np.append(model.w, model.bias)
+        ratio = got @ expected / (expected @ expected)
+        assert 0.5 <= ratio <= 1.0 + 1e-12
+        assert np.abs(got - ratio * expected).max() <= 1e-12 * np.abs(got).max()
+
+    @pytest.mark.parametrize(
+        "shape", [(20000, 20), (20, 20000), (2001, 2001)], ids=["tall", "wide", "past-2000"]
+    )
+    def test_holds_no_copy_of_its_input(self, shape):
+        # no widened [X, 1] and no X * X temporary: the step bound reads X's
+        # smaller Gram matrix, or past 2000 its squared Frobenius norm
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=shape)
+        y = np.where(np.arange(shape[0]) % 2 == 0, 1.0, -1.0)
+        tracemalloc.start()
+        try:
+            train_logreg(X, y, epochs=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "shape", [(40, 4), (3, 4), (2001, 2001)], ids=["primal-gram", "dual-gram", "past-2000"]
+    )
+    def test_overflowing_step_bound_is_numeric_error(self, shape):
+        # finite features whose Gram matrix or squared norm passes the float
+        # range: no eigen solve runs on it, and no numpy warning is shown
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=shape)
+        X[1, 2] = 1e200
+        y = np.where(np.arange(shape[0]) % 2 == 0, 1.0, -1.0)
+        with pytest.raises(NumericError, match="step bound overflows"):
+            train_logreg(X, y)
 
 
 class TestGnb:
@@ -610,6 +695,14 @@ class TestGnb:
     def test_single_class_rejected(self):
         with pytest.raises(NumericError, match="degenerate"):
             train_gnb(np.ones((3, 2)), np.ones(3))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_variance_floor_near_the_float_maximum_scores(self):
+        # 2 pi var passes the float range, its logarithm does not; with
+        # both classes at the floor their log-likelihoods are equal
+        X = np.array([[0.0], [0.1], [5.0], [5.1]])
+        model = train_gnb(X, np.array([-1.0, -1.0, 1.0, 1.0]), var_floor=1e308)
+        assert [score for _, score in predict(model, X)] == [0.0] * 4
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_query_overflowing_both_classes_is_numeric_error(self):
