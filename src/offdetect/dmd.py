@@ -101,7 +101,9 @@ def _stacked_feature(values: np.ndarray, cfg: HodmdConfig) -> np.ndarray:
         U, s, Vh = np.linalg.svd(stacked[:, :, :-1], full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"decomposition failed: {exc}") from exc
-    ranks = np.minimum(cfg.r_max, np.count_nonzero(s > cfg.sv_rel_tol * s[:, :1], axis=1))
+    # a rank is at most the count of singular values, so an r_max past it
+    # (even past the int64 range) changes nothing
+    ranks = np.minimum(min(cfg.r_max, s.shape[1]), np.count_nonzero(s > cfg.sv_rel_tol * s[:, :1], axis=1))
     kept = np.arange(s.shape[1]) < ranks[:, None]
     coeffs = (U.transpose(0, 2, 1) @ stacked[:, :, -1:])[:, :, 0]
     c = np.divide(coeffs, s, out=np.zeros_like(s), where=kept)

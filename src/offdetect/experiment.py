@@ -277,9 +277,10 @@ class FeaturePipeline:
     stopwords: frozenset[str]
     table: VectorTable
     hodmd: HodmdConfig | None = None
-    # token lists by tweet text, filled by build_pipeline so that the corpora
-    # it saw are tokenized once; any other text is tokenized when featurized
-    tokens: dict[str, list[str]] = field(default_factory=dict)
+    # the table rows of each tweet text's in-vocabulary tokens, in token
+    # order, filled by build_pipeline so that the corpora it saw are
+    # tokenized and looked up once; any other text is when featurized
+    rows: dict[str, np.ndarray] = field(default_factory=dict)
 
     def featurize(self, corpus: LabeledCorpus) -> np.ndarray:
         """The (n, dim) feature array of ``corpus``, one row per tweet.
@@ -309,7 +310,7 @@ class FeaturePipeline:
         # which importing offdetect and the precomputed mode do not need
         from concurrent.futures import ThreadPoolExecutor
 
-        rows = [self.table.rows(toks) for toks in self._tokens(corpus)]
+        rows = [self._rows(rec.text) for rec in corpus.records]
         by_length: dict[int, list[int]] = {}
         for i, tweet_rows in enumerate(rows):
             by_length.setdefault(len(tweet_rows), []).append(i)
@@ -346,12 +347,16 @@ class FeaturePipeline:
             raise DataError(f"tweet {tweet_id!r}: feature is not finite (word vectors too large)")
         return values
 
-    def _tokens(self, corpus: LabeledCorpus) -> list[list[str]]:
-        cached = self.tokens
-        return [
-            cached[rec.text] if rec.text in cached else tokenize_clean(rec.text, self.stopwords)
-            for rec in corpus.records
-        ]
+    def _rows(self, text: str) -> np.ndarray:
+        cached = self.rows.get(text)
+        if cached is not None:
+            return cached
+        return _table_rows(self.table, tokenize_clean(text, self.stopwords))
+
+
+def _table_rows(table: VectorTable, tokens: list[str]) -> np.ndarray:
+    """The table rows of the in-vocabulary ``tokens``, in order."""
+    return np.array(table.rows(tokens), dtype=np.intp)
 
 
 def build_pipeline(cfg: ExperimentConfig, corpora: list[LabeledCorpus]) -> FeaturePipeline:
@@ -360,9 +365,11 @@ def build_pipeline(cfg: ExperimentConfig, corpora: list[LabeledCorpus]) -> Featu
     Word-vector tables are filtered to the tokens that actually occur in
     the given corpora.  The filter is a loading optimization only: it
     never changes a lookup result, so passing the test corpus here does
-    not leak anything into feature fitting.  The token lists computed for
-    the filter stay in the pipeline, so featurizing these corpora does not
-    tokenize them again.
+    not leak anything into feature fitting.  Each distinct text is
+    tokenized once, for the filter; once the table is loaded, its tokens
+    become one array of table rows, which the pipeline keeps in place of
+    the token lists, so featurizing these corpora neither tokenizes nor
+    looks them up again.
     """
     if cfg.stopwords_file is None:
         stopwords = default_stopwords()
@@ -370,8 +377,9 @@ def build_pipeline(cfg: ExperimentConfig, corpora: list[LabeledCorpus]) -> Featu
         with open(cfg.stopwords_file, "rb") as fh:
             stopwords = load_stopwords(fh)
     hodmd = None
-    tokens: dict[str, list[str]] = {}
+    rows: dict[str, np.ndarray] = {}
     if cfg.feature in ("avg", "dmd", "hodmd"):
+        tokens: dict[str, list[str]] = {}
         for corpus in corpora:
             for rec in corpus.records:
                 if rec.text not in tokens:
@@ -379,6 +387,7 @@ def build_pipeline(cfg: ExperimentConfig, corpora: list[LabeledCorpus]) -> Featu
         vocab = set().union(*tokens.values())
         with open(cfg.vec_file, "rb") as fh:
             table = load_vec_table(fh, vocab_filter=vocab)
+        rows = {text: _table_rows(table, toks) for text, toks in tokens.items()}
         if cfg.feature in ("dmd", "hodmd"):
             hodmd = HodmdConfig(d=cfg.hodmd_d, r_max=cfg.r_max, sv_rel_tol=cfg.sv_rel_tol)
     else:
@@ -389,14 +398,14 @@ def build_pipeline(cfg: ExperimentConfig, corpora: list[LabeledCorpus]) -> Featu
         stopwords=stopwords,
         table=table,
         hodmd=hodmd,
-        tokens=tokens,
+        rows=rows,
     )
 
 
 def _prepare(cfg: ExperimentConfig) -> tuple[LabeledCorpus, LabeledCorpus, np.ndarray, np.ndarray]:
     """Validate the config, check that its inputs exist, load the (train,
     test) corpora and return them with their (n, dim) feature arrays.  The
-    pipeline (vector table, token lists) is dropped here, before training."""
+    pipeline (vector table, table rows) is dropped here, before training."""
     cfg.validate()
     cfg.check_inputs_exist()
     train_corpus, test_corpus = load_corpora(cfg)
@@ -418,12 +427,20 @@ def _train(cfg: ExperimentConfig, F, y, rks=None):
     """The configured classifier fitted on F, or with a map ``rks`` on F
     lifted through it; the model then carries the map.  The ridge solve
     lifts F itself, in blocks; svm and logreg train on the whole lifted
-    matrix (gnb takes no map: ``validate`` refuses the pair)."""
+    matrix, and one too large to allocate is a DataError naming its size
+    (gnb takes no map: ``validate`` refuses the pair)."""
     if cfg.classifier == "rlsc":
         return train_rlsc(F, y, lam=cfg.lam, rks=rks)
     if cfg.classifier == "gnb":
         return train_gnb(F, y, var_floor=cfg.var_floor)
-    lifted = F if rks is None else transform(rks, F)
+    try:
+        lifted = F if rks is None else transform(rks, F)
+    except MemoryError:
+        n, dim = len(F), rks.dim_out
+        raise DataError(
+            f"rks_dim {dim}: cannot allocate the {n} x {dim} lifted training matrix "
+            f"({n * dim * 8 / 2**30:.2f} GiB of float64)"
+        ) from None
     if cfg.classifier == "svm":
         model = train_linear_svm(lifted, y, C=cfg.C, epochs=cfg.svm_epochs, seed=cfg.seed)
     else:

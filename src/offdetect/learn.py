@@ -48,6 +48,13 @@ _PANEL_ROWS = 3 * _CHOLESKY_BLOCK
 # float64): it lifts its input this many entries at a time, rows for the
 # primal system and frequencies for the dual, and holds no whole lift.
 _LIFT_BLOCK_ENTRIES = 1 << 23
+# Columns per product that a later lift block adds into a Gram panel:
+# numpy's matmul cannot add into its output, so each part goes through one
+# scratch buffer of at most _PANEL_ROWS x this many floats (3 MiB), where a
+# whole panel's temporary took up to 9 MiB at the bench sweep's D = 4000.
+# The buffer is made once per sum: a temporary per part left the process's
+# heap 28 MiB larger on one bench corpus.
+_ADD_COLUMNS = 1024
 
 
 @dataclass
@@ -197,7 +204,7 @@ def _lift_bounds(count: int, width: int) -> list[tuple[int, int]]:
     """[start, stop) bounds that cut ``count`` units (rows or frequencies)
     of ``width`` entries each into the fewest near-equal blocks of at most
     _LIFT_BLOCK_ENTRIES entries."""
-    parts = -(-count // max(1, _LIFT_BLOCK_ENTRIES // width))
+    parts = max(1, -(-count // max(1, _LIFT_BLOCK_ENTRIES // width)))
     return [(count * j // parts, count * (j + 1) // parts) for j in range(parts)]
 
 
@@ -222,12 +229,24 @@ def _lifted_blocks(X: np.ndarray, rks: RksMap | None, bounds, by_rows: bool):
         yield _as_matrix(transform(rks, rows, freqs, out=out))
 
 
-def _add_product(out: np.ndarray, a: np.ndarray, b: np.ndarray, first: bool) -> None:
-    """out = a @ b for the first block of a sum, out += a @ b after it."""
-    if first:
+def _product_scratch(panels: list[np.ndarray]) -> np.ndarray:
+    """The flat buffer that _add_product writes its parts into, for any
+    part of ``panels``: their most rows by at most _ADD_COLUMNS columns."""
+    return np.empty(len(panels[0]) * min(_ADD_COLUMNS, panels[-1].shape[1]))
+
+
+def _add_product(out: np.ndarray, a: np.ndarray, b: np.ndarray, scratch: np.ndarray | None) -> None:
+    """out = a @ b for the first block of a sum (``scratch`` None); after
+    it, out += a @ b, _ADD_COLUMNS columns at a time, each part written
+    into the flat buffer ``scratch`` first."""
+    if scratch is None:
         np.matmul(a, b, out=out)
-    else:
-        out += a @ b
+        return
+    for c0 in range(0, out.shape[1], _ADD_COLUMNS):
+        part = out[:, c0 : c0 + _ADD_COLUMNS]
+        product = scratch[: part.size].reshape(part.shape)
+        np.matmul(a, b[:, c0 : c0 + _ADD_COLUMNS], out=product)
+        part += product
 
 
 def _primal_system(panels, X, y, rks, fit_intercept: bool) -> np.ndarray:
@@ -237,12 +256,15 @@ def _primal_system(panels, X, y, rks, fit_intercept: bool) -> np.ndarray:
     n = len(X)
     dim = X.shape[1] if rks is None else rks.dim_out
     bounds = [(0, n)] if rks is None else _lift_bounds(n, dim)
+    scratch = None
     for j, ((r0, r1), Z) in enumerate(zip(bounds, _lifted_blocks(X, rks, bounds, by_rows=True))):
         first = j == 0
+        if j == 1:
+            scratch = _product_scratch(panels)
         for panel in panels:
             i0, i1 = _panel_rows(panel)
             stop = min(i1, dim)  # the last panel's intercept row is filled below
-            _add_product(panel[: stop - i0, :stop], Z[:, i0:stop].T, Z[:, :stop], first)
+            _add_product(panel[: stop - i0, :stop], Z[:, i0:stop].T, Z[:, :stop], scratch)
         rhs = Z.T @ y[r0:r1] if first else rhs + Z.T @ y[r0:r1]
         if fit_intercept:
             sums = Z.sum(axis=0) if first else sums + Z.sum(axis=0)
@@ -264,10 +286,13 @@ def _dual_weights(panels, X, rks, fit_intercept: bool, solve) -> tuple[np.ndarra
     their blocks again.  The solve is called in here so that only this
     function holds the last block, which it frees before that re-lift."""
     bounds = [(0, X.shape[1])] if rks is None else _lift_bounds(rks.k, 2 * len(X))
+    scratch = None
     for j, Z in enumerate(_lifted_blocks(X, rks, bounds, by_rows=False)):
+        if j == 1:
+            scratch = _product_scratch(panels)
         for panel in panels:
             i0, i1 = _panel_rows(panel)
-            _add_product(panel, Z[i0:i1], Z[:i1].T, first=j == 0)
+            _add_product(panel, Z[i0:i1], Z[:i1].T, scratch)
     if fit_intercept:
         for panel in panels:
             panel += 1.0
@@ -616,22 +641,25 @@ def predict(model, F) -> list[tuple[str, float]]:
     """Per-row (label, raw score); score >= 0 reads as OFF.
 
     A LinearModel with an embedded random-feature map expects raw inputs of
-    the map's input dimension and lifts them before scoring; inputs that
-    the lift overflows are a DataError, as non-finite inputs are.  An
-    overflowing score keeps its sign; one left with none is a NumericError.
+    the map's input dimension and lifts them before scoring, in blocks of
+    rows as train_rlsc's primal system does, so no more than
+    _LIFT_BLOCK_ENTRIES lifted entries are held; inputs that the lift
+    overflows are a DataError, as non-finite inputs are.  An overflowing
+    score keeps its sign; one left with none is a NumericError.
     """
     X = _as_matrix(F)
     if isinstance(model, LinearModel):
-        if model.rks is not None:
-            if X.shape[1] != model.rks.d_in:
-                raise DataError(
-                    f"feature dim {X.shape[1]} does not match map input {model.rks.d_in}"
-                )
-            X = _as_matrix(transform(model.rks, X))
-        if X.shape[1] != model.w.shape[0]:
-            raise DataError(f"feature dim {X.shape[1]} does not match model dim {model.w.shape[0]}")
+        rks = model.rks
+        if rks is not None and X.shape[1] != rks.d_in:
+            raise DataError(f"feature dim {X.shape[1]} does not match map input {rks.d_in}")
+        dim = X.shape[1] if rks is None else rks.dim_out
+        if dim != model.w.shape[0]:
+            raise DataError(f"feature dim {dim} does not match model dim {model.w.shape[0]}")
+        bounds = [(0, len(X))] if rks is None else _lift_bounds(len(X), dim)
+        scores = np.empty(len(X))
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            scores = X @ model.w + model.bias
+            for (r0, r1), Z in zip(bounds, _lifted_blocks(X, rks, bounds, by_rows=True)):
+                scores[r0:r1] = Z @ model.w + model.bias
     elif isinstance(model, GnbModel):
         if X.shape[1] != model.means.shape[1]:
             raise DataError(

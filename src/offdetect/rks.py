@@ -94,7 +94,8 @@ def sample_map(d_in: int, dim_out: int, sigma: float, seed: int) -> RksMap:
 
     The recipe is checked before anything is drawn, including that the seed
     is at most MAX_SEED and that the map has at most MAX_MAP_ENTRIES entries
-    (d_in x dim_out).
+    (d_in x dim_out).  A sigma so small that a frequency overflows is
+    refused once they are drawn.
     """
     if dim_out < 2 or dim_out % 2 != 0:
         raise ValueError(f"output dimension must be even (cos/sin pairs), got {dim_out}")
@@ -108,7 +109,10 @@ def sample_map(d_in: int, dim_out: int, sigma: float, seed: int) -> RksMap:
         raise ValueError(f"seed must be <= {MAX_SEED}, got {seed}")
     check_map_size(d_in, dim_out)
     rng = np.random.default_rng(seed)
-    omega = rng.standard_normal((d_in, dim_out // 2)) / sigma
+    with np.errstate(over="ignore"):
+        omega = rng.standard_normal((d_in, dim_out // 2)) / sigma
+    if not (math.isfinite(omega.min()) and math.isfinite(omega.max())):
+        raise ValueError(f"bandwidth sigma {sigma!r} is too small: a frequency overflows")
     return RksMap(omega=omega, sigma=float(sigma), seed=int(seed))
 
 

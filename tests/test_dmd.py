@@ -146,6 +146,13 @@ class TestSentenceFeature:
         f_rev = sentence_feature(rev)
         assert not np.allclose(f_fwd, f_rev)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rank_cap_past_the_int64_range_caps_nothing(self, d):
+        # a rank is at most the count of singular values, whatever r_max says
+        seq = np.random.default_rng(10).normal(size=(6, 9))
+        expected = sentence_feature(seq, HodmdConfig(d=d, r_max=10**6))
+        assert np.array_equal(sentence_feature(seq, HodmdConfig(d=d, r_max=2**70)), expected)
+
     def test_output_length_is_channel_count_for_higher_order(self):
         rng = np.random.default_rng(9)
         seq = rng.normal(size=(5, 8))

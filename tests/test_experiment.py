@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -56,6 +57,51 @@ svm_epochs = 60
         encoding="utf-8",
     )
     return path
+
+
+def _child_env():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@functools.cache
+def _child_address_space() -> int:
+    """The address space, in bytes, of a fresh interpreter that has imported
+    the CLI and run one BLAS product: numpy's BLAS reserves some per CPU."""
+    code = (
+        "import numpy, offdetect.cli\n"
+        "numpy.ones((64, 64)) @ numpy.ones((64, 64))\n"
+        "print(open('/proc/self/statm').read().split()[0])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=_child_env(), check=True
+    )
+    return int(proc.stdout) * os.sysconf("SC_PAGE_SIZE")
+
+
+def run_limited(argv, headroom):
+    """``python -m offdetect`` with ``argv`` in a child process whose address
+    space is capped at ``headroom`` bytes over that of a fresh one, so that
+    every machine leaves the run the same room."""
+    import resource
+
+    address_space = _child_address_space() + headroom
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(
+        [sys.executable, "-m", "offdetect", *argv],
+        capture_output=True, text=True, timeout=300, env=_child_env(), preexec_fn=limit,
+    )
+
+
+def serial_rows(pipeline, corpus):
+    """Each tweet's table rows, tokenized and looked up afresh: a reference
+    that never reads the rows the pipeline keeps."""
+    from offdetect.corpus import tokenize_clean
+
+    return [pipeline.table.rows(tokenize_clean(rec.text, pipeline.stopwords)) for rec in corpus.records]
 
 
 class TestParseConfig:
@@ -438,13 +484,56 @@ class TestFeaturize:
         for corpus, got in zip(corpora, features):
             assert np.array_equal(got, self.serial_features(pipeline, corpus))
 
+    @pytest.mark.parametrize("feature", ["avg", "dmd", "hodmd(2)"])
+    def test_a_corpus_the_pipeline_never_saw_gets_the_same_features(self, tmp_path, mini_dir, feature):
+        # the test tweets with a trailing " !": texts build_pipeline never
+        # saw, so each is tokenized and looked up when featurized, into the
+        # same tokens and rows as the text it saw
+        from offdetect.corpus import LabeledCorpus
+
+        cfg_path = write_config(tmp_path / "u.cfg", mini_dir)
+        cfg_path.write_text(cfg_path.read_text().replace("feature = avg", f"feature = {feature}"))
+        cfg = parse_config(cfg_path)
+        train, test = load_corpora(cfg)
+        pipeline = build_pipeline(cfg, [train, test])
+        unseen = LabeledCorpus([replace(rec, text=rec.text + " !") for rec in test.records])
+        assert not any(rec.text in pipeline.rows for rec in unseen.records)
+        assert np.array_equal(pipeline.featurize(unseen), pipeline.featurize(test))
+
+    def test_pipeline_keeps_table_rows_and_no_token_lists(self, tmp_path, mini_dir):
+        import dataclasses
+
+        cfg = parse_config(write_config(tmp_path / "r.cfg", mini_dir))
+        corpora = load_corpora(cfg)
+        pipeline = build_pipeline(cfg, list(corpora))
+        records = [rec for corpus in corpora for rec in corpus.records]
+        assert set(pipeline.rows) == {rec.text for rec in records}
+        for corpus in corpora:
+            for rec, rows in zip(corpus.records, serial_rows(pipeline, corpus)):
+                kept = pipeline.rows[rec.text]
+                assert isinstance(kept, np.ndarray) and kept.dtype == np.intp and kept.ndim == 1
+                assert kept.tolist() == rows
+        # no list, and no array of Python objects, in anything the pipeline holds
+        todo = [pipeline]
+        while todo:
+            obj = todo.pop()
+            assert not isinstance(obj, list)
+            if dataclasses.is_dataclass(obj):
+                todo += vars(obj).values()
+            elif isinstance(obj, dict):
+                todo += [*obj, *obj.values()]
+            elif isinstance(obj, (tuple, set, frozenset)):
+                todo += obj
+            elif isinstance(obj, np.ndarray):
+                assert obj.dtype != object
+
     @staticmethod
     def serial_features(pipeline, corpus):
         """The features of one thread featurizing each whole length group."""
         from offdetect.dmd import sentence_feature
         from offdetect.embed import average_embedding, token_matrix
 
-        rows = [pipeline.table.rows(tokens) for tokens in pipeline._tokens(corpus)]
+        rows = serial_rows(pipeline, corpus)
         groups: dict[int, list[int]] = {}
         for i, tweet_rows in enumerate(rows):
             groups.setdefault(len(tweet_rows), []).append(i)
@@ -474,7 +563,7 @@ class TestFeaturize:
         texts = [" ".join(words[j] for j in rng.integers(0, 200, length)) for length in lengths]
         corpus = LabeledCorpus([TweetRecord(id=str(i), text=text) for i, text in enumerate(texts)])
         pipeline = experiment.FeaturePipeline("hodmd", frozenset(), table, HodmdConfig(d=d))
-        pipeline.tokens = {text: text.split() for text in texts}
+        pipeline.rows = {text: np.array(table.rows(text.split()), dtype=np.intp) for text in texts}
         return pipeline, corpus
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -539,7 +628,7 @@ class TestFeaturize:
         corpus = LabeledCorpus([TweetRecord(id=str(i), text=text) for i, text in enumerate(texts)])
         kind = "dmd" if d == 1 else "hodmd"
         pipeline = experiment.FeaturePipeline(kind, frozenset(), table, HodmdConfig(d=d))
-        pipeline.tokens = {text: text.split() for text in texts}
+        pipeline.rows = {text: np.array(table.rows(text.split()), dtype=np.intp) for text in texts}
         monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
         tracemalloc.start()
         try:
@@ -975,8 +1064,8 @@ class TestCli:
         train, _ = load_corpora(cfg)
         pipeline = build_pipeline(cfg, [train])
         not_finite = []
-        for rec, toks in zip(train.records, pipeline._tokens(train)):
-            seq = pipeline.table.matrix[pipeline.table.rows(toks)].T
+        for rec, rows in zip(train.records, serial_rows(pipeline, train)):
+            seq = pipeline.table.matrix[rows].T
             with np.errstate(all="ignore"):
                 if not np.isfinite(sentence_feature(seq, pipeline.hodmd)).all():
                     not_finite.append(rec.id)
@@ -1001,7 +1090,7 @@ class TestCli:
         cfg = parse_config(cfg_path)
         train, _ = load_corpora(cfg)
         pipeline = build_pipeline(cfg, [train])
-        lengths = list(dict.fromkeys(len(pipeline.table.rows(t)) for t in pipeline._tokens(train)))
+        lengths = list(dict.fromkeys(len(rows) for rows in serial_rows(pipeline, train)))
         assert len(lengths) > 2
         sentence_feature = experiment.sentence_feature
 
@@ -1110,6 +1199,88 @@ class TestCli:
             gold = [rec.label for rec in test.records]
             tsv, _ = render_report([(cfg.name, macro_metrics(ConfusionMatrix.from_pairs(gold, predicted)))])
             assert tsv == (out / "report.tsv").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("classifier", ["svm", "logreg"])
+    def test_lift_too_large_to_allocate_exits_2(self, tmp_path, mini_dir, classifier):
+        # a legal map (8 x 2,097,152 entries, the cap) whose lifted training
+        # matrix, 2.19 GiB, cannot be allocated with 2 GiB of room
+        dim = MAX_MAP_ENTRIES // 8
+        cfg_path = write_config(tmp_path / "big.cfg", mini_dir, extra=f"rks_dim = {dim}\nrks_sigma = 1\n")
+        cfg_path.write_text(cfg_path.read_text().replace("classifier = svm", f"classifier = {classifier}"))
+        out = tmp_path / "o"
+        proc = run_limited(["run", "--config", str(cfg_path), "--out", str(out)], 2 << 30)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"data error: rks_dim {dim}: cannot allocate the 140 x {dim} lifted training matrix "
+            "(2.19 GiB of float64)\n"
+        )
+        assert not out.exists()
+
+    # Each numeric key is drawn over the whole range its check accepts, and
+    # one of them, or none, over the whole of its type.  The epoch counts cost
+    # only time, so they are drawn up to a budget of 2^24 (epochs x 140
+    # training rows x training-matrix width, at least 64).
+    POSITIVE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+    COUNT = st.integers(1, 2**70)
+    KEYS = {
+        "order": st.integers(1, MAX_DELAY_ORDER),
+        "r_max": COUNT,
+        "sv_rel_tol": st.floats(min_value=5e-324, max_value=1.0, exclude_max=True),
+        "rks_dim": st.integers(1, 25).flatmap(lambda bits: st.integers(1, 2**bits).map(lambda k: 2 * k)),
+        "rks_sigma": POSITIVE,
+        "rks_seed": st.integers(0, MAX_SEED),
+        "lambda": POSITIVE,
+        "C": POSITIVE,
+        "lr": POSITIVE,
+        "l2": st.floats(min_value=0.0, max_value=1.7976931348623157e308),
+        "var_floor": POSITIVE,
+        "seed": st.integers(0, 2**70),
+    }
+    EPOCH_BUDGET = 1 << 24
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        feature=st.sampled_from(["avg", "dmd", "hodmd", "precomputed"]),
+        classifier=st.sampled_from(["svm", "logreg", "rlsc", "gnb"]),
+        lift=st.booleans(),
+        spoiled=st.none() | st.sampled_from([*KEYS, "svm_epochs", "logreg_epochs"]),
+    )
+    def test_run_on_drawn_numeric_config_values(self, mini_dir, data, feature, classifier, lift, spoiled):
+        # the run in a child process with 384 MiB of address space to spare,
+        # so that the widest lifts cannot be allocated: a clean exit, and
+        # never a traceback
+        def anything(key):
+            integer = key in ("order", "r_max", "rks_dim", "rks_seed", "seed", "svm_epochs", "logreg_epochs")
+            return st.integers(-(2**70), 2**70) if integer else st.floats()
+
+        values = {
+            key: data.draw(anything(key) if key == spoiled else strategy, label=key)
+            for key, strategy in self.KEYS.items()
+        }
+        lifted = lift and values["rks_dim"] >= 2
+        width = values["rks_dim"] if lifted else 17 if feature == "precomputed" else 8
+        most = max(1, self.EPOCH_BUDGET // (140 * max(width, 64)))
+        for key in ("svm_epochs", "logreg_epochs"):
+            values[key] = data.draw(anything(key) if key == spoiled else st.integers(1, most), label=key)
+        if spoiled in ("svm_epochs", "logreg_epochs") and values[spoiled] > most:
+            values[spoiled] = -values[spoiled]  # only a refused count may pass the budget
+        order = values.pop("order")
+        if not lift:
+            for key in ("rks_dim", "rks_sigma", "rks_seed"):
+                del values[key]
+        lines = [f"feature = hodmd({order})" if feature == "hodmd" else f"feature = {feature}"]
+        lines += [f"{key} = {value!r}" for key, value in values.items()]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg_path = write_config(tmp / "drawn.cfg", mini_dir)
+            text = cfg_path.read_text().replace("C = 10\nsvm_epochs = 60\n", "")
+            text = text.replace("feature = avg", "\n".join(lines))
+            cfg_path.write_text(text.replace("classifier = svm", f"classifier = {classifier}"))
+            proc = run_limited(["run", "--config", str(cfg_path), "--out", str(tmp / "o")], 384 << 20)
+        assert proc.returncode in (0, 2, 3), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0 or proc.stderr.count("\n") == 1, proc.stderr
 
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_mini_experiments.py"

@@ -401,6 +401,32 @@ class TestRlscLift:
         assert peak < gram_bytes + 2 * block_bytes
         assert peak < n * dim_out * X.itemsize / 4
 
+    def test_later_blocks_add_their_products_in_column_slices(self, monkeypatch):
+        # 12 frequency blocks each add Z_b Z_b^T into the 1,200-row dual's
+        # panels 128 columns at a time: weights as with one block, and a
+        # temporary of 384 x 128 floats where a whole panel's (384 x 1,200)
+        # traced 2.8 MB more
+        from offdetect import learn
+
+        n, dim_out = 1200, 2400
+        X, y, rks = lift_fixture(n, 4, dim_out)
+        whole = train_rlsc(X, y, rks=rks)
+        monkeypatch.setattr(learn, "_LIFT_BLOCK_ENTRIES", 1 << 18)
+        monkeypatch.setattr(learn, "_ADD_COLUMNS", 128)
+        assert len(learn._lift_bounds(rks.k, 2 * n)) == 12
+        gram_bytes = sum(panel.nbytes for panel in _lower_panels(n)[1])
+        tracemalloc.start()
+        try:
+            model = train_rlsc(X, y, rks=rks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        expected = np.append(whole.w, whole.bias)
+        error = np.max(np.abs(np.append(model.w, model.bias) - expected))
+        assert error <= 1e-10 * np.max(np.abs(expected))
+        slice_bytes = learn._PANEL_ROWS * 128 * X.itemsize
+        assert peak < gram_bytes + (1 << 18) * X.itemsize + 3 * slice_bytes
+
     @pytest.mark.parametrize("n, dim_out", [(40, 8), (5, 8)], ids=["primal", "dual"])
     def test_lift_past_the_float_range_is_data_error(self, n, dim_out):
         X, y, _ = lift_fixture(n, 3, dim_out)
@@ -751,6 +777,28 @@ class TestPredict:
 
         model = LinearModel(kind="rlsc", w=np.array([1.0, 1.0]), bias=0.0, hyper={})
         assert predict(model, np.zeros((0, 2))) == []
+        model.rks = sample_map(3, 2, sigma=1.0, seed=0)
+        assert predict(model, np.zeros((0, 3))) == []
+
+    def test_lift_in_row_blocks_scores_as_the_whole_lift(self, monkeypatch):
+        # 3,000 rows of a 2,000-wide lift (48 MB whole) scored 131 rows a
+        # block: the whole lift's scores, with about one block traced
+        from offdetect import learn
+
+        X, y, rks = lift_fixture(300, 4, 2000)
+        model = train_rlsc(X, y, rks=rks)
+        raw = np.random.default_rng(8).normal(size=(3000, 4))
+        expected = transform(rks, raw) @ model.w + model.bias
+        monkeypatch.setattr(learn, "_LIFT_BLOCK_ENTRIES", 1 << 18)
+        assert len(learn._lift_bounds(3000, 2000)) == 23
+        tracemalloc.start()
+        try:
+            got = np.array([score for _, score in predict(model, raw)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        assert peak < 2 * (1 << 18) * raw.itemsize
 
     def test_embedded_map_composes_with_manual_transform(self):
         rng = np.random.default_rng(5)

@@ -50,6 +50,13 @@ class TestSampleMap:
         with pytest.raises(ValueError, match="sigma"):
             sample_map(10, 10, sigma=0.0, seed=0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sigma_whose_frequencies_overflow_rejected(self):
+        # 5e-324 passes the positivity check; a frequency of about 1e324 is inf
+        with pytest.raises(ValueError, match=r"^bandwidth sigma 5e-324 is too small: a frequency overflows$"):
+            sample_map(3, 10, sigma=5e-324, seed=0)
+        assert np.isfinite(sample_map(3, 10, sigma=1e-300, seed=0).omega).all()
+
     def test_map_over_entry_cap_rejected_before_drawing(self):
         # 16 x 1,048,578 is 32 entries over 2^24; drawn, omega would be 67 MB
         assert 16 * 1_048_578 > MAX_MAP_ENTRIES == 1 << 24
