@@ -27,6 +27,10 @@ __all__ = [
     "load_precomputed",
 ]
 
+# The widest header dim: numpy holds one row of float64 values as one item
+# (see load_vec_table's np.fromiter), whose size must fit in a C int.
+_MAX_VEC_DIM = (1 << 28) - 1
+
 
 @dataclass
 class VectorTable:
@@ -56,10 +60,14 @@ def load_vec_table(source, vocab_filter: set[str] | None = None) -> VectorTable:
     """Parse a ``.vec`` text table: header ``count dim``, then
     ``token v1 ... v_dim`` per line, space-separated.
 
-    ``vocab_filter`` keeps only the listed tokens.  Rows whose width differs
-    from the header dim, and kept rows with a non-numeric or non-finite
-    (nan, inf) value, raise DataError naming the line.  Kept rows are parsed
-    in blocks (see ``_parsed_rows``).
+    The header's dim must lie in [1, _MAX_VEC_DIM], and a header that
+    declares one vector or more must be followed by a vector line; each
+    refusal is a DataError naming line 1.  The count is otherwise not
+    checked, so a header of count 0 alone loads as a (0, dim) table.
+    ``vocab_filter`` keeps only the listed tokens.  Rows whose width
+    differs from the header dim, and kept rows with a non-numeric or
+    non-finite (nan, inf) value, raise DataError naming the line.  Kept
+    rows are parsed in blocks (see ``_parsed_rows``).
     """
     lines = text_lines(source, "vec file")
     try:
@@ -70,18 +78,25 @@ def load_vec_table(source, vocab_filter: set[str] | None = None) -> VectorTable:
     if len(parts) != 2:
         raise DataError(f"vec file line 1: expected header 'count dim', got {header!r}")
     try:
-        _count, dim = int(parts[0]), int(parts[1])
+        count, dim = int(parts[0]), int(parts[1])
     except ValueError:
         raise DataError(f"vec file line 1: non-integer header {header!r}") from None
     if dim <= 0:
         raise DataError(f"vec file line 1: dimension must be positive, got {dim}")
+    if dim > _MAX_VEC_DIM:
+        raise DataError(f"vec file line 1: dimension must be at most {_MAX_VEC_DIM}, got {dim}")
+    lines = ((lineno, line) for lineno, line in lines if line.strip())
+    first = next(lines, None)
+    if first is None and count > 0:
+        raise DataError(
+            f"vec file line 1: header declares {count} vector(s), but no vector line follows"
+        )
+    lines = itertools.chain([first] if first else [], lines)
 
     tokens: list[str] = []
 
     def kept_rows():
         for lineno, line in lines:
-            if not line.strip():
-                continue
             # trailing-space tolerance seen in common .vec exports
             body = line[:-1] if line.endswith(" ") else line
             width = body.count(" ")

@@ -10,6 +10,7 @@ map before scoring, so persisted models are self-contained.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,7 +53,7 @@ _LIFT_BLOCK_ENTRIES = 1 << 23
 # numpy's matmul cannot add into its output, so each part goes through one
 # scratch buffer of at most _PANEL_ROWS x this many floats (3 MiB), where a
 # whole panel's temporary took up to 9 MiB at the bench sweep's D = 4000.
-# The buffer is made once per sum: a temporary per part left the process's
+# The buffer is made once per solve: a temporary per part left the process's
 # heap 28 MiB larger on one bench corpus.
 _ADD_COLUMNS = 1024
 
@@ -208,18 +209,25 @@ def _lift_bounds(count: int, width: int) -> list[tuple[int, int]]:
     return [(count * j // parts, count * (j + 1) // parts) for j in range(parts)]
 
 
-def _lifted_blocks(X: np.ndarray, rks: RksMap | None, bounds, by_rows: bool):
+def _lift_buffer(X: np.ndarray, rks: RksMap | None, bounds, by_rows: bool) -> np.ndarray | None:
+    """The flat buffer that _lifted_blocks writes each block of ``bounds``
+    into (see there for ``by_rows``); None without a map."""
+    if rks is None:
+        return None
+    most = max(stop - start for start, stop in bounds)
+    return np.empty(most * (rks.dim_out if by_rows else 2 * len(X)))
+
+
+def _lifted_blocks(X: np.ndarray, rks: RksMap | None, bounds, by_rows: bool, buffer):
     """Yield the lift of X through ``rks`` one block per [start, stop) of
     ``bounds``: rows of the lifted matrix (``by_rows``), else frequencies,
     a block then holding their cos and sin columns.  Every block is
-    written into one buffer, so a block is valid only until the next one
-    is made.  A non-finite block (a projection past the float range) is a
-    DataError.  Without a map, X is its own one block."""
+    written into ``buffer`` (see _lift_buffer), so a block is valid only
+    until the next one is made.  A non-finite block (a projection past the
+    float range) is a DataError.  Without a map, X is its own one block."""
     if rks is None:
         yield X
         return
-    most = max(stop - start for start, stop in bounds)
-    buffer = np.empty(most * (rks.dim_out if by_rows else 2 * len(X)))
     for start, stop in bounds:
         if by_rows:
             rows, freqs, shape = X[start:stop], slice(None), (stop - start, rks.dim_out)
@@ -229,88 +237,42 @@ def _lifted_blocks(X: np.ndarray, rks: RksMap | None, bounds, by_rows: bool):
         yield _as_matrix(transform(rks, rows, freqs, out=out))
 
 
-def _product_scratch(panels: list[np.ndarray]) -> np.ndarray:
-    """The flat buffer that _add_product writes its parts into, for any
-    part of ``panels``: their most rows by at most _ADD_COLUMNS columns."""
-    return np.empty(len(panels[0]) * min(_ADD_COLUMNS, panels[-1].shape[1]))
+def _add_gram(panels: list[np.ndarray], A: np.ndarray, limit: int, scratch) -> None:
+    """Add A A^T into the first ``limit`` rows and columns held in
+    ``panels``: the panel of rows [i0, i1) takes A[i0:i1] @ A[:i1]^T.  The
+    first block of a sum (``scratch`` None) writes its products into the
+    panels; every later block adds them _ADD_COLUMNS columns at a time,
+    each part written into the flat buffer ``scratch`` first."""
+    for panel in panels:
+        i0, i1 = _panel_rows(panel)
+        stop = min(i1, limit)
+        out, a, b = panel[: stop - i0, :stop], A[i0:stop], A[:stop].T
+        if scratch is None:
+            np.matmul(a, b, out=out)
+            continue
+        for c0 in range(0, stop, _ADD_COLUMNS):
+            part = out[:, c0 : c0 + _ADD_COLUMNS]
+            product = scratch[: part.size].reshape(part.shape)
+            np.matmul(a, b[:, c0 : c0 + _ADD_COLUMNS], out=product)
+            part += product
 
 
-def _add_product(out: np.ndarray, a: np.ndarray, b: np.ndarray, scratch: np.ndarray | None) -> None:
-    """out = a @ b for the first block of a sum (``scratch`` None); after
-    it, out += a @ b, _ADD_COLUMNS columns at a time, each part written
-    into the flat buffer ``scratch`` first."""
-    if scratch is None:
-        np.matmul(a, b, out=out)
-        return
-    for c0 in range(0, out.shape[1], _ADD_COLUMNS):
-        part = out[:, c0 : c0 + _ADD_COLUMNS]
-        product = scratch[: part.size].reshape(part.shape)
-        np.matmul(a, b[:, c0 : c0 + _ADD_COLUMNS], out=product)
-        part += product
-
-
-def _primal_system(panels, X, y, rks, fit_intercept: bool) -> np.ndarray:
-    """Fill ``panels`` with the primal Gram matrix of the lifted X, bordered
-    by the intercept's row and column when there is one, one row block at a
-    time; return the right-hand side, [Z^T y, sum y] or Z^T y."""
-    n = len(X)
-    dim = X.shape[1] if rks is None else rks.dim_out
-    bounds = [(0, n)] if rks is None else _lift_bounds(n, dim)
-    scratch = None
-    for j, ((r0, r1), Z) in enumerate(zip(bounds, _lifted_blocks(X, rks, bounds, by_rows=True))):
-        first = j == 0
-        if j == 1:
-            scratch = _product_scratch(panels)
-        for panel in panels:
-            i0, i1 = _panel_rows(panel)
-            stop = min(i1, dim)  # the last panel's intercept row is filled below
-            _add_product(panel[: stop - i0, :stop], Z[:, i0:stop].T, Z[:, :stop], scratch)
-        rhs = Z.T @ y[r0:r1] if first else rhs + Z.T @ y[r0:r1]
-        if fit_intercept:
-            sums = Z.sum(axis=0) if first else sums + Z.sum(axis=0)
-    if not fit_intercept:
-        return rhs
-    panel = panels[-1]
-    i0, _ = _panel_rows(panel)
-    panel[:-1, dim] = sums[i0:]
-    panel[-1, :dim] = sums
-    panel[-1, dim] = n
-    return np.append(rhs, y.sum())
-
-
-def _dual_weights(panels, X, rks, fit_intercept: bool, solve) -> tuple[np.ndarray, np.ndarray]:
-    """Fill ``panels`` with the dual Gram matrix Z Z^T (+ 1 1^T with an
-    intercept) of the lifted X, one frequency block at a time; take the
-    dual solution a = solve() and return (w = Z^T a, a).  The last block's
-    part of w comes from the block still held, the others' from lifting
-    their blocks again.  The solve is called in here so that only this
-    function holds the last block, which it frees before that re-lift."""
-    bounds = [(0, X.shape[1])] if rks is None else _lift_bounds(rks.k, 2 * len(X))
-    scratch = None
-    for j, Z in enumerate(_lifted_blocks(X, rks, bounds, by_rows=False)):
-        if j == 1:
-            scratch = _product_scratch(panels)
-        for panel in panels:
-            i0, i1 = _panel_rows(panel)
-            _add_product(panel, Z[i0:i1], Z[:i1].T, scratch)
-    if fit_intercept:
-        for panel in panels:
-            panel += 1.0
-    a = solve()
-    if rks is None:
-        return X.T @ a, a
-    w = np.empty(rks.dim_out)
-
-    def take(freq_bounds: tuple[int, int], Z: np.ndarray) -> None:
-        f0, f1 = freq_bounds
-        part = Z.T @ a
-        w[f0:f1], w[rks.k + f0 : rks.k + f1] = part[: f1 - f0], part[f1 - f0 :]
-
-    take(bounds[-1], Z)  # the last block, still held
-    del Z  # and freed before the others are lifted again
-    for block_bounds, Z in zip(bounds[:-1], _lifted_blocks(X, rks, bounds[:-1], by_rows=False)):
-        take(block_bounds, Z)
-    return w, a
+def _solve(buffer: np.ndarray, panels: list[np.ndarray], lam: float, b: np.ndarray) -> np.ndarray:
+    """Add lam to the diagonal of the Gram matrix held in ``panels``, cut
+    from ``buffer``, and solve it for ``b`` by Cholesky."""
+    for panel in panels:
+        i0, i1 = _panel_rows(panel)
+        panel.flat[i0 :: i1 + 1] += lam
+    # one sum in place of a Gram-sized finiteness mask: every stored entry
+    # is written by now, and any inf or nan among them makes it non-finite;
+    # a sum of finite entries past the float range is read again, entry by
+    # entry
+    if not (math.isfinite(buffer.sum()) or _all_finite(buffer)):
+        raise NumericError("normal-equation matrix overflows: features too large")
+    try:
+        return _cholesky_solve(_cholesky_in_place(panels), b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"normal-equation solve failed: {exc}") from exc
 
 
 def train_rlsc(
@@ -334,18 +296,20 @@ def train_rlsc(
     product besides it.
 
     With a map, no (n, dim) lifted matrix is held: the solve lifts F in
-    blocks of at most _LIFT_BLOCK_ENTRIES entries, written into one reused
-    buffer.  The primal lifts row blocks and adds each one's products, its
-    column sums and its part of Z^T y into the panels.  The dual lifts
-    frequency blocks, each holding its cos and sin columns, and adds each
-    Z_b Z_b^T; for w = Z^T a it keeps the last block and lifts the others
-    again.  With one block, which covers every lift of up to 2^23 entries,
-    this is the computation on the whole lifted matrix, bit for bit; more
-    blocks change only the order in which the Gram matrix and Z^T y are
-    summed.  A lifted block that is not finite is a DataError, as a
-    non-finite F is.  Features so large that the Gram matrix or the weights
-    overflow raise NumericError, and so does a Gram matrix that rounding
-    leaves not positive definite.
+    blocks of at most _LIFT_BLOCK_ENTRIES entries, each written into one
+    lift buffer made once per solve.  The primal lifts row blocks and adds
+    each one's products, its column sums and its part of Z^T y; the dual
+    lifts frequency blocks, each holding its cos and sin columns, and adds
+    each Z_b Z_b^T.  Every block after the first adds its products through
+    one scratch buffer of at most _PANEL_ROWS x _ADD_COLUMNS floats.  For
+    w = Z^T a the dual takes the last block, still in the lift buffer, and
+    lifts the others again into that buffer.  With one block, which covers
+    every lift of up to 2^23 entries, this is the computation on the whole
+    lifted matrix, bit for bit; more blocks change only the order in which
+    the Gram matrix and Z^T y are summed.  A lifted block that is not
+    finite is a DataError, as a non-finite F is.  Features so large that
+    the Gram matrix or the weights overflow raise NumericError, and so does
+    a Gram matrix that rounding leaves not positive definite.
     """
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"ridge strength lam must be positive, got {lam}")
@@ -356,35 +320,49 @@ def train_rlsc(
     dim = X.shape[1] if rks is None else rks.dim_out
     k = dim + 1 if fit_intercept else dim
     primal = k <= n
-    buffer, panels = _lower_panels(k if primal else n)
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        for panel in panels:
-            i0, i1 = _panel_rows(panel)
-            panel.flat[i0 :: i1 + 1] += lam
-        # one sum in place of a Gram-sized finiteness mask: every stored
-        # entry is written by now, and any inf or nan among them makes it
-        # non-finite; a sum of finite entries past the float range is read
-        # again, entry by entry
-        if not (math.isfinite(buffer.sum()) or _all_finite(buffer)):
-            raise NumericError("normal-equation matrix overflows: features too large")
-        try:
-            return _cholesky_solve(_cholesky_in_place(panels), b)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"normal-equation solve failed: {exc}") from exc
-
+    gram, panels = _lower_panels(k if primal else n)
+    if rks is None:
+        bounds = [(0, n)]
+    else:
+        bounds = _lift_bounds(n, dim) if primal else _lift_bounds(rks.k, 2 * n)
+    buffer = _lift_buffer(X, rks, bounds, primal)
+    # room for any part of a panel that a later block adds into it
+    parts = len(panels[0]) * min(_ADD_COLUMNS, panels[-1].shape[1])
+    scratch = np.empty(parts) if len(bounds) > 1 else None
     # an overflow is reported by the NumericError below, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        blocks = _lifted_blocks(X, rks, bounds, primal, buffer)
+        for j, ((b0, b1), Z) in enumerate(zip(bounds, blocks)):
+            _add_gram(panels, Z.T if primal else Z, dim if primal else n, scratch if j else None)
+            if primal:
+                rhs = Z.T @ y[b0:b1] if j == 0 else rhs + Z.T @ y[b0:b1]
+                if fit_intercept:
+                    sums = Z.sum(axis=0) if j == 0 else sums + Z.sum(axis=0)
         if primal:
-            solution = solve(_primal_system(panels, X, y, rks, fit_intercept))
+            if fit_intercept:
+                panel = panels[-1]
+                i0, _ = _panel_rows(panel)
+                panel[:-1, dim] = sums[i0:]
+                panel[-1, :dim] = sums
+                panel[-1, dim] = n
+                rhs = np.append(rhs, y.sum())
+            solution = _solve(gram, panels, lam, rhs)
+            w, bias = (solution[:-1], float(solution[-1])) if fit_intercept else (solution, 0.0)
         else:
-            w, solution = _dual_weights(panels, X, rks, fit_intercept, lambda: solve(y))
-    if not primal:
-        bias = float(solution.sum()) if fit_intercept else 0.0
-    elif fit_intercept:
-        w, bias = solution[:-1], float(solution[-1])
-    else:
-        w, bias = solution, 0.0
+            if fit_intercept:
+                for panel in panels:
+                    panel += 1.0
+            a = _solve(gram, panels, lam, y)
+            bias = float(a.sum()) if fit_intercept else 0.0
+            if rks is None:
+                w = X.T @ a
+            else:
+                w = np.empty(dim)
+                # the last block, still in the buffer, then the others lifted again
+                again = zip(bounds[:-1], _lifted_blocks(X, rks, bounds[:-1], False, buffer))
+                for (f0, f1), Z in itertools.chain([(bounds[-1], Z)], again):
+                    part = Z.T @ a
+                    w[f0:f1], w[rks.k + f0 : rks.k + f1] = part[: f1 - f0], part[f1 - f0 :]
     if not (np.isfinite(w).all() and math.isfinite(bias)):
         raise NumericError("normal-equation solve gave non-finite weights")
     return LinearModel(kind="rlsc", w=w, bias=bias, hyper={"lam": float(lam)}, rks=rks)
@@ -656,9 +634,10 @@ def predict(model, F) -> list[tuple[str, float]]:
         if dim != model.w.shape[0]:
             raise DataError(f"feature dim {dim} does not match model dim {model.w.shape[0]}")
         bounds = [(0, len(X))] if rks is None else _lift_bounds(len(X), dim)
+        blocks = _lifted_blocks(X, rks, bounds, True, _lift_buffer(X, rks, bounds, True))
         scores = np.empty(len(X))
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            for (r0, r1), Z in zip(bounds, _lifted_blocks(X, rks, bounds, by_rows=True)):
+            for (r0, r1), Z in zip(bounds, blocks):
                 scores[r0:r1] = Z @ model.w + model.bias
     elif isinstance(model, GnbModel):
         if X.shape[1] != model.means.shape[1]:

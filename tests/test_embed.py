@@ -85,6 +85,23 @@ class TestLoadVecTable:
         table = load_vec_table(io.BytesIO(MINI_VEC.encode("utf-8")))
         assert len(table) == 2
 
+    @pytest.mark.parametrize("dim", [embed._MAX_VEC_DIM + 1, 1 << 40, 1 << 63])
+    def test_header_dim_past_one_row_item_is_data_error(self, dim):
+        # numpy's one-row item would be larger than a C int holds
+        expected = f"^vec file line 1: dimension must be at most {embed._MAX_VEC_DIM}, got {dim}$"
+        with pytest.raises(DataError, match=expected):
+            load_vec_table(f"1 {dim}\na 1\n")
+
+    def test_widest_header_dim_is_checked_against_its_rows(self):
+        with pytest.raises(DataError, match=f"^vec file line 2: expected {embed._MAX_VEC_DIM} values"):
+            load_vec_table(f"1 {embed._MAX_VEC_DIM}\na 1\n")
+
+    @pytest.mark.parametrize("text", ["1 100000000", "1 3\n", "2 3\n\n \n"])
+    def test_header_promising_vectors_with_no_vector_line_is_data_error(self, text):
+        expected = "^vec file line 1: header declares .* vector\\(s\\), but no vector line follows$"
+        with pytest.raises(DataError, match=expected):
+            load_vec_table(text)
+
 
 def block(table, *tweets):
     """The (G, L) row block of tweets (token lists) of equal in-vocabulary

@@ -926,6 +926,30 @@ class TestCli:
         assert [path.name for path in out.iterdir()] == ["report.tsv"]
 
     @pytest.mark.parametrize(
+        "header, expected",
+        [
+            ("1 100000000", "header declares 1 vector(s), but no vector line follows"),
+            ("1 268435456", "dimension must be at most 268435455, got 268435456"),
+            ("1 9223372036854775808", "dimension must be at most 268435455, got 9223372036854775808"),
+        ],
+        ids=["no-vector-line", "past-one-row-item", "past-int64"],
+    )
+    def test_vec_header_outside_the_loader_range_is_data_error(
+        self, tmp_path, mini_dir, capsys, header, expected
+    ):
+        # refused on loading, before a (tweets x dim) feature array is asked for
+        table = tmp_path / "header.vec"
+        table.write_text(header + "\n")
+        cfg_path = write_config(tmp_path / "h.cfg", mini_dir)
+        cfg_path.write_text(cfg_path.read_text().replace(f"{mini_dir}/toy.vec", str(table)))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"data error: vec file line 1: {expected}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "key, source, expected",
         [
             ("config", None, "{config}:3: not UTF-8 text"),

@@ -427,6 +427,31 @@ class TestRlscLift:
         slice_bytes = learn._PANEL_ROWS * 128 * X.itemsize
         assert peak < gram_bytes + (1 << 18) * X.itemsize + 3 * slice_bytes
 
+    def test_dual_lifts_all_but_its_last_block_again(self, monkeypatch):
+        # m frequency blocks: m lifts for the Gram matrix, in order, then
+        # the first m - 1 again for w = Z^T a; the last block's part comes
+        # from the block still in the lift buffer
+        from offdetect import learn
+
+        X, y, rks = lift_fixture(97, 3, 1202)
+        whole = train_rlsc(X, y, rks=rks)
+        monkeypatch.setattr(learn, "_LIFT_BLOCK_ENTRIES", 4096)
+        blocks = [slice(f0, f1) for f0, f1 in learn._lift_bounds(rks.k, 2 * len(X))]
+        assert len(blocks) >= 3
+        lifted = []
+
+        def counting_transform(rks, x, freqs, out):
+            lifted.append(freqs)
+            return transform(rks, x, freqs, out=out)
+
+        monkeypatch.setattr(learn, "transform", counting_transform)
+        model = train_rlsc(X, y, rks=rks)
+        assert len(lifted) == 2 * len(blocks) - 1
+        assert lifted == blocks + blocks[:-1]
+        expected = np.append(whole.w, whole.bias)
+        error = np.max(np.abs(np.append(model.w, model.bias) - expected))
+        assert error <= 1e-10 * np.max(np.abs(expected))
+
     @pytest.mark.parametrize("n, dim_out", [(40, 8), (5, 8)], ids=["primal", "dual"])
     def test_lift_past_the_float_range_is_data_error(self, n, dim_out):
         X, y, _ = lift_fixture(n, 3, dim_out)
