@@ -10,7 +10,6 @@ decimals (half-up) happens only at render time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -136,6 +135,10 @@ def sweep_csv_lines(rows: Sequence[tuple[float, float]], value_name: str = "C") 
 
 def format_pct(value: float) -> str:
     """Percentage with exactly two decimals, half-up on the decimal reading."""
+    # imported here, not with the module: only rendering a report needs
+    # decimal, which a run reaches after its features and model exist
+    from decimal import ROUND_HALF_UP, Decimal
+
     return str(Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 

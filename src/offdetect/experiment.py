@@ -15,7 +15,6 @@ median-heuristic bandwidth is fitted on training features alone.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import json
 import math
@@ -296,7 +295,8 @@ class FeaturePipeline:
         a serial loop over whole groups and does not depend on the worker
         count, and an error is the one that loop would raise first.  A
         non-finite feature row (word vectors so large that it overflows) is
-        a DataError naming its tweet.
+        a DataError naming its tweet, and an allocation that fails one
+        naming the size of the feature array.
         """
         if self.kind == "precomputed":
             try:
@@ -306,6 +306,17 @@ class FeaturePipeline:
             return self.table.matrix[rows]
         if self.kind not in ("avg", "dmd", "hodmd"):
             raise DataError(f"unknown feature kind {self.kind!r}")
+        try:
+            return self._word_features(corpus)
+        except MemoryError:
+            n, dim = len(corpus.records), self.table.dim
+            raise DataError(
+                f"vec file dim {dim}: cannot allocate the {n} x {dim} feature array "
+                f"({n * dim * 8 / 2**30:.2f} GiB of float64)"
+            ) from None
+
+    def _word_features(self, corpus: LabeledCorpus) -> np.ndarray:
+        """``featurize`` of a word-vector mode."""
         # imported here, not with the module: concurrent.futures loads logging,
         # which importing offdetect and the precomputed mode do not need
         from concurrent.futures import ThreadPoolExecutor
@@ -416,6 +427,10 @@ def _prepare(cfg: ExperimentConfig) -> tuple[LabeledCorpus, LabeledCorpus, np.nd
 
 
 def _sha256(path: Path) -> str:
+    # imported here, not with the module: hashlib loads OpenSSL, which only a
+    # written run's input checksums need, after its features and model exist
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -623,22 +638,31 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> Experimen
 
 
 def write_artifacts(out_dir, files: dict[str, str | bytes]) -> None:
-    """Create ``out_dir`` and write each named file whole (text as UTF-8):
-    to a temporary file first, then renamed into place, so no reader sees a
-    partial one.  A path that cannot be written is a DataError naming it."""
+    """Create ``out_dir`` and write each named file whole (text as UTF-8).
+
+    Every target is checked first (none may be a directory), then every
+    file is written to a temporary file, and only once all of them are
+    written are they renamed into place.  So no reader sees a partial file,
+    and a failure before the renames leaves the files already there as they
+    were, with no temporary file.  A path that cannot be written is a
+    DataError naming it."""
     out_dir = Path(out_dir)
+    written: list[Path] = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        for filename in files:
+            if (out_dir / filename).is_dir():
+                raise DataError(f"cannot write {out_dir / filename}: Is a directory")
         for filename, payload in files.items():
             tmp = out_dir / (filename + ".tmp")
-            try:
-                with open(tmp, "wb") as fh:
-                    fh.write(payload.encode("utf-8") if isinstance(payload, str) else payload)
-                os.replace(tmp, out_dir / filename)
-            except OSError:
-                tmp.unlink(missing_ok=True)  # a failed write leaves no temporary file
-                raise
+            with open(tmp, "wb") as fh:
+                written.append(tmp)
+                fh.write(payload.encode("utf-8") if isinstance(payload, str) else payload)
+        for tmp, filename in zip(written, files):
+            os.replace(tmp, out_dir / filename)
     except OSError as exc:
+        for tmp in written:
+            tmp.unlink(missing_ok=True)  # a failed write leaves no temporary file
         raise DataError(f"cannot write {exc.filename2 or exc.filename or out_dir}: {exc.strerror}") from None
 
 

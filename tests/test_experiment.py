@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import functools
 import hashlib
 import io
@@ -925,6 +926,56 @@ class TestCli:
         assert capsys.readouterr().err == f"data error: cannot write {out / 'report.tsv'}: Is a directory\n"
         assert [path.name for path in out.iterdir()] == ["report.tsv"]
 
+    def rerun_over(self, tmp_path, mini_dir):
+        """A config, the run directory one run of it wrote, and that run's
+        files by name."""
+        cfg_path = write_config(tmp_path / "r.cfg", mini_dir)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        return cfg_path, out, {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def test_target_made_a_directory_leaves_the_earlier_run(self, tmp_path, mini_dir, capsys):
+        # the second run's manifest.json cannot be written: none of its
+        # files replaces the first run's
+        cfg_path, out, before = self.rerun_over(tmp_path, mini_dir)
+        (out / "manifest.json").unlink()
+        (out / "manifest.json").mkdir()
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--seed", "7"]) == 2
+        assert capsys.readouterr().err == f"data error: cannot write {out / 'manifest.json'}: Is a directory\n"
+        del before["manifest.json"]
+        assert sorted(path.name for path in out.iterdir()) == sorted([*before, "manifest.json"])
+        assert {name: (out / name).read_bytes() for name in before} == before
+
+    def test_failed_third_write_leaves_the_earlier_run(self, tmp_path, mini_dir, monkeypatch, capsys):
+        # the disk fills on the third temporary file (manifest.json): the
+        # first two are written but never renamed, and all three go
+        import builtins
+
+        from offdetect import experiment
+
+        cfg_path, out, before = self.rerun_over(tmp_path, mini_dir)
+        opened = []
+
+        def filling_open(path, mode="r", *args, **kwargs):
+            fh = builtins.open(path, mode, *args, **kwargs)
+            if mode == "wb":
+                opened.append(Path(path).name)
+                if len(opened) == 3:
+                    def full(data):
+                        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+                    fh.write = full
+            return fh
+
+        monkeypatch.setattr(experiment, "open", filling_open, raising=False)
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--seed", "7"]) == 2
+        assert opened == ["report.tsv.tmp", "report.txt.tmp", "manifest.json.tmp"]
+        err = capsys.readouterr().err
+        assert err == f"data error: cannot write {out / 'manifest.json.tmp'}: {os.strerror(errno.ENOSPC)}\n"
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     @pytest.mark.parametrize(
         "header, expected",
         [
@@ -1240,6 +1291,23 @@ class TestCli:
         )
         assert not out.exists()
 
+    def test_count_0_vec_too_wide_to_featurize_exits_2(self, tmp_path, mini_dir):
+        # a header-only table loads as (0, 100,000,000); the 140 x 10^8
+        # training feature array, 104 GiB, cannot be allocated with 2 GiB of
+        # room
+        table = tmp_path / "wide.vec"
+        table.write_text("0 100000000\n")
+        cfg_path = write_config(tmp_path / "wide.cfg", mini_dir)
+        cfg_path.write_text(cfg_path.read_text().replace(f"{mini_dir}/toy.vec", str(table)))
+        out = tmp_path / "o"
+        proc = run_limited(["run", "--config", str(cfg_path), "--out", str(out)], 2 << 30)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "data error: vec file dim 100000000: cannot allocate the 140 x 100000000 feature array "
+            "(104.31 GiB of float64)\n"
+        )
+        assert not out.exists()
+
     # Each numeric key is drawn over the whole range its check accepts, and
     # one of them, or none, over the whole of its type.  The epoch counts cost
     # only time, so they are drawn up to a budget of 2^24 (epochs x 140
@@ -1420,6 +1488,21 @@ class TestModuleEntryPoint:
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_leaves_out_what_a_peak_does_not_use(self):
+        # hashlib (OpenSSL) and decimal load at first use, after a run's
+        # features and model exist; concurrent.futures (and with it logging)
+        # with the first thread pool; numpy loads numpy.random, 5.3 MiB
+        # resident, only when it is first used
+        deferred = (
+            "hashlib", "_hashlib", "decimal", "_decimal", "numpy.random", "concurrent.futures", "logging"
+        )
+        code = f"import sys, offdetect.cli; print(sorted(m for m in {deferred!r} if m in sys.modules))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=_child_env()
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
