@@ -44,10 +44,11 @@ class VectorTable:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def rows(self, tokens: list[str]) -> list[int]:
-        """Row numbers of the in-vocabulary tokens, in token order."""
+    def rows(self, tokens: list[str]) -> np.ndarray:
+        """Row numbers of the in-vocabulary tokens, in token order, as an
+        ``np.intp`` array."""
         index = self.index
-        return [index[tok] for tok in tokens if tok in index]
+        return np.array([index[tok] for tok in tokens if tok in index], dtype=np.intp)
 
     def __contains__(self, token: str) -> bool:
         return token in self.index

@@ -14,7 +14,6 @@ median-heuristic bandwidth is fitted on training features alone.
 
 from __future__ import annotations
 
-import contextlib
 import io
 import json
 import math
@@ -256,13 +255,21 @@ def parse_config(path) -> ExperimentConfig:
     return cfg
 
 
+def _input_lines(key: str, path: Path):
+    """The lines, as bytes, of the input file that config ``key`` names; an
+    OSError opening or reading it is a DataError naming the key and path."""
+    try:
+        with open(path, "rb") as fh:
+            yield from fh
+    except OSError as exc:
+        raise DataError(f"{key}: cannot read {path}: {exc.strerror or exc}") from None
+
+
 def load_corpora(cfg: ExperimentConfig) -> tuple[LabeledCorpus, LabeledCorpus]:
-    """The (train, test) corpora named by the config."""
-    with open(cfg.train_tsv, "rb") as fh:
-        train_corpus = load_olid_tsv(fh, split="train")
-    labels = open(cfg.test_labels, "rb") if cfg.test_labels is not None else contextlib.nullcontext()
-    with labels as label_fh, open(cfg.test_tsv, "rb") as fh:
-        test_corpus = load_olid_tsv(fh, label_fh, split="test")
+    """The (train, test) corpora named by the config (see ``_input_lines``)."""
+    train_corpus = load_olid_tsv(_input_lines("train_tsv", cfg.train_tsv), split="train")
+    labels = None if cfg.test_labels is None else _input_lines("test_labels", cfg.test_labels)
+    test_corpus = load_olid_tsv(_input_lines("test_tsv", cfg.test_tsv), labels, split="test")
     return train_corpus, test_corpus
 
 
@@ -273,19 +280,21 @@ class FeaturePipeline:
     precomputed kind sentence vectors keyed by tweet id."""
 
     kind: str
-    stopwords: frozenset[str]
     table: VectorTable
     hodmd: HodmdConfig | None = None
     # the table rows of each tweet text's in-vocabulary tokens, in token
-    # order, filled by build_pipeline so that the corpora it saw are
-    # tokenized and looked up once; any other text is when featurized
+    # order, filled by build_pipeline: the word-vector modes featurize only
+    # the texts it was built on
     rows: dict[str, np.ndarray] = field(default_factory=dict)
 
     def featurize(self, corpus: LabeledCorpus) -> np.ndarray:
         """The (n, dim) feature array of ``corpus``, one row per tweet.
 
-        The word-vector modes group tweets by in-vocabulary length and cut
-        each group into chunks of at most _FEATURIZE_CHUNK tweets, and for
+        The word-vector modes read each tweet's table rows from ``rows``; a
+        tweet whose text is not there is a DataError naming the first such
+        tweet, as a tweet id missing from the precomputed table is.  They
+        group tweets by in-vocabulary length and cut each group into
+        chunks of at most _FEATURIZE_CHUNK tweets, and for
         DMD of at most _FEATURIZE_ENTRIES stacked-snapshot entries (but at
         least one tweet), each featurized as one (G, L) block of table rows.
         The chunks run on a thread pool with one worker per CPU this process
@@ -321,7 +330,11 @@ class FeaturePipeline:
         # which importing offdetect and the precomputed mode do not need
         from concurrent.futures import ThreadPoolExecutor
 
-        rows = [self._rows(rec.text) for rec in corpus.records]
+        try:
+            rows = [self.rows[rec.text] for rec in corpus.records]
+        except KeyError:
+            tweet_id = next(rec.id for rec in corpus.records if rec.text not in self.rows)
+            raise DataError(f"tweet {tweet_id!r}: not in the corpora the pipeline was built on") from None
         by_length: dict[int, list[int]] = {}
         for i, tweet_rows in enumerate(rows):
             by_length.setdefault(len(tweet_rows), []).append(i)
@@ -358,17 +371,6 @@ class FeaturePipeline:
             raise DataError(f"tweet {tweet_id!r}: feature is not finite (word vectors too large)")
         return values
 
-    def _rows(self, text: str) -> np.ndarray:
-        cached = self.rows.get(text)
-        if cached is not None:
-            return cached
-        return _table_rows(self.table, tokenize_clean(text, self.stopwords))
-
-
-def _table_rows(table: VectorTable, tokens: list[str]) -> np.ndarray:
-    """The table rows of the in-vocabulary ``tokens``, in order."""
-    return np.array(table.rows(tokens), dtype=np.intp)
-
 
 def build_pipeline(cfg: ExperimentConfig, corpora: list[LabeledCorpus]) -> FeaturePipeline:
     """Load the resources the configured feature mode needs.
@@ -379,38 +381,30 @@ def build_pipeline(cfg: ExperimentConfig, corpora: list[LabeledCorpus]) -> Featu
     not leak anything into feature fitting.  Each distinct text is
     tokenized once, for the filter; once the table is loaded, its tokens
     become one array of table rows, which the pipeline keeps in place of
-    the token lists, so featurizing these corpora neither tokenizes nor
-    looks them up again.
+    the token lists.  The pipeline featurizes these corpora only, and
+    neither tokenizes nor looks them up again.  Only the word-vector modes
+    read the stopwords.
     """
-    if cfg.stopwords_file is None:
-        stopwords = default_stopwords()
-    else:
-        with open(cfg.stopwords_file, "rb") as fh:
-            stopwords = load_stopwords(fh)
     hodmd = None
     rows: dict[str, np.ndarray] = {}
     if cfg.feature in ("avg", "dmd", "hodmd"):
+        if cfg.stopwords_file is None:
+            stopwords = default_stopwords()
+        else:
+            stopwords = load_stopwords(_input_lines("stopwords_file", cfg.stopwords_file))
         tokens: dict[str, list[str]] = {}
         for corpus in corpora:
             for rec in corpus.records:
                 if rec.text not in tokens:
                     tokens[rec.text] = tokenize_clean(rec.text, stopwords)
         vocab = set().union(*tokens.values())
-        with open(cfg.vec_file, "rb") as fh:
-            table = load_vec_table(fh, vocab_filter=vocab)
-        rows = {text: _table_rows(table, toks) for text, toks in tokens.items()}
+        table = load_vec_table(_input_lines("vec_file", cfg.vec_file), vocab_filter=vocab)
+        rows = {text: table.rows(toks) for text, toks in tokens.items()}
         if cfg.feature in ("dmd", "hodmd"):
             hodmd = HodmdConfig(d=cfg.hodmd_d, r_max=cfg.r_max, sv_rel_tol=cfg.sv_rel_tol)
     else:
-        with open(cfg.precomputed_file, "rb") as fh:
-            table = load_precomputed(fh)
-    return FeaturePipeline(
-        kind=cfg.feature,
-        stopwords=stopwords,
-        table=table,
-        hodmd=hodmd,
-        rows=rows,
-    )
+        table = load_precomputed(_input_lines("precomputed_file", cfg.precomputed_file))
+    return FeaturePipeline(kind=cfg.feature, table=table, hodmd=hodmd, rows=rows)
 
 
 def _prepare(cfg: ExperimentConfig) -> tuple[LabeledCorpus, LabeledCorpus, np.ndarray, np.ndarray]:
@@ -426,15 +420,14 @@ def _prepare(cfg: ExperimentConfig) -> tuple[LabeledCorpus, LabeledCorpus, np.nd
     return train_corpus, test_corpus, train_F, test_F
 
 
-def _sha256(path: Path) -> str:
+def _sha256(key: str, path: Path) -> str:
     # imported here, not with the module: hashlib loads OpenSSL, which only a
     # written run's input checksums need, after its features and model exist
     import hashlib
 
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    for line in _input_lines(key, path):
+        digest.update(line)
     return digest.hexdigest()
 
 
@@ -487,8 +480,10 @@ def sweep_reports(
     its map (bandwidth -> ``sample_map``) to the trainer, which lifts them,
     and its model carries the map.  A median-heuristic bandwidth is fitted
     once per lift seed, so each config gets the bandwidth it gets alone.
-    Every map is checked against the entry cap before the first config is
-    trained, and a recipe ``sample_map`` refuses is a DataError.
+    An unlabeled tweet in either corpus and an empty test corpus are
+    refused, and every map is checked against the entry cap, before any
+    map is drawn or config trained; a recipe ``sample_map`` refuses is a
+    DataError.
 
     The configs are fitted widest training matrix first (the lift dimension,
     else the feature dimension; ties in input order), so the largest
@@ -496,6 +491,9 @@ def sweep_reports(
     Results stay in input order; when several configs fail, the widest
     one's error is raised."""
     train_y = labels_to_signs(train_corpus)
+    labels_to_signs(test_corpus)
+    if not test_corpus.records:
+        raise DataError("empty test set (zero rows)")
     for run_cfg in run_cfgs:
         if run_cfg.rks is not None:
             try:
@@ -589,7 +587,7 @@ def run_experiments(cfgs: list[ExperimentConfig]) -> list[ExperimentResult]:
             manifest = None
             if cfg.out_dir is not None:
                 inputs = inputs or {
-                    key: {"path": str(path), "sha256": _sha256(path)}
+                    key: {"path": str(path), "sha256": _sha256(key, path)}
                     for key, path in sorted(settings.input_paths().items())
                 }
                 manifest = {

@@ -40,7 +40,7 @@ def vector(table, token):
 def precomputed_features(table, ids):
     """The precomputed-feature rows of tweets with these ids."""
     corpus = LabeledCorpus(records=[TweetRecord(id=i, text="x", label=None) for i in ids])
-    return FeaturePipeline(kind="precomputed", stopwords=frozenset(), table=table).featurize(corpus)
+    return FeaturePipeline(kind="precomputed", table=table).featurize(corpus)
 
 
 class TestLoadVecTable:
@@ -76,6 +76,13 @@ class TestLoadVecTable:
         table = load_vec_table("2 2\na 1 2\na 3 4\n")
         assert len(table) == 1
         np.testing.assert_array_equal(vector(table, "a"), [3.0, 4.0])
+
+    def test_rows_are_an_intp_array_of_the_in_vocabulary_tokens(self):
+        table = small_table()
+        for tokens, expected in [(["e", "nope", "a", "e"], [4, 0, 4]), (["nope"], []), ([], [])]:
+            rows = table.rows(tokens)
+            assert rows.dtype == np.intp and rows.shape == (len(expected),)
+            assert rows.tolist() == expected
 
     def test_bad_header(self):
         with pytest.raises(DataError, match="line 1"):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from offdetect.cli import main
 from offdetect.corpus import load_olid_tsv
 from offdetect.dmd import MAX_DELAY_ORDER
-from offdetect.embed import load_precomputed
+from offdetect.embed import load_precomputed, load_vec_table
 from offdetect.errors import DataError, NumericError
 from offdetect.evaluation import ConfusionMatrix, macro_metrics, render_report
 from offdetect.experiment import (
@@ -97,12 +97,13 @@ def run_limited(argv, headroom):
     )
 
 
-def serial_rows(pipeline, corpus):
-    """Each tweet's table rows, tokenized and looked up afresh: a reference
-    that never reads the rows the pipeline keeps."""
+def serial_rows(pipeline, corpus, stopwords):
+    """Each tweet's table rows, tokenized with ``stopwords`` (those the
+    pipeline was built with) and looked up afresh: a reference that never
+    reads the rows the pipeline keeps."""
     from offdetect.corpus import tokenize_clean
 
-    return [pipeline.table.rows(tokenize_clean(rec.text, pipeline.stopwords)) for rec in corpus.records]
+    return [pipeline.table.rows(tokenize_clean(rec.text, stopwords)) for rec in corpus.records]
 
 
 class TestParseConfig:
@@ -377,6 +378,38 @@ def counting(monkeypatch, owner, name):
     return calls
 
 
+STOPWORDS = Path(__file__).resolve().parent.parent / "src" / "offdetect" / "assets" / "stopwords.txt"
+INPUT_KEYS = ["train_tsv", "test_tsv", "test_labels", "vec_file", "precomputed_file", "stopwords_file"]
+
+
+class _FailingReads(io.RawIOBase):
+    """A readable stream whose every read fails with EIO."""
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+def fail_input(monkeypatch, target, how):
+    """Shadow ``open`` in offdetect.experiment, so that opening ``target``
+    fails with EACCES (``how`` "open"), or every read of it with EIO
+    ("read"); returns the error's text.  Permission bits cannot make a file
+    unreadable to root, and no file fails its reads on demand."""
+    from offdetect import experiment
+
+    def failing_open(path, *args, **kwargs):
+        if Path(path) == Path(target):
+            if how == "open":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return io.BufferedReader(_FailingReads())
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "open", failing_open, raising=False)
+    return os.strerror(errno.EACCES if how == "open" else errno.EIO)
+
+
 class TestRunExperiments:
     def mixed_configs(self, mini_dir, root):
         # two feature modes, repeated out of order; fixed and median
@@ -463,7 +496,7 @@ class TestFeaturize:
     @pytest.mark.parametrize("workers", [1, 8])
     @pytest.mark.parametrize("feature", ["avg", "dmd", "hodmd(2)"])
     def test_matches_a_serial_loop_over_length_groups(
-        self, tmp_path, mini_dir, monkeypatch, feature, workers
+        self, tmp_path, mini_dir, monkeypatch, stopwords, feature, workers
     ):
         # more workers than groups of some lengths, switching threads as
         # often as the interpreter allows: a lost or misplaced row write
@@ -483,13 +516,12 @@ class TestFeaturize:
         finally:
             sys.setswitchinterval(interval)
         for corpus, got in zip(corpora, features):
-            assert np.array_equal(got, self.serial_features(pipeline, corpus))
+            assert np.array_equal(got, self.serial_features(pipeline, corpus, stopwords))
 
     @pytest.mark.parametrize("feature", ["avg", "dmd", "hodmd(2)"])
-    def test_a_corpus_the_pipeline_never_saw_gets_the_same_features(self, tmp_path, mini_dir, feature):
-        # the test tweets with a trailing " !": texts build_pipeline never
-        # saw, so each is tokenized and looked up when featurized, into the
-        # same tokens and rows as the text it saw
+    def test_a_text_the_pipeline_was_not_built_on_is_refused(self, tmp_path, mini_dir, feature):
+        # the second test tweet with a trailing " !" is a text build_pipeline
+        # never saw: the first such tweet is named, whatever comes after it
         from offdetect.corpus import LabeledCorpus
 
         cfg_path = write_config(tmp_path / "u.cfg", mini_dir)
@@ -497,11 +529,33 @@ class TestFeaturize:
         cfg = parse_config(cfg_path)
         train, test = load_corpora(cfg)
         pipeline = build_pipeline(cfg, [train, test])
-        unseen = LabeledCorpus([replace(rec, text=rec.text + " !") for rec in test.records])
-        assert not any(rec.text in pipeline.rows for rec in unseen.records)
-        assert np.array_equal(pipeline.featurize(unseen), pipeline.featurize(test))
+        records = [replace(rec, text=rec.text + " !") if i else rec for i, rec in enumerate(test.records)]
+        assert [rec.text in pipeline.rows for rec in records[:3]] == [True, False, False]
+        with pytest.raises(DataError) as excinfo:
+            pipeline.featurize(LabeledCorpus(records))
+        assert str(excinfo.value) == f"tweet {records[1].id!r}: not in the corpora the pipeline was built on"
+        with pytest.raises(DataError, match=f"^tweet {test.records[0].id!r}: not in the corpora"):
+            build_pipeline(cfg, [train]).featurize(test)
 
-    def test_pipeline_keeps_table_rows_and_no_token_lists(self, tmp_path, mini_dir):
+    def test_a_word_the_pipeline_filtered_out_is_not_read_as_out_of_vocabulary(self, tmp_path, mini_dir):
+        # "idiot" is in toy.vec, but not in the table of a pipeline built
+        # on "sunshine coffee" alone: featurizing "sunshine idiot" there is
+        # refused, where it once gave the features of "sunshine" alone
+        from offdetect.corpus import LabeledCorpus, TweetRecord
+
+        cfg = parse_config(write_config(tmp_path / "i.cfg", mini_dir))
+        built_on = LabeledCorpus([TweetRecord(id="t1", text="sunshine coffee", label="NOT")])
+        asked = LabeledCorpus([TweetRecord(id="t2", text="sunshine idiot", label="OFF")])
+        pipeline = build_pipeline(cfg, [built_on])
+        assert "idiot" not in pipeline.table
+        with pytest.raises(DataError, match="^tweet 't2': not in the corpora the pipeline was built on$"):
+            pipeline.featurize(asked)
+        with open(cfg.vec_file, "rb") as fh:
+            table = load_vec_table(fh)
+        expected = (table.matrix[table.index["sunshine"]] + table.matrix[table.index["idiot"]]) / 2
+        np.testing.assert_array_equal(build_pipeline(cfg, [asked]).featurize(asked), [expected])
+
+    def test_pipeline_keeps_table_rows_and_no_token_lists(self, tmp_path, mini_dir, stopwords):
         import dataclasses
 
         cfg = parse_config(write_config(tmp_path / "r.cfg", mini_dir))
@@ -510,10 +564,10 @@ class TestFeaturize:
         records = [rec for corpus in corpora for rec in corpus.records]
         assert set(pipeline.rows) == {rec.text for rec in records}
         for corpus in corpora:
-            for rec, rows in zip(corpus.records, serial_rows(pipeline, corpus)):
+            for rec, rows in zip(corpus.records, serial_rows(pipeline, corpus, stopwords)):
                 kept = pipeline.rows[rec.text]
                 assert isinstance(kept, np.ndarray) and kept.dtype == np.intp and kept.ndim == 1
-                assert kept.tolist() == rows
+                assert kept.tolist() == rows.tolist()
         # no list, and no array of Python objects, in anything the pipeline holds
         todo = [pipeline]
         while todo:
@@ -529,12 +583,13 @@ class TestFeaturize:
                 assert obj.dtype != object
 
     @staticmethod
-    def serial_features(pipeline, corpus):
-        """The features of one thread featurizing each whole length group."""
+    def serial_features(pipeline, corpus, stopwords):
+        """The features of one thread featurizing each whole length group,
+        tokenized with ``stopwords``."""
         from offdetect.dmd import sentence_feature
         from offdetect.embed import average_embedding, token_matrix
 
-        rows = serial_rows(pipeline, corpus)
+        rows = serial_rows(pipeline, corpus, stopwords)
         groups: dict[int, list[int]] = {}
         for i, tweet_rows in enumerate(rows):
             groups.setdefault(len(tweet_rows), []).append(i)
@@ -563,9 +618,8 @@ class TestFeaturize:
         table = VectorTable(matrix=rng.normal(size=(200, dim)), index={w: i for i, w in enumerate(words)})
         texts = [" ".join(words[j] for j in rng.integers(0, 200, length)) for length in lengths]
         corpus = LabeledCorpus([TweetRecord(id=str(i), text=text) for i, text in enumerate(texts)])
-        pipeline = experiment.FeaturePipeline("hodmd", frozenset(), table, HodmdConfig(d=d))
-        pipeline.rows = {text: np.array(table.rows(text.split()), dtype=np.intp) for text in texts}
-        return pipeline, corpus
+        rows = {text: table.rows(text.split()) for text in texts}
+        return experiment.FeaturePipeline("hodmd", table, HodmdConfig(d=d), rows), corpus
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_long_tweets_match_a_serial_loop(self, monkeypatch, workers):
@@ -585,7 +639,7 @@ class TestFeaturize:
         monkeypatch.setattr(experiment, "sentence_feature", recording)
         monkeypatch.setattr(experiment, "_usable_cpus", lambda: workers)
         got = pipeline.featurize(corpus)
-        assert np.array_equal(got, self.serial_features(pipeline, corpus))
+        assert np.array_equal(got, self.serial_features(pipeline, corpus, frozenset()))
         assert sorted(g for g, _, length in sizes if length == 140) == [28, 52]
         for g, dim, length in sizes:
             padded = max(length, 71)
@@ -628,8 +682,8 @@ class TestFeaturize:
         texts = [" ".join(words[j] for j in rng.integers(0, 60, 30)) for _ in range(640)]
         corpus = LabeledCorpus([TweetRecord(id=str(i), text=text) for i, text in enumerate(texts)])
         kind = "dmd" if d == 1 else "hodmd"
-        pipeline = experiment.FeaturePipeline(kind, frozenset(), table, HodmdConfig(d=d))
-        pipeline.rows = {text: np.array(table.rows(text.split()), dtype=np.intp) for text in texts}
+        rows = {text: table.rows(text.split()) for text in texts}
+        pipeline = experiment.FeaturePipeline(kind, table, HodmdConfig(d=d), rows)
         monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
         tracemalloc.start()
         try:
@@ -885,6 +939,56 @@ class TestCli:
         assert trained == []
         assert not out.exists()
 
+    def unusable_test_set(self, tmp_path, mini_dir, test_set):
+        """A config whose test set has a tweet with no label (90002, its
+        label line dropped), or no tweet at all."""
+        cfg_path = write_config(tmp_path / "t.cfg", mini_dir)
+        text = cfg_path.read_text()
+        if test_set == "unlabeled":
+            labels = tmp_path / "labels.csv"
+            kept = (mini_dir / "test_labels.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+            labels.write_text("".join(line for line in kept if not line.startswith("90002,")), encoding="utf-8")
+            text = text.replace(f"{mini_dir}/test_labels.csv", str(labels))
+        else:
+            empty = tmp_path / "empty.tsv"
+            empty.write_text("id\ttweet\n", encoding="utf-8")
+            text = text.replace(f"test_labels = {mini_dir}/test_labels.csv\n", "")
+            text = text.replace(f"{mini_dir}/test.tsv", str(empty))
+        cfg_path.write_text(text)
+        return cfg_path
+
+    @pytest.mark.parametrize(
+        "test_set, expected",
+        [
+            ("unlabeled", "record '90002' has no label; cannot evaluate/train on it"),
+            ("empty", "empty test set (zero rows)"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["run"], ["sweep", "--sweep-C", "1,10"], ["sweep", "--sweep-dim", "16,32"]],
+        ids=["run", "sweep-C", "sweep-dim"],
+    )
+    def test_unusable_test_set_is_refused_before_any_fit(
+        self, tmp_path, mini_dir, capsys, monkeypatch, command, test_set, expected
+    ):
+        from offdetect import experiment
+
+        cfg_path = self.unusable_test_set(tmp_path, mini_dir, test_set)
+        trained = counting(monkeypatch, experiment, "_train")
+        out = tmp_path / "o"
+        assert main([command[0], "--config", str(cfg_path), "--out", str(out), *command[1:]]) == 2
+        assert capsys.readouterr().err == f"data error: {expected}\n"
+        assert trained == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("test_set, rows", [("unlabeled", 200), ("empty", 140)])
+    def test_export_features_exports_an_unusable_test_set(self, tmp_path, mini_dir, capsys, test_set, rows):
+        cfg_path = self.unusable_test_set(tmp_path, mini_dir, test_set)
+        out = tmp_path / "o"
+        assert main(["export-features", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert len((out / "features.txt").read_text(encoding="utf-8").splitlines()) == rows
+
     @pytest.mark.parametrize(
         "option, table", [("--sweep-C", "sweep_C.csv"), ("--sweep-dim", "sweep_dim.csv")]
     )
@@ -917,8 +1021,8 @@ class TestCli:
         assert err.startswith(f"data error: cannot write {tmp_path / out}: ") and err.count("\n") == 1
 
     def test_failed_write_leaves_no_temporary_file(self, tmp_path, mini_dir, capsys):
-        # report.tsv is a directory: its temporary file is written, the rename
-        # fails, and the temporary file goes
+        # report.tsv is a directory: the target is refused before any
+        # temporary file is written
         out = tmp_path / "o"
         (out / "report.tsv").mkdir(parents=True)
         cfg_path = write_config(tmp_path / "t.cfg", mini_dir)
@@ -1020,11 +1124,10 @@ class TestCli:
             lines[2] = b"\xff" + lines[2]
             return b"".join(lines)
 
-        stopwords = Path(__file__).resolve().parent.parent / "src" / "offdetect" / "assets" / "stopwords.txt"
-        cfg_path = write_config(tmp_path / "u.cfg", mini_dir, extra=f"stopwords = {stopwords}\n")
+        cfg_path = write_config(tmp_path / "u.cfg", mini_dir, extra=f"stopwords = {STOPWORDS}\n")
         if key == "precomputed_file":
             cfg_path.write_text(cfg_path.read_text().replace("feature = avg", "feature = precomputed"))
-        original = {"config": cfg_path, "stopwords": stopwords}.get(key) or mini_dir / source
+        original = {"config": cfg_path, "stopwords": STOPWORDS}.get(key) or mini_dir / source
         bad = tmp_path / f"bad-{original.name}"
         bad.write_bytes(spoiled(original.read_bytes()))
         if key != "config":
@@ -1035,6 +1138,45 @@ class TestCli:
         assert "Traceback" not in err
         assert err == f"data error: {expected.format(config=bad)}\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("how", ["open", "read"])
+    @pytest.mark.parametrize("command", ["run", "export-features"])
+    @pytest.mark.parametrize("key", INPUT_KEYS)
+    def test_unreadable_input_is_data_error(self, tmp_path, mini_dir, capsys, monkeypatch, key, command, how):
+        # the input exists, but opening it fails with EACCES, or reading it with EIO
+        cfg_path = write_config(tmp_path / "r.cfg", mini_dir, extra=f"stopwords = {STOPWORDS}\n")
+        if key == "precomputed_file":
+            cfg_path.write_text(cfg_path.read_text().replace("feature = avg", "feature = precomputed"))
+        inputs = parse_config(cfg_path).input_paths()
+        assert sorted(inputs) == sorted(INPUT_KEYS)
+        strerror = fail_input(monkeypatch, inputs[key], how)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"data error: {key}: cannot read {inputs[key]}: {strerror}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["open", "read"])
+    def test_input_unreadable_in_the_checksum_pass_is_data_error(
+        self, tmp_path, mini_dir, capsys, monkeypatch, how
+    ):
+        # a precomputed config reads its stopwords file only to checksum it,
+        # once the model is trained
+        from offdetect import experiment
+
+        cfg_path = write_config(tmp_path / "r.cfg", mini_dir, extra=f"stopwords = {STOPWORDS}\n")
+        cfg_path.write_text(cfg_path.read_text().replace("feature = avg", "feature = precomputed"))
+        strerror = fail_input(monkeypatch, STOPWORDS, how)
+        trained = counting(monkeypatch, experiment, "_train")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"data error: stopwords_file: cannot read {STOPWORDS}: {strerror}\n"
+        assert len(trained) == 1
+        assert not out.exists()
+        assert main(["export-features", "--config", str(cfg_path), "--out", str(out)]) == 0
 
     def test_inspect_model(self, tmp_path, mini_dir, capsys):
         cfg_path = write_config(tmp_path / "cli5.cfg", mini_dir)
@@ -1123,7 +1265,7 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_dmd_feature_names_its_tweet(self, tmp_path, mini_dir, capsys):
+    def test_overflowing_dmd_feature_names_its_tweet(self, tmp_path, mini_dir, capsys, stopwords):
         # one word-vector value of 1e200 is finite, but the DMD features of
         # some tweets with that word are not; the first in file order is named
         from offdetect.dmd import sentence_feature
@@ -1139,7 +1281,7 @@ class TestCli:
         train, _ = load_corpora(cfg)
         pipeline = build_pipeline(cfg, [train])
         not_finite = []
-        for rec, rows in zip(train.records, serial_rows(pipeline, train)):
+        for rec, rows in zip(train.records, serial_rows(pipeline, train, stopwords)):
             seq = pipeline.table.matrix[rows].T
             with np.errstate(all="ignore"):
                 if not np.isfinite(sentence_feature(seq, pipeline.hodmd)).all():
@@ -1153,7 +1295,7 @@ class TestCli:
         )
         assert not out.exists()
 
-    def test_numeric_error_in_a_featurize_worker_exits_3(self, tmp_path, mini_dir, capsys, monkeypatch):
+    def test_numeric_error_in_a_featurize_worker_exits_3(self, tmp_path, mini_dir, capsys, monkeypatch, stopwords):
         # every length group after the first fails; the second, the first
         # failure a serial loop meets, fails last, and its error is reported
         import time
@@ -1165,7 +1307,7 @@ class TestCli:
         cfg = parse_config(cfg_path)
         train, _ = load_corpora(cfg)
         pipeline = build_pipeline(cfg, [train])
-        lengths = list(dict.fromkeys(len(rows) for rows in serial_rows(pipeline, train)))
+        lengths = list(dict.fromkeys(len(rows) for rows in serial_rows(pipeline, train, stopwords)))
         assert len(lengths) > 2
         sentence_feature = experiment.sentence_feature
 

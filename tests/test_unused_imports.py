@@ -8,8 +8,9 @@ is listed in ``__all__``.  An import statement carrying ``# noqa: F401``
 is exempt, as the package's re-exports are.  Every name in a module's
 ``__all__`` and every package re-export must exist, since tools that wrap
 a module's public functions look each one up.  A module-level
-``_``-prefixed function, class or constant of the package is dead when no
-statement of the package other than its own definition mentions it.
+``_``-prefixed function, class or constant of the package, or such a
+method or attribute of a module-level class, is dead when no statement of
+the package other than its own definition mentions it.
 """
 
 import ast
@@ -87,26 +88,46 @@ def test_every_package_reexport_resolves():
 
 
 
+def _defines(statement: ast.stmt) -> set[str]:
+    """The names that ``statement`` defines: a function, a class, or the
+    plain names it assigns."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {statement.name}
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        return {target.id for target in targets if isinstance(target, ast.Name)}
+    return set()
+
+
+def _statements(tree: ast.Module):
+    """(owner prefix, names defined, nodes) of each top-level statement of
+    ``tree``; a class stands as its header (decorators, bases) and one
+    statement per member, each member's names prefixed by the class's."""
+    for statement in tree.body:
+        if isinstance(statement, ast.ClassDef):
+            header = [*statement.decorator_list, *statement.bases, *statement.keywords]
+            yield "", {statement.name}, header
+            for member in statement.body:
+                yield f"{statement.name}.", _defines(member), [member]
+        else:
+            yield "", _defines(statement), [statement]
+
+
 def dead_private_names(sources: dict[str, str]) -> list[str]:
     """``module: name`` of each module-level ``_``-prefixed function, class
     or constant (dunder names aside) of the modules that ``sources`` maps to
-    their text, when no top-level statement of any of them mentions it but
-    its own definition.  A statement mentions a name that it reads, reads as
-    an attribute or imports."""
-    defined: list[tuple[str, str]] = []
+    their text, and ``module: Class.name`` of each such method or attribute
+    of a module-level class, when no statement of any of them (a class
+    member counting as a statement) mentions it but its own definition.  A
+    statement mentions a name that it reads, reads as an attribute or
+    imports."""
+    defined: list[tuple[str, str, str]] = []
     used: set[str] = set()
     for module, source in sources.items():
-        for statement in ast.parse(source).body:
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = {statement.name}
-            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
-                targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
-                own = {target.id for target in targets if isinstance(target, ast.Name)}
-            else:
-                own = set()
-            defined += [(module, name) for name in sorted(own) if name[0] == "_" and name[-2:] != "__"]
+        for prefix, own, nodes in _statements(ast.parse(source)):
+            defined += [(module, prefix, name) for name in sorted(own) if name[0] == "_" and name[-2:] != "__"]
             mentions = set()
-            for node in ast.walk(statement):
+            for node in (node for top in nodes for node in ast.walk(top)):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     mentions.add(node.id)
                 elif isinstance(node, ast.Attribute):
@@ -114,7 +135,7 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
                 elif isinstance(node, ast.alias):
                     mentions.add(node.name)
             used |= mentions - own
-    return [f"{module}: {name}" for module, name in defined if name not in used]
+    return [f"{module}: {prefix}{name}" for module, prefix, name in defined if name not in used]
 
 
 def test_package_holds_no_dead_private_code():
@@ -129,7 +150,17 @@ def test_dead_code_check_counts_mentions_outside_the_definition_only():
             "def _loop(n):\n    return _loop(n - 1) if n else 0\n"
             "def _helper():\n    return _LIMIT\n"
             "class _Dead:\n    pass\n"
+            "class Kept(_Base):\n"
+            "    _SIZE = 2\n"
+            "    def run(self):\n        return self._step() + self._SIZE\n"
+            "    def _step(self):\n        return 1\n"
+            "    def _again(self):\n        return self._again()\n"
+            "    def _called_elsewhere(self):\n        pass\n"
+            "    def __len__(self):\n        return 0\n"
         ),
-        "b": "from .a import _helper\nimport a\nprint(_helper(), a._other)\n_other = 1\n",
+        "b": (
+            "from .a import _helper\nimport a\nprint(_helper(), a._other, a.Kept()._called_elsewhere())\n"
+            "_other = 1\nclass _Base:\n    pass\n"
+        ),
     }
-    assert dead_private_names(sources) == ["a: _UNUSED", "a: _loop", "a: _Dead"]
+    assert dead_private_names(sources) == ["a: _UNUSED", "a: _loop", "a: _Dead", "a: Kept._again"]
