@@ -25,7 +25,6 @@ from .experiment import (
 from .experiment import build_pipeline  # noqa: F401  (bench/launch.py wraps it here as well)
 from .learn import GnbModel, LinearModel
 from .model_io import load_model
-from .rks import PRNG_ID
 
 __all__ = ["main", "entrypoint"]
 
@@ -146,7 +145,7 @@ def _cmd_inspect(args) -> int:
         if model.rks is not None:
             sys.stdout.write(
                 f"map: {model.rks.d_in} -> {model.rks.dim_out} "
-                f"(sigma={model.rks.sigma!r}, seed={model.rks.seed}, prng={PRNG_ID})\n"
+                f"(sigma={model.rks.sigma!r}, seed={model.rks.seed}, prng={model.rks.prng})\n"
             )
         else:
             sys.stdout.write("map: none\n")

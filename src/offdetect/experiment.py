@@ -30,9 +30,9 @@ from .dmd import MAX_DELAY_ORDER, HodmdConfig, sentence_feature
 from .embed import VectorTable, average_embedding, load_precomputed, load_vec_table, token_matrix
 from .errors import DataError
 from .evaluation import MetricsReport, evaluate, labels_to_signs, render_report, sweep_csv_lines
-from .learn import train_gnb, train_linear_svm, train_logreg, train_rlsc
+from .learn import train_gnb, train_linear_svm, train_logreg, train_rlsc, train_rlsc_nested
 from .model_io import save_model
-from .rks import MAX_MAP_ENTRIES, MAX_SEED, PRNG_ID, _usable_cpus, check_map_size, median_heuristic_sigma, sample_map, transform
+from .rks import MAX_MAP_ENTRIES, MAX_SEED, _usable_cpus, check_map_size, median_heuristic_sigma, sample_map, transform
 
 __all__ = [
     "RksSpec",
@@ -420,9 +420,23 @@ def _prepare(cfg: ExperimentConfig) -> tuple[LabeledCorpus, LabeledCorpus, np.nd
     return train_corpus, test_corpus, train_F, test_F
 
 
+def _unloaded_digests(cfg: ExperimentConfig) -> dict[str, str]:
+    """The checksums of the inputs that the config names but ``_prepare``
+    does not load (a precomputed config's ``vec_file`` and stopwords, a
+    word-vector config's ``precomputed_file``), by config key.  They are
+    read before the data loads, so that an unreadable one is refused
+    before any training; every input's existence is checked first."""
+    cfg.check_inputs_exist()
+    tables = {"precomputed_file"} if cfg.feature == "precomputed" else {"vec_file", "stopwords_file"}
+    loaded = {"train_tsv", "test_tsv", "test_labels", *tables}
+    paths = cfg.input_paths()
+    return {key: _sha256(key, paths[key]) for key in sorted(paths.keys() - loaded)}
+
+
 def _sha256(key: str, path: Path) -> str:
     # imported here, not with the module: hashlib loads OpenSSL, which only a
     # written run's input checksums need, after its features and model exist
+    # (before the data loads only for an input its feature mode never loads)
     import hashlib
 
     digest = hashlib.sha256()
@@ -434,7 +448,8 @@ def _sha256(key: str, path: Path) -> str:
 def _train(cfg: ExperimentConfig, F, y, rks=None):
     """The configured classifier fitted on F, or with a map ``rks`` on F
     lifted through it; the model then carries the map.  The ridge solve
-    lifts F itself, in blocks; svm and logreg train on the whole lifted
+    lifts F itself, in blocks (``sweep_reports`` fits lifted rlsc configs
+    by ``train_rlsc_nested``); svm and logreg train on the whole lifted
     matrix, and one too large to allocate is a DataError naming its size
     (gnb takes no map: ``validate`` refuses the pair)."""
     if cfg.classifier == "rlsc":
@@ -488,8 +503,12 @@ def sweep_reports(
     The configs are fitted widest training matrix first (the lift dimension,
     else the feature dimension; ties in input order), so the largest
     allocation comes before any smaller fit leaves freed memory behind.
-    Results stay in input order; when several configs fail, the widest
-    one's error is raised."""
+    The lifted rlsc configs of one (rks_sigma, rks_seed, lambda) are fitted
+    together, when the widest of them comes up, by one
+    ``train_rlsc_nested`` call: their maps nest, so only the widest is
+    drawn (the others are prefixes of it), and a narrower primal system is
+    a sub-block of a wider one.  Results stay in input order;
+    when several configs fail, the widest one's error is raised."""
     train_y = labels_to_signs(train_corpus)
     labels_to_signs(test_corpus)
     if not test_corpus.records:
@@ -501,21 +520,47 @@ def sweep_reports(
             except ValueError as exc:
                 raise DataError(f"random-feature map: {exc}") from None
     widths = [train_F.shape[1] if c.rks is None else c.rks.dim for c in run_cfgs]
+    order = sorted(range(len(run_cfgs)), key=lambda i: -widths[i])
     sigmas: dict[tuple, float] = {}  # (rks_sigma, rks_seed) -> bandwidth
     results: list = [None] * len(run_cfgs)
-    for i in sorted(range(len(run_cfgs)), key=lambda i: -widths[i]):
+    for i in order:
+        if results[i] is not None:
+            continue
         run_cfg = run_cfgs[i]
-        rks, rks_map = run_cfg.rks, None
-        if rks is not None:
-            if (rks.sigma, rks.seed) not in sigmas:
-                sigmas[rks.sigma, rks.seed] = _lift_sigma(rks, train_F)
-            try:
-                rks_map = sample_map(train_F.shape[1], rks.dim, sigmas[rks.sigma, rks.seed], rks.seed)
-            except ValueError as exc:
-                raise DataError(f"random-feature map: {exc}") from None
-        model = _train(run_cfg, train_F, train_y, rks_map)
-        results[i] = (model, evaluate(model, test_corpus, test_F))
+        rks = run_cfg.rks
+        if rks is None:
+            model = _train(run_cfg, train_F, train_y)
+            results[i] = (model, evaluate(model, test_corpus, test_F))
+            continue
+        if (rks.sigma, rks.seed) not in sigmas:
+            sigmas[rks.sigma, rks.seed] = _lift_sigma(rks, train_F)
+        together = [i]
+        if run_cfg.classifier == "rlsc":
+            together = [j for j in order if results[j] is None and _nested_with(run_cfgs[j], run_cfg)]
+        try:
+            widest = sample_map(train_F.shape[1], rks.dim, sigmas[rks.sigma, rks.seed], rks.seed)
+        except ValueError as exc:
+            raise DataError(f"random-feature map: {exc}") from None
+        # the narrower maps are views of the widest one's first frequencies
+        maps = [widest] + [widest.prefix(run_cfgs[j].rks.dim) for j in together[1:]]
+        if run_cfg.classifier == "rlsc":
+            models = train_rlsc_nested(train_F, train_y, maps, lam=run_cfg.lam)
+        else:
+            models = [_train(run_cfg, train_F, train_y, maps[0])]
+        for j, model in zip(together, models):
+            results[j] = (model, evaluate(model, test_corpus, test_F))
     return results
+
+
+def _nested_with(cfg: ExperimentConfig, other: ExperimentConfig) -> bool:
+    """Whether lifted rlsc configs ``cfg`` and ``other`` draw nested maps
+    and solve for the same lambda: one ``train_rlsc_nested`` call fits both."""
+    return (
+        cfg.classifier == other.classifier == "rlsc"
+        and cfg.rks is not None
+        and other.rks is not None
+        and (cfg.rks.sigma, cfg.rks.seed, cfg.lam) == (other.rks.sigma, other.rks.seed, other.lam)
+    )
 
 
 def run_sweep(cfg: ExperimentConfig, value_name: str, values: list) -> tuple[list[str], Path]:
@@ -567,8 +612,9 @@ def run_experiments(cfgs: list[ExperimentConfig]) -> list[ExperimentResult]:
     configs are validated before any data loads.  Configs with equal feature
     settings share one ``_prepare`` and ``sweep_reports`` call, and one input
     checksum pass if any of them is written, group by group in first-seen
-    order; a group's files are written only once all of it is fitted: a
-    failure stops the call there."""
+    order (the inputs that ``_prepare`` does not load are checksummed before
+    it, the others once the group is fitted); a group's files are written
+    only once all of it is fitted: a failure stops the call there."""
     for cfg in cfgs:
         cfg.validate()
     groups: dict[ExperimentConfig, list[int]] = {}
@@ -576,6 +622,8 @@ def run_experiments(cfgs: list[ExperimentConfig]) -> list[ExperimentResult]:
         groups.setdefault(_feature_settings(cfg), []).append(i)
     results: list = [None] * len(cfgs)
     for settings, members in groups.items():
+        written = any(cfgs[i].out_dir is not None for i in members)
+        digests = _unloaded_digests(settings) if written else {}
         train_corpus, test_corpus, train_F, test_F = _prepare(cfgs[members[0]])
         fitted = sweep_reports(train_corpus, test_corpus, train_F, test_F, [cfgs[i] for i in members])
         dim = train_F.shape[1]
@@ -587,7 +635,7 @@ def run_experiments(cfgs: list[ExperimentConfig]) -> list[ExperimentResult]:
             manifest = None
             if cfg.out_dir is not None:
                 inputs = inputs or {
-                    key: {"path": str(path), "sha256": _sha256(key, path)}
+                    key: {"path": str(path), "sha256": digests.get(key) or _sha256(key, path)}
                     for key, path in sorted(settings.input_paths().items())
                 }
                 manifest = {
@@ -607,7 +655,7 @@ def run_experiments(cfgs: list[ExperimentConfig]) -> list[ExperimentResult]:
                         "sigma": model.rks.sigma,
                         "sigma_spec": "median" if cfg.rks.sigma is None else "fixed",
                         "seed": cfg.rks.seed,
-                        "prng": PRNG_ID,
+                        "prng": model.rks.prng,
                     },
                     "classifier": {"kind": cfg.classifier, **_classifier_hyper(cfg)},
                     "seeds": {

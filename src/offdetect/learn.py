@@ -24,6 +24,7 @@ __all__ = [
     "LinearModel",
     "GnbModel",
     "train_rlsc",
+    "train_rlsc_nested",
     "train_linear_svm",
     "train_logreg",
     "train_gnb",
@@ -45,10 +46,14 @@ _CHOLESKY_BLOCK = 128
 # Rows per panel of the Gram matrix's stored lower triangle: a whole number
 # of blocks, so that no block of the factorization straddles two panels.
 _PANEL_ROWS = 3 * _CHOLESKY_BLOCK
-# Most entries of one block of the lift that train_rlsc makes (64 MiB of
+# Most entries of one block of the lift that train_rlsc makes (32 MiB of
 # float64): it lifts its input this many entries at a time, rows for the
-# primal system and frequencies for the dual, and holds no whole lift.
-_LIFT_BLOCK_ENTRIES = 1 << 23
+# primal system and frequencies for the dual, and holds no whole lift.  The
+# bench sweep's D = 4000 dual (3,310 rows) streams four blocks of 500
+# frequencies, where 2^23 entries gave two blocks of 1,000 and a 25 MiB
+# higher peak; the re-lift this costs is paid back by the narrower points
+# that train_rlsc_nested fits without a lift.
+_LIFT_BLOCK_ENTRIES = 1 << 22
 # Columns per product that a later lift block adds into a Gram panel:
 # numpy's matmul cannot add into its output, so each part goes through one
 # scratch buffer of at most _PANEL_ROWS x this many floats (3 MiB), where a
@@ -275,6 +280,107 @@ def _solve(buffer: np.ndarray, panels: list[np.ndarray], lam: float, b: np.ndarr
         raise NumericError(f"normal-equation solve failed: {exc}") from exc
 
 
+def _ridge_system(X: np.ndarray, y: np.ndarray, rks: RksMap | None, fit_intercept: bool):
+    """The normal-equation system of train_rlsc (see there), formed and not
+    yet solved: (Gram buffer, its row panels, right-hand side, dual).
+    ``dual`` is None for the primal system; for the dual it is the (bounds,
+    lift buffer, last lifted block) that w = Z^T a reads."""
+    n = len(X)
+    dim = X.shape[1] if rks is None else rks.dim_out
+    k = dim + 1 if fit_intercept else dim
+    primal = k <= n
+    gram, panels = _lower_panels(k if primal else n)
+    if rks is None:
+        bounds = [(0, n)]
+    else:
+        bounds = _lift_bounds(n, dim) if primal else _lift_bounds(rks.k, 2 * n)
+    buffer = _lift_buffer(X, rks, bounds, primal)
+    # room for any part of a panel that a later block adds into it
+    parts = len(panels[0]) * min(_ADD_COLUMNS, panels[-1].shape[1])
+    scratch = np.empty(parts) if len(bounds) > 1 else None
+    blocks = _lifted_blocks(X, rks, bounds, primal, buffer)
+    for j, ((b0, b1), Z) in enumerate(zip(bounds, blocks)):
+        _add_gram(panels, Z.T if primal else Z, dim if primal else n, scratch if j else None)
+        if primal:
+            rhs = Z.T @ y[b0:b1] if j == 0 else rhs + Z.T @ y[b0:b1]
+            if fit_intercept:
+                sums = Z.sum(axis=0) if j == 0 else sums + Z.sum(axis=0)
+    if not primal:
+        if fit_intercept:
+            for panel in panels:
+                panel += 1.0
+        return gram, panels, y, (bounds, buffer, Z)
+    if fit_intercept:
+        panel = panels[-1]
+        i0, _ = _panel_rows(panel)
+        panel[:-1, dim] = sums[i0:]
+        panel[-1, :dim] = sums
+        panel[-1, dim] = n
+        rhs = np.append(rhs, y.sum())
+    return gram, panels, rhs, None
+
+
+def _sub_system(panels: list[np.ndarray], rhs: np.ndarray, k: int, sub_k: int, fit_intercept: bool):
+    """The primal system of the first ``sub_k`` of a map's k frequencies,
+    copied from the map's own primal system (``panels``, ``rhs``, see
+    train_rlsc_nested): (Gram buffer, row panels, right-hand side).  Every
+    entry the copy stores is written: what its panels hold above their
+    diagonal is mirrored from below it."""
+    scale = math.sqrt(k / sub_k)
+    # (first row of the copy, first row of the source, rows, scale): the cos
+    # rows, the sin rows and the intercept border
+    runs = [(0, 0, sub_k, scale), (sub_k, k, sub_k, scale)]
+    if fit_intercept:
+        runs.append((2 * sub_k, 2 * k, 1, 1.0))
+    gram, sub = _lower_panels(2 * sub_k + (1 if fit_intercept else 0))
+    for panel in sub:
+        r0, r1 = _panel_rows(panel)
+        for t0, s0, count, row_scale in runs:
+            for source in panels:
+                i0, i1 = _panel_rows(source)
+                # rows [a, b) of the copy: in this panel, and in this run,
+                # whose source rows lie in this source panel
+                a, b = max(r0, t0, i0 - s0 + t0), min(r1, t0 + count, i1 - s0 + t0)
+                if a >= b:
+                    continue
+                rows = source[a - t0 + s0 - i0 : b - t0 + s0 - i0]
+                # columns [0, b) of those rows: every source column they read
+                # comes before the last row's, so this source panel holds it
+                for c0, u0, width, column_scale in runs:
+                    c1 = min(c0 + width, b)
+                    if c0 < c1:
+                        np.multiply(rows[:, u0 : u0 + c1 - c0], row_scale * column_scale,
+                                    out=panel[a - r0 : b - r0, c0:c1])
+        square = panel[:, r0:r1]
+        upper = np.triu_indices(r1 - r0, 1)
+        square[upper] = square.T[upper]
+    return gram, sub, np.concatenate([rhs[s0 : s0 + count] * row_scale for _, s0, count, row_scale in runs])
+
+
+def _rlsc_model(w: np.ndarray, bias: float, lam: float, rks: RksMap | None) -> LinearModel:
+    if not (np.isfinite(w).all() and math.isfinite(bias)):
+        raise NumericError("normal-equation solve gave non-finite weights")
+    return LinearModel(kind="rlsc", w=w, bias=bias, hyper={"lam": float(lam)}, rks=rks)
+
+
+def _primal_model(gram, panels, rhs, lam: float, fit_intercept: bool, rks: RksMap | None) -> LinearModel:
+    """The model that solving the primal system (``gram``, ``panels``,
+    ``rhs``) gives; the panels are factored in place."""
+    solution = _solve(gram, panels, lam, rhs)
+    w, bias = (solution[:-1], float(solution[-1])) if fit_intercept else (solution, 0.0)
+    return _rlsc_model(w, bias, lam, rks)
+
+
+def _check_ridge_inputs(F, y, lam: float, maps) -> tuple[np.ndarray, np.ndarray]:
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"ridge strength lam must be positive, got {lam}")
+    X, y = _training_pair(F, y)
+    for rks in maps:
+        if rks is not None and X.shape[1] != rks.d_in:
+            raise DataError(f"feature dim {X.shape[1]} does not match map input {rks.d_in}")
+    return X, y
+
+
 def train_rlsc(
     F, y, lam: float = 1e-3, fit_intercept: bool = True, rks: RksMap | None = None
 ) -> LinearModel:
@@ -304,68 +410,75 @@ def train_rlsc(
     one scratch buffer of at most _PANEL_ROWS x _ADD_COLUMNS floats.  For
     w = Z^T a the dual takes the last block, still in the lift buffer, and
     lifts the others again into that buffer.  With one block, which covers
-    every lift of up to 2^23 entries, this is the computation on the whole
+    every lift of up to 2^22 entries, this is the computation on the whole
     lifted matrix, bit for bit; more blocks change only the order in which
     the Gram matrix and Z^T y are summed.  A lifted block that is not
     finite is a DataError, as a non-finite F is.  Features so large that
     the Gram matrix or the weights overflow raise NumericError, and so does
     a Gram matrix that rounding leaves not positive definite.
     """
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"ridge strength lam must be positive, got {lam}")
-    X, y = _training_pair(F, y)
-    if rks is not None and X.shape[1] != rks.d_in:
-        raise DataError(f"feature dim {X.shape[1]} does not match map input {rks.d_in}")
-    n = len(X)
-    dim = X.shape[1] if rks is None else rks.dim_out
-    k = dim + 1 if fit_intercept else dim
-    primal = k <= n
-    gram, panels = _lower_panels(k if primal else n)
-    if rks is None:
-        bounds = [(0, n)]
-    else:
-        bounds = _lift_bounds(n, dim) if primal else _lift_bounds(rks.k, 2 * n)
-    buffer = _lift_buffer(X, rks, bounds, primal)
-    # room for any part of a panel that a later block adds into it
-    parts = len(panels[0]) * min(_ADD_COLUMNS, panels[-1].shape[1])
-    scratch = np.empty(parts) if len(bounds) > 1 else None
+    X, y = _check_ridge_inputs(F, y, lam, [rks])
     # an overflow is reported by the NumericError below, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = _lifted_blocks(X, rks, bounds, primal, buffer)
-        for j, ((b0, b1), Z) in enumerate(zip(bounds, blocks)):
-            _add_gram(panels, Z.T if primal else Z, dim if primal else n, scratch if j else None)
-            if primal:
-                rhs = Z.T @ y[b0:b1] if j == 0 else rhs + Z.T @ y[b0:b1]
-                if fit_intercept:
-                    sums = Z.sum(axis=0) if j == 0 else sums + Z.sum(axis=0)
-        if primal:
-            if fit_intercept:
-                panel = panels[-1]
-                i0, _ = _panel_rows(panel)
-                panel[:-1, dim] = sums[i0:]
-                panel[-1, :dim] = sums
-                panel[-1, dim] = n
-                rhs = np.append(rhs, y.sum())
-            solution = _solve(gram, panels, lam, rhs)
-            w, bias = (solution[:-1], float(solution[-1])) if fit_intercept else (solution, 0.0)
+        gram, panels, rhs, dual = _ridge_system(X, y, rks, fit_intercept)
+        if dual is None:
+            return _primal_model(gram, panels, rhs, lam, fit_intercept, rks)
+        a = _solve(gram, panels, lam, rhs)
+        bias = float(a.sum()) if fit_intercept else 0.0
+        if rks is None:
+            w = X.T @ a
         else:
-            if fit_intercept:
-                for panel in panels:
-                    panel += 1.0
-            a = _solve(gram, panels, lam, y)
-            bias = float(a.sum()) if fit_intercept else 0.0
-            if rks is None:
-                w = X.T @ a
-            else:
-                w = np.empty(dim)
-                # the last block, still in the buffer, then the others lifted again
-                again = zip(bounds[:-1], _lifted_blocks(X, rks, bounds[:-1], False, buffer))
-                for (f0, f1), Z in itertools.chain([(bounds[-1], Z)], again):
-                    part = Z.T @ a
-                    w[f0:f1], w[rks.k + f0 : rks.k + f1] = part[: f1 - f0], part[f1 - f0 :]
-    if not (np.isfinite(w).all() and math.isfinite(bias)):
-        raise NumericError("normal-equation solve gave non-finite weights")
-    return LinearModel(kind="rlsc", w=w, bias=bias, hyper={"lam": float(lam)}, rks=rks)
+            bounds, buffer, Z = dual
+            w = np.empty(rks.dim_out)
+            # the last block, still in the buffer, then the others lifted again
+            again = zip(bounds[:-1], _lifted_blocks(X, rks, bounds[:-1], False, buffer))
+            for (f0, f1), Z in itertools.chain([(bounds[-1], Z)], again):
+                part = Z.T @ a
+                w[f0:f1], w[rks.k + f0 : rks.k + f1] = part[: f1 - f0], part[f1 - f0 :]
+    return _rlsc_model(w, bias, lam, rks)
+
+
+def train_rlsc_nested(
+    F, y, maps: list[RksMap], lam: float = 1e-3, fit_intercept: bool = True
+) -> list[LinearModel]:
+    """train_rlsc with each map of ``maps``, in one call: one model per map,
+    in input order, each train_rlsc's up to rounding.  The maps must nest,
+    each one's frequencies the first columns of the widest one's, as
+    rks.sample_map draws the maps of one (d_in, sigma, seed); a map that
+    does not is a ValueError.
+
+    The maps are fitted widest first.  A map whose system is dual (dim + 1
+    > n) is fitted by train_rlsc.  The widest primal map lifts F and forms
+    its system once.  The lift of a narrower map of k' frequencies is
+    sqrt(k/k') times the cos columns [0, k') and sin columns [k, k + k')
+    of the lift of the next wider primal map (k frequencies), so its
+    system is a copy of that sub-block of the wider one: those rows and
+    columns and the intercept border, the Gram entries scaled by k/k' and
+    the border and Z^T y by sqrt(k/k').  The copy is taken before the wider
+    system is factored in place, so at most two systems are held at once,
+    and a narrower primal map neither lifts nor forms a Gram matrix.
+    """
+    X, y = _check_ridge_inputs(F, y, lam, maps)
+    widest = max(maps, key=lambda rks: rks.k)
+    for rks in maps:
+        if not np.array_equal(rks.omega, widest.omega[:, : rks.k]):
+            raise ValueError(f"the {rks.dim_out}-dim map is not nested in the {widest.dim_out}-dim map")
+    order = sorted(range(len(maps)), key=lambda i: -maps[i].k)
+    extra = 1 if fit_intercept else 0
+    primal = [i for i in order if maps[i].dim_out + extra <= len(X)]
+    models: list = [None] * len(maps)
+    for i in order:
+        if i not in primal:
+            models[i] = train_rlsc(X, y, lam=lam, fit_intercept=fit_intercept, rks=maps[i])
+    system = None
+    # an overflow is reported by the NumericError below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, narrower in zip(primal, primal[1:] + [None]):
+            wider = system or _ridge_system(X, y, maps[i], fit_intercept)[:3]
+            if narrower is not None:
+                system = _sub_system(wider[1], wider[2], maps[i].k, maps[narrower].k, fit_intercept)
+            models[i] = _primal_model(*wider, lam, fit_intercept, maps[i])
+    return models
 
 
 def svm_objective(w: np.ndarray, bias: float, F, y, C: float) -> float:

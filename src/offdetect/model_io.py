@@ -18,7 +18,10 @@ Layout (version 1):
         n u32, priors f64*2, means f64*2n, variances f64*2n, var_floor f64
 
 The map block stores only the sampling recipe; loading re-draws the
-frequency matrix, which the seeded generator reproduces bit-exactly.  Any
+frequency matrix, which the seeded generator reproduces bit-exactly.  The
+recipe names its generator: ``numpy-pcg64-nested`` (rks.PRNG_ID) for maps
+drawn frequency by frequency, ``numpy-pcg64`` (rks.PCG64_ROWS_ID) for the
+row-by-row draw of earlier model files, which is drawn that way again.  Any
 unexpected trailing bytes, short reads, or unknown identifiers fail the
 load with no partial model.  So does a weight count other than the map's
 output dimension, or a map recipe that sample_map refuses (among others, a
@@ -35,7 +38,7 @@ import numpy as np
 
 from .errors import ModelFormatError
 from .learn import GnbModel, LinearModel
-from .rks import PRNG_ID, sample_map
+from .rks import PCG64_ROWS_ID, PRNG_ID, sample_map
 
 __all__ = ["MAGIC", "FORMAT_VERSION", "save_model", "load_model"]
 
@@ -73,7 +76,7 @@ def save_model(model, sink) -> None:
     sink.write(MAGIC)
     sink.write(struct.pack("<BBB", FORMAT_VERSION, kind_code, flags))
     if rks is not None:
-        prng = PRNG_ID.encode("utf-8")
+        prng = rks.prng.encode("utf-8")
         sink.write(struct.pack("<IIqd", rks.d_in, rks.dim_out, rks.seed, rks.sigma))
         sink.write(struct.pack("<H", len(prng)))
         sink.write(prng)
@@ -170,16 +173,16 @@ def load_model(source):
     return model
 
 
-def _read_map_recipe(source) -> tuple[int, int, float, int]:
-    """The map block's (d_in, dim_out, sigma, seed).
+def _read_map_recipe(source) -> tuple[int, int, float, int, str]:
+    """The map block's (d_in, dim_out, sigma, seed, generator id).
 
     sample_map checks the recipe when load_model draws the map.
     """
     d_in, dim_out, seed, sigma = _read_struct(source, "<IIqd")
     (prng_len,) = _read_struct(source, "<H")
     prng_id = _read_exact(source, prng_len).decode("utf-8", errors="replace")
-    if prng_id != PRNG_ID:
+    if prng_id not in (PRNG_ID, PCG64_ROWS_ID):
         raise ModelFormatError(
             f"map sampled with unknown generator {prng_id!r}; cannot reproduce it"
         )
-    return d_in, dim_out, sigma, seed
+    return d_in, dim_out, sigma, seed, prng_id

@@ -11,7 +11,14 @@ for a kernel machine.  The output dimension D = 2k must be even.
 
 Sampling uses numpy's seeded PCG64 generator; the same (d_in, D, sigma,
 seed) always reproduces the same frequency matrix bit-for-bit, which is what
-makes persisted models portable.
+makes persisted models portable.  The frequencies are drawn one after
+another, each as d_in consecutive normals, so the maps of one (d_in, sigma,
+seed) nest: the D' map is bit for bit the first D'/2 frequencies (columns)
+of the D map for every even D' <= D.  A narrower map's lift is then
+sqrt(D/D') times the wider lift's first D'/2 cos and first D'/2 sin
+columns.  Maps saved before this draw name the generator ``numpy-pcg64``
+and draw their frequencies as d_in rows of k, which do not nest; they are
+drawn that way again when loaded.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .errors import NumericError
 
 __all__ = [
     "PRNG_ID",
+    "PCG64_ROWS_ID",
     "MAX_SEED",
     "MAX_MAP_ENTRIES",
     "RksMap",
@@ -35,7 +43,11 @@ __all__ = [
     "median_heuristic_sigma",
 ]
 
-PRNG_ID = "numpy-pcg64"
+# The generator ids a map may name: sample_map draws the k frequencies one
+# after another (a k x d_in draw, transposed), so that maps nest; a map that
+# names PCG64_ROWS_ID draws a d_in x k matrix, as every map did before.
+PRNG_ID = "numpy-pcg64-nested"
+PCG64_ROWS_ID = "numpy-pcg64"
 
 # Largest seed sample_map takes: a model file stores the map's seed as an i64.
 MAX_SEED = (1 << 63) - 1
@@ -56,11 +68,13 @@ MEDIAN_MAX_POINTS = 1000  # most rows whose pairwise distances median_heuristic_
 
 @dataclass
 class RksMap:
-    """Sampled frequency matrix (d_in x k) plus the recipe that produced it."""
+    """Sampled frequency matrix (d_in x k) plus the recipe that produced it,
+    ``prng`` naming how the generator drew it."""
 
     omega: np.ndarray
     sigma: float
     seed: int
+    prng: str = PRNG_ID
 
     @property
     def d_in(self) -> int:
@@ -73,6 +87,17 @@ class RksMap:
     @property
     def dim_out(self) -> int:
         return 2 * self.omega.shape[1]
+
+    def prefix(self, dim_out: int) -> RksMap:
+        """The map of this recipe with output dimension ``dim_out``, without a
+        draw: as the maps nest, its frequencies are this map's first
+        dim_out/2, which it holds as a view.  A map drawn under another
+        generator than PRNG_ID does not nest, and is a ValueError."""
+        if self.prng != PRNG_ID:
+            raise ValueError(f"maps drawn under {self.prng!r} do not nest")
+        if not (2 <= dim_out <= self.dim_out and dim_out % 2 == 0):
+            raise ValueError(f"output dimension must be even and in [2, {self.dim_out}], got {dim_out}")
+        return RksMap(omega=self.omega[:, : dim_out // 2], sigma=self.sigma, seed=self.seed, prng=self.prng)
 
 
 def _usable_cpus() -> int:
@@ -89,13 +114,15 @@ def check_map_size(d_in: int, dim_out: int) -> None:
         raise ValueError(f"map of {d_in} x {dim_out} exceeds the {MAX_MAP_ENTRIES}-entry limit")
 
 
-def sample_map(d_in: int, dim_out: int, sigma: float, seed: int) -> RksMap:
+def sample_map(d_in: int, dim_out: int, sigma: float, seed: int, prng: str = PRNG_ID) -> RksMap:
     """Draw k = dim_out/2 Gaussian frequency columns with std 1/sigma.
 
-    The recipe is checked before anything is drawn, including that the seed
-    is at most MAX_SEED and that the map has at most MAX_MAP_ENTRIES entries
-    (d_in x dim_out).  A sigma so small that a frequency overflows is
-    refused once they are drawn.
+    Under PRNG_ID the columns are drawn one after another, so the map
+    nests (see the module docstring); under PCG64_ROWS_ID the matrix is
+    drawn row by row.  The recipe is checked before anything is drawn,
+    including the generator id, that the seed is at most MAX_SEED and that
+    the map has at most MAX_MAP_ENTRIES entries (d_in x dim_out).  A sigma
+    so small that a frequency overflows is refused once they are drawn.
     """
     if dim_out < 2 or dim_out % 2 != 0:
         raise ValueError(f"output dimension must be even (cos/sin pairs), got {dim_out}")
@@ -107,13 +134,20 @@ def sample_map(d_in: int, dim_out: int, sigma: float, seed: int) -> RksMap:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if seed > MAX_SEED:
         raise ValueError(f"seed must be <= {MAX_SEED}, got {seed}")
+    if prng not in (PRNG_ID, PCG64_ROWS_ID):
+        raise ValueError(f"unknown generator {prng!r}")
     check_map_size(d_in, dim_out)
     rng = np.random.default_rng(seed)
+    k = dim_out // 2
     with np.errstate(over="ignore"):
-        omega = rng.standard_normal((d_in, dim_out // 2)) / sigma
+        if prng == PRNG_ID:
+            # divided before the transpose, so that numpy divides the draw in place
+            omega = (rng.standard_normal((k, d_in)) / sigma).T
+        else:
+            omega = rng.standard_normal((d_in, k)) / sigma
     if not (math.isfinite(omega.min()) and math.isfinite(omega.max())):
         raise ValueError(f"bandwidth sigma {sigma!r} is too small: a frequency overflows")
-    return RksMap(omega=omega, sigma=float(sigma), seed=int(seed))
+    return RksMap(omega=omega, sigma=float(sigma), seed=int(seed), prng=prng)
 
 
 def transform(

@@ -382,7 +382,8 @@ class TestSweep:
 
     def test_widest_config_fitted_first_results_in_input_order(self, mini_dir, monkeypatch):
         # lift dims 16, 200 and 64 and an unlifted config of the 16-dim mini
-        # vectors, which ties with the first and follows it
+        # vectors, which ties with the first and follows it; the lifted rlsc
+        # config is fitted by train_rlsc_nested, the others by _train
         from dataclasses import replace
 
         from offdetect import experiment
@@ -405,10 +406,17 @@ class TestSweep:
             fitted.append((run_cfg.name, F.shape[1] if rks is None else rks.dim_out))
             return train(run_cfg, F, y, rks)
 
+        nested = experiment.train_rlsc_nested
+
+        def recording_nested(F, y, maps, lam):
+            fitted.append(("nested rlsc", tuple(rks.dim_out for rks in maps)))
+            return nested(F, y, maps, lam=lam)
+
         monkeypatch.setattr(experiment, "_train", recording_train)
+        monkeypatch.setattr(experiment, "train_rlsc_nested", recording_nested)
         results = sweep_reports(*data, cfgs)
         monkeypatch.undo()
-        assert fitted == [("lift200-svm", 200), ("lift64-logreg", 64), ("lift16-rlsc", 16), ("raw-gnb", 16)]
+        assert fitted == [("lift200-svm", 200), ("lift64-logreg", 64), ("nested rlsc", (16,)), ("raw-gnb", 16)]
 
         def as_bytes(model, report):
             model_file = io.BytesIO()
@@ -421,18 +429,90 @@ class TestSweep:
     def test_widest_failing_config_reports_its_error(self, mini_dir, monkeypatch):
         from dataclasses import replace
 
-        from offdetect import experiment
+        # three rlsc lifts, fitted by one train_rlsc_nested call, whose every
+        # primal solve fails, and a 48-dim svm lift fitted by _train, which
+        # fails too: the 64-dim rlsc config's error is raised
+        from offdetect import experiment, learn
         from offdetect.errors import NumericError
         from offdetect.experiment import RksSpec, _prepare, sweep_reports
 
         def failing(run_cfg, F, y, rks=None):
             raise NumericError(f"width {F.shape[1] if rks is None else rks.dim_out}")
 
+        def failing_solve(gram, panels, rhs, lam, fit_intercept, rks):
+            raise NumericError(f"width {rks.dim_out}")
+
         cfg = self.mini_precomputed_config(mini_dir)
         cfgs = [replace(cfg, rks=RksSpec(dim=d)) for d in (16, 64, 32)]
+        cfgs.append(replace(cfg, classifier="svm", rks=RksSpec(dim=48)))
         monkeypatch.setattr(experiment, "_train", failing)
+        monkeypatch.setattr(learn, "_primal_model", failing_solve)
         with pytest.raises(NumericError, match="^width 64$"):
             sweep_reports(*_prepare(cfg), cfgs)
+
+    SWEEP_DIMS = [16, 32, 64, 200, 400]
+
+    @pytest.mark.parametrize("config", ["hodmd2_rks_rlsc.cfg", "precomputed_rks_rlsc.cfg"])
+    def test_nested_sweep_matches_a_run_at_each_dim(self, tmp_path, config):
+        # data/mini has 140 training rows: 400 and 200 are dual, 64, 32 and
+        # 16 primal, and 32 and 16 solve sub-blocks of 64's system (their
+        # weights moved by at most 3.6e-13 of the largest)
+        from dataclasses import replace
+        from pathlib import Path
+
+        from offdetect.cli import main
+        from offdetect.experiment import _prepare, parse_config, run_experiment, sweep_reports
+
+        path = Path(__file__).resolve().parent.parent / "configs" / config
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(path), "--sweep-dim", ",".join(map(str, self.SWEEP_DIMS))]
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = (out / "sweep_dim.csv").read_text(encoding="utf-8").splitlines()[1:]
+        cfg = parse_config(path)
+        cfgs = [replace(cfg, rks=replace(cfg.rks, dim=dim), out_dir=None) for dim in self.SWEEP_DIMS]
+        data = _prepare(cfg)
+        assert len(data[2]) == 140
+        for row, run_cfg, (model, report) in zip(rows, cfgs, sweep_reports(*data, cfgs), strict=True):
+            alone = run_experiment(run_cfg, write_files=False)
+            assert row == sweep_csv_lines([(run_cfg.rks.dim, alone.report.accuracy)], value_name="D")[1]
+            assert report.as_tuple() == alone.report.as_tuple()
+            expected, got = np.append(alone.model.w, alone.model.bias), np.append(model.w, model.bias)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_sweep_lifts_its_primal_points_once(self, monkeypatch):
+        # the training lifts of a sweep: each dual point's m frequency
+        # blocks 2m - 1 times, as train_rlsc lifts them; the widest primal
+        # point's row blocks once each, and the narrower primal points none
+        from dataclasses import replace
+        from pathlib import Path
+
+        from offdetect import learn
+        from offdetect.experiment import _prepare, parse_config, sweep_reports
+        from offdetect.rks import transform
+
+        cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "precomputed_rks_rlsc.cfg")
+        cfgs = [replace(cfg, rks=replace(cfg.rks, dim=dim), out_dir=None) for dim in self.SWEEP_DIMS]
+        train_corpus, test_corpus, train_F, test_F = _prepare(cfg)
+        lifted = []
+
+        def counting_transform(rks, x, freqs, out):
+            if np.shares_memory(x, train_F):
+                lifted.append((rks.dim_out, freqs))
+            return transform(rks, x, freqs, out=out)
+
+        monkeypatch.setattr(learn, "_LIFT_BLOCK_ENTRIES", 4096)
+        monkeypatch.setattr(learn, "transform", counting_transform)
+        sweep_reports(train_corpus, test_corpus, train_F, test_F, cfgs)
+        n = len(train_F)
+        expected = []
+        for dim in (400, 200):
+            blocks = [(dim, slice(f0, f1)) for f0, f1 in learn._lift_bounds(dim // 2, 2 * n)]
+            assert len(blocks) >= 2
+            expected += blocks + blocks[:-1]
+        rows = learn._lift_bounds(n, 64)
+        assert len(rows) >= 2
+        expected += [(64, slice(None))] * len(rows)
+        assert lifted == expected
 
     def test_csv_lines_format(self):
         lines = sweep_csv_lines([(0.1, 83.333333), (1000.0, 91.0)])

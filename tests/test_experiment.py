@@ -318,8 +318,12 @@ class TestRunExperiment:
         assert manifest["seeds"] == {"train": 3, "rks": 5}
         assert manifest["rks"]["sigma_spec"] == "median"
         assert manifest["rks"]["sigma"] > 0
+        assert manifest["rks"]["prng"] == "numpy-pcg64-nested"
         for entry in manifest["inputs"].values():
             assert len(entry["sha256"]) == 64
+        # hodmd never loads the precomputed table: it is checksummed before the data loads
+        table = (mini_dir / "precomputed.txt").read_bytes()
+        assert manifest["inputs"]["precomputed_file"]["sha256"] == hashlib.sha256(table).hexdigest()
 
     def test_median_sigma_fitted_on_training_features_only(self, tmp_path, mini_dir):
         cfg_path = write_config(
@@ -898,19 +902,24 @@ class TestCli:
         from offdetect import experiment
 
         tables, alive_at_train = [], []
-        build_pipeline, train = experiment.build_pipeline, experiment._train
+        build_pipeline = experiment.build_pipeline
 
         def recording_build(*args):
             pipeline = build_pipeline(*args)
             tables.append(weakref.ref(pipeline.table.matrix))
             return pipeline
 
-        def checking_train(*args):
-            alive_at_train.append(tables[0]() is not None)
-            return train(*args)
+        def checking(fit):
+            def checking_fit(*args, **kwargs):
+                alive_at_train.append(tables[0]() is not None)
+                return fit(*args, **kwargs)
+
+            return checking_fit
 
         monkeypatch.setattr(experiment, "build_pipeline", recording_build)
-        monkeypatch.setattr(experiment, "_train", checking_train)
+        # lifted rlsc configs are fitted by train_rlsc_nested, the rest by _train
+        monkeypatch.setattr(experiment, "_train", checking(experiment._train))
+        monkeypatch.setattr(experiment, "train_rlsc_nested", checking(experiment.train_rlsc_nested))
         argv = [command[0], "--config", str(config), "--out", str(tmp_path / "o"), *command[1:]]
         assert main(argv) == 0
         assert len(tables) == 1
@@ -1162,7 +1171,7 @@ class TestCli:
         self, tmp_path, mini_dir, capsys, monkeypatch, how
     ):
         # a precomputed config reads its stopwords file only to checksum it,
-        # once the model is trained
+        # which it does before the data loads: no fit is made
         from offdetect import experiment
 
         cfg_path = write_config(tmp_path / "r.cfg", mini_dir, extra=f"stopwords = {STOPWORDS}\n")
@@ -1174,9 +1183,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err == f"data error: stopwords_file: cannot read {STOPWORDS}: {strerror}\n"
-        assert len(trained) == 1
+        assert len(trained) == 0
         assert not out.exists()
         assert main(["export-features", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize(
+        "feature, key", [("precomputed", "vec_file"), ("avg", "precomputed_file")]
+    )
+    def test_input_the_feature_mode_never_loads_is_read_before_the_data(
+        self, tmp_path, mini_dir, capsys, monkeypatch, feature, key
+    ):
+        # the written run reads it to checksum it before any corpus loads;
+        # an unwritten one (a sweep) never reads it
+        from offdetect import experiment
+
+        cfg_path = write_config(tmp_path / "r.cfg", mini_dir)
+        cfg_path.write_text(cfg_path.read_text().replace("feature = avg", f"feature = {feature}"))
+        path = parse_config(cfg_path).input_paths()[key]
+        strerror = fail_input(monkeypatch, path, "open")
+        prepared = counting(monkeypatch, experiment, "_prepare")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: {key}: cannot read {path}: {strerror}\n"
+        assert prepared == [] and not out.exists()
+        assert main(["sweep", "--config", str(cfg_path), "--sweep-C", "1", "--out", str(out)]) == 0
 
     def test_inspect_model(self, tmp_path, mini_dir, capsys):
         cfg_path = write_config(tmp_path / "cli5.cfg", mini_dir)
@@ -1532,11 +1562,13 @@ class TestMiniScript:
         prepared = counting(monkeypatch, experiment, "_prepare")
         featurized = counting(monkeypatch, experiment.FeaturePipeline, "featurize")
         trained = counting(monkeypatch, experiment, "_train")
+        # the 8 lifted rlsc configs: one call per feature setting (avg, precomputed)
+        nested = counting(monkeypatch, experiment, "train_rlsc_nested")
         monkeypatch.setattr(sys, "path", list(sys.path))
         monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--out", str(tmp_path / "script")])
         runpy.run_path(str(SCRIPT), run_name="__main__")
         monkeypatch.undo()
-        assert (len(prepared), len(featurized), len(trained)) == (5, 10, 24)
+        assert (len(prepared), len(featurized), len(trained), len(nested)) == (5, 10, 16, 2)
         assert capsys.readouterr().out.startswith("== baseline classifiers ==\n")
         cfg_path = tmp_path / "dmd.cfg"
         cfg_path.write_text(

@@ -19,8 +19,9 @@ from offdetect.learn import (
     train_linear_svm,
     train_logreg,
     train_rlsc,
+    train_rlsc_nested,
 )
-from offdetect.rks import median_heuristic_sigma, sample_map, transform
+from offdetect.rks import PCG64_ROWS_ID, median_heuristic_sigma, sample_map, transform
 
 
 def blobs_fixture(n=50, dim=3, seed=42):
@@ -452,6 +453,27 @@ class TestRlscLift:
         error = np.max(np.abs(np.append(model.w, model.bias) - expected))
         assert error <= 1e-10 * np.max(np.abs(expected))
 
+    def test_dual_holds_one_lift_block_of_2_22_entries(self):
+        # a 500-row dual of a 10,000-wide map, whose whole lift (40 MB) is
+        # more than one 2^22-entry block: besides its Gram panels it holds
+        # one block of frequencies, the scratch of later blocks' products
+        # and the map; two 2^23-entry blocks would not fit in the bound
+        from offdetect import learn
+
+        assert learn._LIFT_BLOCK_ENTRIES == 1 << 22
+        n, dim_out = 500, 10000
+        X, y, rks = lift_fixture(n, 4, dim_out)
+        assert n * dim_out > learn._LIFT_BLOCK_ENTRIES
+        gram_bytes = sum(panel.nbytes for panel in _lower_panels(n)[1])
+        scratch_bytes = learn._PANEL_ROWS * learn._ADD_COLUMNS * X.itemsize
+        tracemalloc.start()
+        try:
+            train_rlsc(X, y, rks=rks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < gram_bytes + (1 << 22) * X.itemsize + scratch_bytes + (1 << 20)
+
     @pytest.mark.parametrize("n, dim_out", [(40, 8), (5, 8)], ids=["primal", "dual"])
     def test_lift_past_the_float_range_is_data_error(self, n, dim_out):
         X, y, _ = lift_fixture(n, 3, dim_out)
@@ -464,6 +486,81 @@ class TestRlscLift:
         X, y, rks = lift_fixture(20, 3, 8)
         with pytest.raises(DataError, match="does not match map input"):
             train_rlsc(X[:, :2], y, rks=rks)
+
+
+def nested_fixture(n, d_in, dims, seed=3):
+    """Gaussian inputs, +-1 labels and nested maps of the widths ``dims``."""
+    X, y, wide = lift_fixture(n, d_in, max(dims), seed)
+    return X, y, [wide.prefix(dim) for dim in dims]
+
+
+class TestRlscNested:
+    # (rows, input dim, map widths): primal maps only; dual maps (600, 200)
+    # and primal ones, 118 of them one unknown short of the rows; a 2-wide map
+    CASES = [(300, 7, [16, 200, 64, 120]), (120, 5, [600, 40, 200, 100, 118]), (97, 3, [1202, 2, 50, 96])]
+
+    @pytest.mark.parametrize("entries", [1 << 22, 4096])
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    @pytest.mark.parametrize("n, d_in, dims", CASES)
+    def test_each_model_is_train_rlsc_with_its_map(self, monkeypatch, n, d_in, dims, fit_intercept, entries):
+        # the widest primal map and the dual ones solve the systems
+        # train_rlsc solves, bit for bit; a narrower primal map's sub-block
+        # moved its weights by at most 9.0e-12 of the largest here
+        from offdetect import learn
+
+        monkeypatch.setattr(learn, "_LIFT_BLOCK_ENTRIES", entries)
+        X, y, maps = nested_fixture(n, d_in, dims)
+        models = train_rlsc_nested(X, y, maps, lam=1e-3, fit_intercept=fit_intercept)
+        primal = [rks.dim_out for rks in maps if rks.dim_out + fit_intercept <= n]
+        for rks, model in zip(maps, models):
+            assert model.rks is rks and model.hyper == {"lam": 1e-3}
+            alone = train_rlsc(X, y, lam=1e-3, fit_intercept=fit_intercept, rks=rks)
+            expected, got = np.append(alone.w, alone.bias), np.append(model.w, model.bias)
+            if rks.dim_out not in primal or rks.dim_out == max(primal):
+                assert np.array_equal(got, expected)
+            else:
+                assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    def test_narrower_primal_maps_neither_lift_nor_form_a_gram_matrix(self, monkeypatch):
+        # each dual map lifts its m frequency blocks 2m - 1 times; the widest
+        # primal map lifts each row block once; no other map lifts, and only
+        # the maps that lift add Gram products
+        from offdetect import learn
+
+        monkeypatch.setattr(learn, "_LIFT_BLOCK_ENTRIES", 4096)
+        X, y, maps = nested_fixture(120, 5, [600, 40, 200, 100, 118])
+        lifted, grams = [], []
+
+        def counting_transform(rks, x, freqs, out):
+            lifted.append((rks.dim_out, freqs, len(x)))
+            return transform(rks, x, freqs, out=out)
+
+        add_gram = learn._add_gram
+        monkeypatch.setattr(learn, "transform", counting_transform)
+        monkeypatch.setattr(learn, "_add_gram", lambda panels, A, *a: grams.append(A.shape) or add_gram(panels, A, *a))
+        train_rlsc_nested(X, y, maps)
+        expected = []
+        for dim_out in (600, 200):
+            blocks = [(dim_out, slice(f0, f1), 120) for f0, f1 in learn._lift_bounds(dim_out // 2, 240)]
+            expected += blocks + blocks[:-1]
+        rows = learn._lift_bounds(120, 118)
+        expected += [(118, slice(None), r1 - r0) for r0, r1 in rows]
+        assert len(rows) >= 3
+        assert lifted == expected
+        assert len(grams) == len(learn._lift_bounds(300, 240)) + len(learn._lift_bounds(100, 240)) + len(rows)
+
+    def test_maps_that_do_not_nest_rejected(self):
+        X, y, _ = lift_fixture(50, 3, 8)
+        wide = sample_map(3, 20, sigma=1.0, seed=0)
+        for other in (sample_map(3, 8, sigma=1.0, seed=1), sample_map(3, 8, sigma=1.0, seed=0, prng=PCG64_ROWS_ID)):
+            with pytest.raises(ValueError, match="^the 8-dim map is not nested in the 20-dim map$"):
+                train_rlsc_nested(X, y, [wide, other])
+
+    def test_one_map_is_train_rlsc_bit_for_bit(self):
+        X, y, rks = lift_fixture(300, 7, 200)
+        (model,) = train_rlsc_nested(X, y, [rks])
+        alone = train_rlsc(X, y, rks=rks)
+        assert np.array_equal(model.w, alone.w) and model.bias == alone.bias
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])

@@ -1,5 +1,6 @@
 import io
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from hypothesis import strategies as st
 from offdetect.errors import ModelFormatError
 from offdetect.learn import GnbModel, LinearModel, predict, train_gnb, train_rlsc
 from offdetect.model_io import MAGIC, load_model, save_model
-from offdetect.rks import MAX_MAP_ENTRIES, MAX_SEED, RksMap, sample_map
+from offdetect.rks import MAX_MAP_ENTRIES, MAX_SEED, PCG64_ROWS_ID, PRNG_ID, RksMap, sample_map
+
+TESTS = Path(__file__).resolve().parent
+ROW_DRAW_MODEL = TESTS / "fixtures" / "pcg64_rows_model"
 
 
 def roundtrip(model):
@@ -186,6 +190,51 @@ class TestMalformedFiles:
         corrupted = payload[: -len(hyper)] + b"[1,2,3,4,5,6]"
         with pytest.raises(ModelFormatError, match="not a JSON object"):
             load_model(io.BytesIO(corrupted))
+
+
+class TestModelFileOfTheRowByRowDraw:
+    """``fixtures/pcg64_rows_model`` holds the ``model.offd`` and
+    ``report.tsv`` that ``python -m offdetect run --config
+    configs/hodmd2_rks_rlsc.cfg`` wrote at commit 9a284d2, the last one
+    that drew every map row by row.  Its map block names ``numpy-pcg64``
+    (rks.PCG64_ROWS_ID); loading it must draw that map again."""
+
+    def load(self):
+        with open(ROW_DRAW_MODEL / "model.offd", "rb") as fh:
+            return load_model(fh)
+
+    def test_reproduces_its_report_byte_for_byte(self):
+        from offdetect.evaluation import ConfusionMatrix, macro_metrics, render_report
+        from offdetect.experiment import build_pipeline, load_corpora, parse_config
+
+        cfg = parse_config(TESTS.parent / "configs" / "hodmd2_rks_rlsc.cfg")
+        _, test = load_corpora(cfg)
+        features = build_pipeline(cfg, [test]).featurize(test)
+        model = self.load()
+        assert model.rks.prng == PCG64_ROWS_ID
+        expected = np.random.default_rng(model.rks.seed).standard_normal((8, 100)) / model.rks.sigma
+        assert np.array_equal(model.rks.omega, expected)
+        predicted = [label for label, _ in predict(model, features)]
+        report = macro_metrics(ConfusionMatrix.from_pairs([rec.label for rec in test.records], predicted))
+        tsv, _ = render_report([(cfg.name, report)])
+        assert tsv == (ROW_DRAW_MODEL / "report.tsv").read_text(encoding="utf-8")
+
+    def test_saves_back_to_the_same_bytes(self):
+        sink = io.BytesIO()
+        save_model(self.load(), sink)
+        assert sink.getvalue() == (ROW_DRAW_MODEL / "model.offd").read_bytes()
+
+    def test_inspect_model_names_each_generator(self, tmp_path, capsys):
+        from offdetect.cli import main
+
+        assert main(["inspect-model", str(ROW_DRAW_MODEL / "model.offd")]) == 0
+        assert "(sigma=1.8423170440669892, seed=0, prng=numpy-pcg64)\n" in capsys.readouterr().out
+        model = self.load()
+        model.rks = sample_map(8, 200, sigma=model.rks.sigma, seed=0)
+        with open(tmp_path / "model.offd", "wb") as fh:
+            save_model(model, fh)
+        assert main(["inspect-model", str(tmp_path / "model.offd")]) == 0
+        assert f"seed=0, prng={PRNG_ID})\n" in capsys.readouterr().out
 
 
 _FUZZ_PAYLOADS = [

@@ -14,6 +14,8 @@ from offdetect.rks import (
     MAX_MAP_ENTRIES,
     MAX_SEED,
     MEDIAN_MAX_POINTS,
+    PCG64_ROWS_ID,
+    PRNG_ID,
     median_heuristic_sigma,
     sample_map,
     transform,
@@ -75,6 +77,55 @@ class TestSampleMap:
         se = (1.0 / sigma) / math.sqrt(k * d_in)
         assert abs(float(np.mean(rks.omega))) <= 3.0 * se
         assert abs(float(np.std(rks.omega)) - 1.0 / sigma) <= 0.01 / sigma
+
+
+def bits(values: np.ndarray) -> np.ndarray:
+    """The float64 entries' bit patterns, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+class TestNestedMaps:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d_in=st.integers(1, 40),
+        k=st.integers(1, 300),
+        data=st.data(),
+        sigma=st.floats(1e-3, 1e3),
+        seed=st.integers(0, MAX_SEED),
+    )
+    def test_narrower_map_is_the_first_columns_bit_for_bit(self, d_in, k, data, sigma, seed):
+        sub_k = data.draw(st.integers(1, k), label="sub_k")
+        wide = sample_map(d_in, 2 * k, sigma, seed)
+        narrow = sample_map(d_in, 2 * sub_k, sigma, seed)
+        assert wide.prng == narrow.prng == PRNG_ID
+        assert np.array_equal(bits(narrow.omega), bits(wide.omega[:, :sub_k]))
+        assert np.array_equal(bits(wide.prefix(2 * sub_k).omega), bits(narrow.omega))
+
+    def test_prefix_is_a_view_of_the_same_recipe(self):
+        wide = sample_map(6, 40, sigma=1.5, seed=3)
+        narrow = wide.prefix(10)
+        assert np.shares_memory(narrow.omega, wide.omega)
+        assert (narrow.d_in, narrow.dim_out, narrow.sigma, narrow.seed, narrow.prng) == (6, 10, 1.5, 3, PRNG_ID)
+
+    @pytest.mark.parametrize("dim_out", [0, 7, 42])
+    def test_prefix_outside_the_map_rejected(self, dim_out):
+        with pytest.raises(ValueError, match="output dimension"):
+            sample_map(6, 40, sigma=1.5, seed=3).prefix(dim_out)
+
+    def test_row_by_row_draw_is_the_earlier_recipe_and_does_not_nest(self):
+        # the draw of model files whose map block names numpy-pcg64
+        rks = sample_map(5, 16, sigma=2.0, seed=11, prng=PCG64_ROWS_ID)
+        expected = np.random.default_rng(11).standard_normal((5, 8)) / 2.0
+        assert rks.prng == PCG64_ROWS_ID
+        assert np.array_equal(bits(rks.omega), bits(expected))
+        narrow = sample_map(5, 8, sigma=2.0, seed=11, prng=PCG64_ROWS_ID)
+        assert not np.array_equal(narrow.omega, rks.omega[:, :4])
+        with pytest.raises(ValueError, match="do not nest"):
+            rks.prefix(8)
+
+    def test_unknown_generator_rejected(self):
+        with pytest.raises(ValueError, match="unknown generator 'mt19937'"):
+            sample_map(5, 16, sigma=2.0, seed=11, prng="mt19937")
 
 
 class TestTransform:
