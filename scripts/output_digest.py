@@ -10,6 +10,7 @@ on this checkout's ``src`` and writes under its own directory of OUT:
 - ``run``, ``export-features`` and ``inspect-model`` for each ``configs/*.cfg``;
 - ``sweep --sweep-C`` on ``configs/dmd_svm.cfg``;
 - ``sweep --sweep-dim`` on both lift configs;
+- ``sweep --sweep-dim`` on ``configs/avg_svm.cfg``, a lifted svm sweep;
 - ``scripts/run_mini_experiments.py``, the mini grid.
 
 For each command, in that order, it prints ``sha256  <command>/<config> (stdout)``
@@ -49,7 +50,7 @@ def commands(out: Path) -> list[tuple[str, list[str]]]:
             (f"inspect-model/{cfg.stem}", [*cli, "inspect-model", str(out / run_dir / "model.offd")]),
         ]
     sweeps = [("sweep-C", "dmd_svm", C_VALUES), ("sweep-dim", "hodmd2_rks_rlsc", DIM_VALUES),
-              ("sweep-dim", "precomputed_rks_rlsc", DIM_VALUES)]
+              ("sweep-dim", "precomputed_rks_rlsc", DIM_VALUES), ("sweep-dim", "avg_svm", DIM_VALUES)]
     for option, stem, values in sweeps:
         label = f"{option}/{stem}"
         cfg = REPO / "configs" / f"{stem}.cfg"

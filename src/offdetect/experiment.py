@@ -447,11 +447,12 @@ def _sha256(key: str, path: Path) -> str:
 
 def _train(cfg: ExperimentConfig, F, y, rks=None):
     """The configured classifier fitted on F, or with a map ``rks`` on F
-    lifted through it; the model then carries the map.  The ridge solve
-    lifts F itself, in blocks (``sweep_reports`` fits lifted rlsc configs
-    by ``train_rlsc_nested``); svm and logreg train on the whole lifted
-    matrix, and one too large to allocate is a DataError naming its size
-    (gnb takes no map: ``validate`` refuses the pair)."""
+    lifted through it; the model then carries the map.  ``sweep_reports``
+    passes each lifted svm or logreg config the prefix of its recipe's one
+    drawn map, and fits lifted rlsc configs by ``train_rlsc_nested``
+    instead.  svm and logreg train on the whole lifted matrix, and one too
+    large to allocate is a DataError naming its size (gnb takes no map:
+    ``validate`` refuses the pair)."""
     if cfg.classifier == "rlsc":
         return train_rlsc(F, y, lam=cfg.lam, rks=rks)
     if cfg.classifier == "gnb":
@@ -472,17 +473,6 @@ def _train(cfg: ExperimentConfig, F, y, rks=None):
     return model
 
 
-def _lift_sigma(rks: RksSpec, train_F: np.ndarray) -> float:
-    """The lift bandwidth: the configured one, else the median heuristic on
-    the training features."""
-    if rks.sigma is not None:
-        return rks.sigma
-    rows = len(train_F)
-    if rows < 2:
-        raise DataError(f"the median-heuristic bandwidth needs 2 or more training rows, got {rows}")
-    return median_heuristic_sigma(train_F, seed=rks.seed)
-
-
 def sweep_reports(
     train_corpus: LabeledCorpus,
     test_corpus: LabeledCorpus,
@@ -492,11 +482,13 @@ def sweep_reports(
 ) -> list[tuple[object, MetricsReport]]:
     """(model, test metrics) of each config in ``run_cfgs``, fitted on the
     given feature arrays.  A config with a lift passes the raw features and
-    its map (bandwidth -> ``sample_map``) to the trainer, which lifts them,
-    and its model carries the map.  A median-heuristic bandwidth is fitted
-    once per lift seed, so each config gets the bandwidth it gets alone.
-    An unlabeled tweet in either corpus and an empty test corpus are
-    refused, and every map is checked against the entry cap, before any
+    its map to the trainer, which lifts them, and its model carries the map.
+    One map is drawn per (rks_sigma, rks_seed), at the widest of its
+    configs' dimensions, on the bandwidth given or else the median heuristic
+    on the training features; every lifted config takes the prefix of that
+    map at its own dimension, which is the map it draws alone (the maps
+    nest).  An unlabeled tweet in either corpus and an empty test corpus
+    are refused, and every map is checked against the entry cap, before any
     map is drawn or config trained; a recipe ``sample_map`` refuses is a
     DataError.
 
@@ -505,10 +497,10 @@ def sweep_reports(
     allocation comes before any smaller fit leaves freed memory behind.
     The lifted rlsc configs of one (rks_sigma, rks_seed, lambda) are fitted
     together, when the widest of them comes up, by one
-    ``train_rlsc_nested`` call: their maps nest, so only the widest is
-    drawn (the others are prefixes of it), and a narrower primal system is
-    a sub-block of a wider one.  Results stay in input order;
-    when several configs fail, the widest one's error is raised."""
+    ``train_rlsc_nested`` call, where a narrower primal system is a
+    sub-block of a wider one; every other config is fitted by ``_train``.
+    Results stay in input order; when several configs fail, the widest
+    one's error is raised."""
     train_y = labels_to_signs(train_corpus)
     labels_to_signs(test_corpus)
     if not test_corpus.records:
@@ -521,46 +513,38 @@ def sweep_reports(
                 raise DataError(f"random-feature map: {exc}") from None
     widths = [train_F.shape[1] if c.rks is None else c.rks.dim for c in run_cfgs]
     order = sorted(range(len(run_cfgs)), key=lambda i: -widths[i])
-    sigmas: dict[tuple, float] = {}  # (rks_sigma, rks_seed) -> bandwidth
+    recipes = [None if c.rks is None else (c.rks.sigma, c.rks.seed) for c in run_cfgs]
+    maps: dict = {}  # recipe -> its drawn map
     results: list = [None] * len(run_cfgs)
     for i in order:
         if results[i] is not None:
             continue
-        run_cfg = run_cfgs[i]
-        rks = run_cfg.rks
-        if rks is None:
+        run_cfg, recipe = run_cfgs[i], recipes[i]
+        if recipe is None:
             model = _train(run_cfg, train_F, train_y)
             results[i] = (model, evaluate(model, test_corpus, test_F))
             continue
-        if (rks.sigma, rks.seed) not in sigmas:
-            sigmas[rks.sigma, rks.seed] = _lift_sigma(rks, train_F)
-        together = [i]
+        if recipe not in maps:
+            sigma, seed = recipe
+            if sigma is None:
+                if len(train_F) < 2:
+                    raise DataError("the median-heuristic bandwidth needs 2 or more training rows, "
+                                    f"got {len(train_F)}")
+                sigma = median_heuristic_sigma(train_F, seed=seed)
+            try:
+                maps[recipe] = sample_map(train_F.shape[1], run_cfg.rks.dim, sigma, seed)
+            except ValueError as exc:
+                raise DataError(f"random-feature map: {exc}") from None
         if run_cfg.classifier == "rlsc":
-            together = [j for j in order if results[j] is None and _nested_with(run_cfgs[j], run_cfg)]
-        try:
-            widest = sample_map(train_F.shape[1], rks.dim, sigmas[rks.sigma, rks.seed], rks.seed)
-        except ValueError as exc:
-            raise DataError(f"random-feature map: {exc}") from None
-        # the narrower maps are views of the widest one's first frequencies
-        maps = [widest] + [widest.prefix(run_cfgs[j].rks.dim) for j in together[1:]]
-        if run_cfg.classifier == "rlsc":
-            models = train_rlsc_nested(train_F, train_y, maps, lam=run_cfg.lam)
+            together = [j for j in order if results[j] is None and run_cfgs[j].classifier == "rlsc"
+                        and (recipes[j], run_cfgs[j].lam) == (recipe, run_cfg.lam)]
+            prefixes = [maps[recipe].prefix(run_cfgs[j].rks.dim) for j in together]
+            models = train_rlsc_nested(train_F, train_y, prefixes, lam=run_cfg.lam)
         else:
-            models = [_train(run_cfg, train_F, train_y, maps[0])]
+            together, models = [i], [_train(run_cfg, train_F, train_y, maps[recipe].prefix(run_cfg.rks.dim))]
         for j, model in zip(together, models):
             results[j] = (model, evaluate(model, test_corpus, test_F))
     return results
-
-
-def _nested_with(cfg: ExperimentConfig, other: ExperimentConfig) -> bool:
-    """Whether lifted rlsc configs ``cfg`` and ``other`` draw nested maps
-    and solve for the same lambda: one ``train_rlsc_nested`` call fits both."""
-    return (
-        cfg.classifier == other.classifier == "rlsc"
-        and cfg.rks is not None
-        and other.rks is not None
-        and (cfg.rks.sigma, cfg.rks.seed, cfg.lam) == (other.rks.sigma, other.rks.seed, other.lam)
-    )
 
 
 def run_sweep(cfg: ExperimentConfig, value_name: str, values: list) -> tuple[list[str], Path]:

@@ -323,38 +323,24 @@ def _ridge_system(X: np.ndarray, y: np.ndarray, rks: RksMap | None, fit_intercep
 def _sub_system(panels: list[np.ndarray], rhs: np.ndarray, k: int, sub_k: int, fit_intercept: bool):
     """The primal system of the first ``sub_k`` of a map's k frequencies,
     copied from the map's own primal system (``panels``, ``rhs``, see
-    train_rlsc_nested): (Gram buffer, row panels, right-hand side).  Every
-    entry the copy stores is written: what its panels hold above their
-    diagonal is mirrored from below it."""
-    scale = math.sqrt(k / sub_k)
-    # (first row of the copy, first row of the source, rows, scale): the cos
-    # rows, the sin rows and the intercept border
-    runs = [(0, 0, sub_k, scale), (sub_k, k, sub_k, scale)]
-    if fit_intercept:
-        runs.append((2 * sub_k, 2 * k, 1, 1.0))
-    gram, sub = _lower_panels(2 * sub_k + (1 if fit_intercept else 0))
+    train_rlsc_nested): (Gram buffer, row panels, right-hand side).  Row a
+    of the copy is source row idx[a] at the columns idx[:a + 1], times
+    scale[a] * scale[:a + 1]; what its panels hold above their diagonal is
+    mirrored from below it."""
+    # the source rows: cos [0, sub_k), sin [k, k + sub_k), the intercept border
+    idx = np.concatenate([np.arange(sub_k), np.arange(k, k + sub_k), np.arange(2 * k, 2 * k + fit_intercept)])
+    scale = np.full(len(idx), math.sqrt(k / sub_k))
+    scale[2 * sub_k :] = 1.0
+    gram, sub = _lower_panels(len(idx))
     for panel in sub:
         r0, r1 = _panel_rows(panel)
-        for t0, s0, count, row_scale in runs:
-            for source in panels:
-                i0, i1 = _panel_rows(source)
-                # rows [a, b) of the copy: in this panel, and in this run,
-                # whose source rows lie in this source panel
-                a, b = max(r0, t0, i0 - s0 + t0), min(r1, t0 + count, i1 - s0 + t0)
-                if a >= b:
-                    continue
-                rows = source[a - t0 + s0 - i0 : b - t0 + s0 - i0]
-                # columns [0, b) of those rows: every source column they read
-                # comes before the last row's, so this source panel holds it
-                for c0, u0, width, column_scale in runs:
-                    c1 = min(c0 + width, b)
-                    if c0 < c1:
-                        np.multiply(rows[:, u0 : u0 + c1 - c0], row_scale * column_scale,
-                                    out=panel[a - r0 : b - r0, c0:c1])
+        for a in range(r0, r1):
+            source = panels[idx[a] // _PANEL_ROWS][idx[a] % _PANEL_ROWS]
+            np.multiply(source[idx[: a + 1]], scale[a] * scale[: a + 1], out=panel[a - r0, : a + 1])
         square = panel[:, r0:r1]
         upper = np.triu_indices(r1 - r0, 1)
         square[upper] = square.T[upper]
-    return gram, sub, np.concatenate([rhs[s0 : s0 + count] * row_scale for _, s0, count, row_scale in runs])
+    return gram, sub, rhs[idx] * scale
 
 
 def _rlsc_model(w: np.ndarray, bias: float, lam: float, rks: RksMap | None) -> LinearModel:

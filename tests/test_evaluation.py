@@ -380,6 +380,37 @@ class TestSweep:
         assert [model.rks.sigma for model, _ in together] == sigmas
         assert [r.as_tuple() for _, r in together] == [r.as_tuple() for _, r in alone]
 
+    def test_one_map_drawn_per_recipe(self, mini_dir, monkeypatch):
+        # every lifted config of a (bandwidth, seed) takes a prefix of one
+        # map drawn at its widest dimension; an svm or logreg model is the
+        # one its config gets alone, bit for bit
+        from dataclasses import replace
+
+        from offdetect import experiment
+        from offdetect.experiment import RksSpec, _prepare, sweep_reports
+
+        cfg = self.mini_precomputed_config(mini_dir)
+        cfgs = [replace(cfg, classifier=classifier, rks=RksSpec(dim=dim))
+                for classifier in ("svm", "logreg", "rlsc") for dim in (64, 16, 32)]
+        cfgs.append(replace(cfg, classifier="svm", rks=RksSpec(dim=32, seed=1)))
+        data = _prepare(cfg)
+        draws = []
+        sample_map = experiment.sample_map
+
+        def counting_sample_map(d_in, dim_out, sigma, seed):
+            draws.append((dim_out, seed))
+            return sample_map(d_in, dim_out, sigma, seed)
+
+        monkeypatch.setattr(experiment, "sample_map", counting_sample_map)
+        results = sweep_reports(*data, cfgs)
+        assert draws == [(64, 0), (32, 1)]
+        for run_cfg, (model, report) in zip(cfgs, results):
+            if run_cfg.classifier == "rlsc":
+                continue
+            alone, alone_report = sweep_reports(*data, [run_cfg])[0]
+            assert np.array_equal(model.w, alone.w) and model.bias == alone.bias
+            assert report.as_tuple() == alone_report.as_tuple()
+
     def test_widest_config_fitted_first_results_in_input_order(self, mini_dir, monkeypatch):
         # lift dims 16, 200 and 64 and an unlifted config of the 16-dim mini
         # vectors, which ties with the first and follows it; the lifted rlsc

@@ -12,6 +12,7 @@ from offdetect.learn import (
     _cholesky_in_place,
     _cholesky_solve,
     _lower_panels,
+    _sub_system,
     logreg_loss_grad,
     predict,
     svm_objective,
@@ -561,6 +562,31 @@ class TestRlscNested:
         (model,) = train_rlsc_nested(X, y, [rks])
         alone = train_rlsc(X, y, rks=rks)
         assert np.array_equal(model.w, alone.w) and model.bias == alone.bias
+
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    @pytest.mark.parametrize("k", [250, 700])
+    def test_sub_system_is_the_scaled_dense_sub_block(self, k, fit_intercept):
+        # systems of several panels: a copied row reads source panels other
+        # than its own, and a copy panel's diagonal square is mirrored
+        rng = np.random.default_rng(k)
+        size = 2 * k + fit_intercept
+        G = rng.standard_normal((size, size))
+        G += G.T
+        rhs = rng.standard_normal(size)
+        _, panels = _lower_panels(size)
+        for panel in panels:
+            i1 = panel.shape[1]
+            panel[:] = G[i1 - len(panel) : i1, :i1]
+        for sub_k in (1, _PANEL_ROWS // 2 - 1, _PANEL_ROWS // 2, _PANEL_ROWS // 2 + 1, k):
+            idx = np.r_[0:sub_k, k : k + sub_k, 2 * k : size]
+            scale = np.where(idx < 2 * k, np.sqrt(k / sub_k), 1.0)
+            dense = G[np.ix_(idx, idx)] * np.outer(scale, scale)
+            gram, sub, sub_rhs = _sub_system(panels, rhs, k, sub_k, fit_intercept)
+            assert sum(panel.size for panel in sub) == gram.size
+            for panel in sub:
+                i1 = panel.shape[1]
+                assert np.array_equal(panel, dense[i1 - len(panel) : i1, :i1])
+            assert np.array_equal(sub_rhs, rhs[idx] * scale)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
