@@ -189,6 +189,11 @@ def main(argv=None) -> int:
     except NumericError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        # any allocation of any command; numpy's message names the array's
+        # shape and size, a bare MemoryError has none
+        sys.stderr.write(f"data error: out of memory{f': {exc}' if str(exc) else ''}\n")
+        return EXIT_DATA
 
 
 def entrypoint() -> None:

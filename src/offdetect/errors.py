@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the pipeline.
 
-The CLI maps these onto exit codes: DataError -> 2, NumericError -> 3.
+The CLI maps these onto exit codes: DataError -> 2, NumericError -> 3
+(and a MemoryError, from any allocation, -> 2).
 """
 
 

@@ -304,8 +304,7 @@ class FeaturePipeline:
         a serial loop over whole groups and does not depend on the worker
         count, and an error is the one that loop would raise first.  A
         non-finite feature row (word vectors so large that it overflows) is
-        a DataError naming its tweet, and an allocation that fails one
-        naming the size of the feature array.
+        a DataError naming its tweet.
         """
         if self.kind == "precomputed":
             try:
@@ -315,17 +314,6 @@ class FeaturePipeline:
             return self.table.matrix[rows]
         if self.kind not in ("avg", "dmd", "hodmd"):
             raise DataError(f"unknown feature kind {self.kind!r}")
-        try:
-            return self._word_features(corpus)
-        except MemoryError:
-            n, dim = len(corpus.records), self.table.dim
-            raise DataError(
-                f"vec file dim {dim}: cannot allocate the {n} x {dim} feature array "
-                f"({n * dim * 8 / 2**30:.2f} GiB of float64)"
-            ) from None
-
-    def _word_features(self, corpus: LabeledCorpus) -> np.ndarray:
-        """``featurize`` of a word-vector mode."""
         # imported here, not with the module: concurrent.futures loads logging,
         # which importing offdetect and the precomputed mode do not need
         from concurrent.futures import ThreadPoolExecutor
@@ -450,21 +438,13 @@ def _train(cfg: ExperimentConfig, F, y, rks=None):
     lifted through it; the model then carries the map.  ``sweep_reports``
     passes each lifted svm or logreg config the prefix of its recipe's one
     drawn map, and fits lifted rlsc configs by ``train_rlsc_nested``
-    instead.  svm and logreg train on the whole lifted matrix, and one too
-    large to allocate is a DataError naming its size (gnb takes no map:
-    ``validate`` refuses the pair)."""
+    instead.  svm and logreg train on the whole lifted matrix (gnb takes no
+    map: ``validate`` refuses the pair)."""
     if cfg.classifier == "rlsc":
         return train_rlsc(F, y, lam=cfg.lam, rks=rks)
     if cfg.classifier == "gnb":
         return train_gnb(F, y, var_floor=cfg.var_floor)
-    try:
-        lifted = F if rks is None else transform(rks, F)
-    except MemoryError:
-        n, dim = len(F), rks.dim_out
-        raise DataError(
-            f"rks_dim {dim}: cannot allocate the {n} x {dim} lifted training matrix "
-            f"({n * dim * 8 / 2**30:.2f} GiB of float64)"
-        ) from None
+    lifted = F if rks is None else transform(rks, F)
     if cfg.classifier == "svm":
         model = train_linear_svm(lifted, y, C=cfg.C, epochs=cfg.svm_epochs, seed=cfg.seed)
     else:
@@ -673,9 +653,10 @@ def write_artifacts(out_dir, files: dict[str, str | bytes]) -> None:
     Every target is checked first (none may be a directory), then every
     file is written to a temporary file, and only once all of them are
     written are they renamed into place.  So no reader sees a partial file,
-    and a failure before the renames leaves the files already there as they
-    were, with no temporary file.  A path that cannot be written is a
-    DataError naming it."""
+    and a failure before the renames, whatever its exception, leaves the
+    files already there as they were, with no temporary file.  A path that
+    cannot be written is a DataError naming it; any other exception
+    propagates."""
     out_dir = Path(out_dir)
     written: list[Path] = []
     try:
@@ -690,9 +671,11 @@ def write_artifacts(out_dir, files: dict[str, str | bytes]) -> None:
                 fh.write(payload.encode("utf-8") if isinstance(payload, str) else payload)
         for tmp, filename in zip(written, files):
             os.replace(tmp, out_dir / filename)
-    except OSError as exc:
+    except BaseException as exc:
         for tmp in written:
             tmp.unlink(missing_ok=True)  # a failed write leaves no temporary file
+        if not isinstance(exc, OSError):
+            raise
         raise DataError(f"cannot write {exc.filename2 or exc.filename or out_dir}: {exc.strerror}") from None
 
 

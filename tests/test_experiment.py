@@ -1089,6 +1089,22 @@ class TestCli:
         assert err == f"data error: cannot write {out / 'manifest.json.tmp'}: {os.strerror(errno.ENOSPC)}\n"
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    def test_failed_encode_leaves_no_temporary_file(self, tmp_path):
+        # the second payload cannot be encoded: the error is not mapped, and
+        # the first temporary file goes with the second
+        from offdetect.experiment import write_artifacts
+
+        class Unencodable(str):
+            def encode(self, *args, **kwargs):
+                raise MemoryError
+
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "report.tsv").write_bytes(b"earlier\n")
+        with pytest.raises(MemoryError):
+            write_artifacts(out, {"report.tsv": "later\n", "features.txt": Unencodable("x\n")})
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == {"report.tsv": b"earlier\n"}
+
     @pytest.mark.parametrize(
         "header, expected",
         [
@@ -1216,6 +1232,17 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "kind: svm_linear" in out
+
+    def test_inspect_gnb_model(self, tmp_path, mini_dir, capsys):
+        text = (CONFIGS / "avg_svm.cfg").read_text(encoding="utf-8").replace("../data/mini", str(mini_dir))
+        cfg_path = tmp_path / "gnb.cfg"
+        cfg_path.write_text(text.replace("classifier = svm", "classifier = gnb"), encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        assert main(["inspect-model", str(tmp_path / "o" / "model.offd")]) == 0
+        assert capsys.readouterr().out == (
+            "kind: gnb\nfeatures: 8\npriors: OFF=33.57% NOT=66.43%\nvar_floor: 1e-09\n"
+        )
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["sweep", "--config", "whatever"]) == 1
@@ -1458,8 +1485,8 @@ class TestCli:
         proc = run_limited(["run", "--config", str(cfg_path), "--out", str(out)], 2 << 30)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (
-            f"data error: rks_dim {dim}: cannot allocate the 140 x {dim} lifted training matrix "
-            "(2.19 GiB of float64)\n"
+            f"data error: out of memory: Unable to allocate 2.19 GiB for an array with shape (140, {dim}) "
+            "and data type float64\n"
         )
         assert not out.exists()
 
@@ -1475,9 +1502,35 @@ class TestCli:
         proc = run_limited(["run", "--config", str(cfg_path), "--out", str(out)], 2 << 30)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (
-            "data error: vec file dim 100000000: cannot allocate the 140 x 100000000 feature array "
-            "(104.31 GiB of float64)\n"
+            "data error: out of memory: Unable to allocate 104. GiB for an array with shape (140, 100000000) "
+            "and data type float64\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, patched",
+        [
+            (["run"], "train_linear_svm"),
+            (["sweep", "--sweep-C", "1,10"], "train_linear_svm"),
+            (["sweep", "--sweep-dim", "16,32"], "train_linear_svm"),
+            (["export-features"], "average_embedding"),
+        ],
+        ids=["run", "sweep-C", "sweep-dim", "export-features"],
+    )
+    def test_out_of_memory_anywhere_exits_2(self, tmp_path, mini_dir, monkeypatch, capsys, command, patched):
+        # an allocation that fails in the fit or in featurizing, mapped by
+        # main alone: one error line (a bare MemoryError has no message) and
+        # nothing written
+        from offdetect import experiment
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(experiment, patched, out_of_memory)
+        cfg_path = write_config(tmp_path / "m.cfg", mini_dir)
+        out = tmp_path / "o"
+        assert main([command[0], "--config", str(cfg_path), "--out", str(out), *command[1:]]) == 2
+        assert capsys.readouterr() == ("", "data error: out of memory\n")
         assert not out.exists()
 
     # Each numeric key is drawn over the whole range its check accepts, and

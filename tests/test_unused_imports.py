@@ -10,7 +10,8 @@ is exempt, as the package's re-exports are.  Every name in a module's
 a module's public functions look each one up.  A module-level
 ``_``-prefixed function, class or constant of the package, or such a
 method or attribute of a module-level class, is dead when no statement of
-the package other than its own definition mentions it.
+the package other than its own definition mentions it.  Exactly one ``except``
+clause of the package names ``MemoryError``: the one in ``cli.main``.
 """
 
 import ast
@@ -164,3 +165,44 @@ def test_dead_code_check_counts_mentions_outside_the_definition_only():
         ),
     }
     assert dead_private_names(sources) == ["a: _UNUSED", "a: _loop", "a: _Dead", "a: Kept._again"]
+
+
+def memory_error_handlers(sources: dict[str, str]) -> list[str]:
+    """``module: function`` of each ``except`` clause of the modules that
+    ``sources`` maps to their text which names ``MemoryError``, alone or in
+    a tuple; ``function`` is the innermost enclosing function, or
+    ``<module>``."""
+    def visit(node, function):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(isinstance(name, ast.Name) and name.id == "MemoryError" for name in names):
+                yield function
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    return [
+        f"{module}: {function}"
+        for module, source in sources.items()
+        for function in visit(ast.parse(source), "<module>")
+    ]
+
+
+def test_memory_error_is_mapped_in_main_only():
+    # one boundary maps a failed allocation to its exit code, so every
+    # allocation of every command fails the same way
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert memory_error_handlers(sources) == ["cli: main"]
+
+
+def test_memory_error_check_finds_each_handler():
+    sources = {
+        "a": (
+            "try:\n    pass\nexcept MemoryError:\n    pass\n"
+            "def f():\n    try:\n        pass\n    except (OSError, MemoryError):\n        pass\n"
+            "    except ValueError:\n        pass\n"
+        ),
+        "b": "class C:\n    def g(self):\n        try:\n            pass\n        except MemoryError as e:\n            pass\n",
+    }
+    assert memory_error_handlers(sources) == ["a: <module>", "a: f", "b: g"]
